@@ -75,12 +75,17 @@ def line_grid_window(lo, hi, step) -> Window:
         t += step
     return Window(name=f"line:[{lo},{hi}]:{step}", points=tuple(pts))
 
+_SAMPLE_RADIUS = 3  # |q| bound of rationals coordinates in sampled sum windows
+
 def sum_sample_window(group: G.SumGroup, size: int, seed: int = 0,
                       layer_cap: int = 4) -> Window:
     """Seeded sample of exactly `size` points, closed under negation.
 
     Points are drawn as {x, -x} pairs (order-2 points are skipped so the
     count always lands exactly); an odd size additionally holds the identity.
+    Pruefer coordinates are nonzero points of the layer_cap subgroup; rationals
+    coordinates come from that subgroup's ball of radius _SAMPLE_RADIUS (a
+    zero coordinate just leaves the support).
     """
     rng = random.Random(seed)
     chosen: dict = {}
@@ -95,8 +100,12 @@ def sum_sample_window(group: G.SumGroup, size: int, seed: int = 0,
         coords = {}
         for j in support:
             summand = group.summand(j)
-            k = rng.randrange(1, summand.p ** layer_cap)
-            coords[j] = summand.element(k, layer_cap)
+            if isinstance(summand, G.PrueferGroup):
+                k = rng.randrange(1, summand.p ** layer_cap)
+                coords[j] = summand.element(k, layer_cap)
+            else:
+                ball = summand.ball_elements(layer_cap, _SAMPLE_RADIUS)
+                coords[j] = ball[rng.randrange(len(ball))]
         return group.point(coords)
 
     guard = 0
@@ -125,11 +134,10 @@ def check_b(u: WeightFn, window: Window, trunc: TruncationSpec,
     Literal subconvolutivity is bound=1; the raw layer constructions are
     checked against their provenance bound (2*mass, or 2*8*C2*mass).
     """
-    memo: dict = {}
     inconclusive = []
     max_ratio = None
     for x in window.points:
-        iv = conv_at(u, x, trunc, memo=memo, require_tail=False)
+        iv = conv_at(u, x, trunc, require_tail=False)
         rhs = bound * u.eval(x)
         if iv.hi is not None and iv.hi <= rhs:
             ratio = iv.hi / rhs

@@ -194,18 +194,28 @@ def _default_window_trunc(w) -> tuple[Window, TruncationSpec, object]:
 
 
 def _parse_window(w, spec: str) -> Window:
+    # an algebra weight lives on its base weight's group: read it off the descriptor
+    group = w.descriptor
     if spec.startswith("G"):
-        return pruefer_ball_window(w.group, int(spec[1:]))
+        _require_group(group, G.PrueferGroup, spec)
+        return pruefer_ball_window(group, int(spec[1:]))
     if spec.startswith("Q"):
+        _require_group(group, G.RationalsGroup, spec)
         layer, radius = spec[1:].split(":")
-        return rationals_ball_window(w.group, int(layer), int(radius))
+        return rationals_ball_window(group, int(layer), int(radius))
     if spec.startswith("sample:"):
+        _require_group(group, G.SumGroup, spec)
         parts = spec.split(":")
         size = int(parts[1])
         seed = int(parts[2]) if len(parts) > 2 else 0
         cap = int(parts[3]) if len(parts) > 3 else 4
-        return sum_sample_window(w.group, size, seed=seed, layer_cap=cap)
+        return sum_sample_window(group, size, seed=seed, layer_cap=cap)
     raise ValueError(f"cannot parse window spec {spec!r}")
+
+
+def _require_group(group, kind: type, spec: str) -> None:
+    if not isinstance(group, kind):
+        raise ValueError(f"window {spec!r} does not fit a weight on the {group.variant} group")
 
 
 def _parse_trunc(spec: str) -> TruncationSpec:
@@ -300,11 +310,11 @@ def cmd_domar(args) -> int:
     try:
         w = _load_builtin(args.weight)
         x = parse_rational(args.x)
+        partials = domar_partial(w, x, args.N)
+        label, cert = domar_classify(w, x)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    partials = domar_partial(w, x, args.N)
-    label, cert = domar_classify(w, x)
     rows = []
     for n, s in enumerate(partials, start=1):
         value = format_rational(s) if isinstance(s, Fraction) else repr(float(s))
@@ -327,18 +337,17 @@ def cmd_domar(args) -> int:
 
 
 def cmd_beurling(args) -> int:
+    spec = _default_spec()
+    rows = []
     try:
         w = _load_builtin(args.weight)
+        for cutoff in (args.T / 4, args.T / 2, args.T):
+            res = beurling_integral(w, cutoff=cutoff, spec=spec)
+            rows.append({"cutoff": cutoff, "integral_lo": res.integral.lo,
+                         "integral_hi": res.integral.hi})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    spec = _default_spec()
-    rows = []
-    for cutoff in (args.T / 4, args.T / 2, args.T):
-        res = beurling_integral(w, cutoff=cutoff, spec=spec)
-        rows.append({"cutoff": cutoff, "integral_lo": res.integral.lo,
-                     "integral_hi": res.integral.hi})
-    result = beurling_integral(w, cutoff=args.T, spec=spec)
     if args.csv:
         path = Path(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -351,7 +360,7 @@ def cmd_beurling(args) -> int:
         print("cutoff,integral_lo,integral_hi")
         for row in rows:
             print(f"{row['cutoff']},{row['integral_lo']},{row['integral_hi']}")
-    print(f"classification: {result.classification}")
+    print(f"classification: {res.classification}")
     return EXIT_OK
 
 

@@ -5,28 +5,41 @@ For a discrete exact weight u the engine encloses
     (u*u)(x) = sum_y u(y) u(x-y)
 
 by an exact partial sum over a finite truncation set plus a tail bound read
-off the construction's closed form.  Tails never come from extrapolation:
+off the construction's closed form.  Tails never come from extrapolation.
 
-* layer weights: for y outside the cutoff subgroup both factors sit in the
-  same shell, so the omitted mass is exactly sum_{j>N} |U_j| phi_j^2, which
-  the geometric default families sum in closed form (the enclosure's upper
-  end is then the exact value);
-* rationals: a layer tail 8 C2 sigma(floor|q|) sum_{j>N} t_j phi_j^2 plus a
-  range tail from grouping the remote points into unit intervals, each
+The constructions are constant on the shells of a subgroup chain (and, on
+the rationals, on the unit intervals of floor|q|), so partial sums are
+counts over shells rather than enumerations of group elements:
+
+* layer weights: for x in shell n <= N the sum over the cutoff subgroup G_N
+  is sum_{j<n} 2 |U_j| phi_j phi_n + (|U_n| - |G_{n-1}|) phi_n^2
+  + sum_{n<j<=N} |U_j| phi_j^2, in O(N) for any shell values.  Outside G_N
+  both factors sit in the same shell, so the omitted mass is exactly
+  sum_{j>N} |U_j| phi_j^2, which the geometric default families sum in
+  closed form (the enclosure's upper end is then the exact value, and
+  conv_exact is the same sum at N = n plus that tail);
+* rationals: write each truncation point as m + j/t_N.  The layers of j/t_N
+  and q - j/t_N, floor(q - j/t_N), whether q - j/t_N is an integer and
+  whether j = 0 fix every factor up to the sigma kernel in m, so the j fall
+  into a few classes, each summing sigma(floor|r|) sigma(floor|q-r|) over m
+  once.  Tails: a layer tail 8 C2 sigma(floor|q|) sum_{j>N} t_j phi_j^2 plus
+  a range tail from grouping the remote points into unit intervals, each
   carrying at most the full per-interval mass, with an integral-comparison
   cap on the remaining sigma series;
 * direct sums: the sum factorizes over coordinate patterns into per-summand
   self-convolutions, evaluated recursively with their own tails;
 * Euclidean factors: the closed-form self-convolution of 1/(1+t^2).
 
-Partial sums are embarrassingly parallel over window points: the engine is
-pure and weights are immutable, so concurrent calls are safe.
+Every partial sum is the same exact rational the element-by-element sum
+gives.  The engine is pure and weights are immutable, so concurrent calls
+are safe.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -59,15 +72,7 @@ def conv_exact(u: WeightFn, x) -> Optional[Fraction]:
         if not u.tails_exact:
             return None
         n = G.layer_of(x)
-        phi = u.phi
-        total = Fraction(0)
-        # y in a lower shell forces x-y into the shell of x, and vice versa
-        for j in range(1, n):
-            total += 2 * u.group.shell_size(j) * phi.term(j) * phi.term(n)
-        prev = 0 if n == 1 else u.group.layer_size(n - 1)
-        total += (u.group.shell_size(n) - prev) * phi.term(n) ** 2
-        total += u.sq_tail(n)
-        return u.scale * u.scale * total
+        return u.scale * u.scale * (_layer_partial(u, n, n) + u.sq_tail(n))
     if isinstance(u, DirectSumWeight):
         def exact_fn(j: int, uj: WeightFn, xj) -> Interval:
             value = conv_exact(uj, xj)
@@ -84,7 +89,7 @@ def conv_exact(u: WeightFn, x) -> Optional[Fraction]:
 
 
 def conv_at(u: WeightFn, x, trunc: TruncationSpec, *,
-            memo: Optional[dict] = None, require_tail: bool = True) -> Interval:
+            require_tail: bool = True) -> Interval:
     """Enclosure of (u*u)(x): exact partial sum plus provenance tail bound.
 
     With require_tail=False a weight without certifiable tails yields an
@@ -94,14 +99,14 @@ def conv_at(u: WeightFn, x, trunc: TruncationSpec, *,
     if isinstance(u, LayerWeight):
         iv = _conv_layer(u, x, trunc, require_tail)
     elif isinstance(u, RationalsLayerWeight):
-        iv = _conv_rationals(u, x, trunc, memo if memo is not None else {}, require_tail)
+        iv = _conv_rationals(u, x, trunc, require_tail)
     elif isinstance(u, DirectSumWeight):
         iv = _conv_sum(u, x, trunc)
     elif isinstance(u, EuclideanWeight):
         iv = Interval.point(euclidean_conv_value(u, x))
     elif isinstance(u, ProductWeight):
         left = conv_at(u.real_factor, x.real_part, trunc)
-        right = conv_at(u.discrete_factor, x.discrete_part, trunc, memo=memo,
+        right = conv_at(u.discrete_factor, x.discrete_part, trunc,
                         require_tail=require_tail)
         iv = left.mul_nonneg(right).scale_nonneg(u.scale * u.scale)
     else:
@@ -124,18 +129,34 @@ def euclidean_conv_value(u: EuclideanWeight, x) -> float:
 # Layer weights
 # --------------------------------------------------------------------------
 
+def _layer_partial(u: LayerWeight, n: int, cutoff: int) -> Fraction:
+    """sum_{y in G_cutoff} phi(layer y) phi(layer(x-y)) for x in shell n <= cutoff.
+
+    y in a lower shell j puts x-y in shell n, and so does x-y for y in shell
+    n with x-y in G_{n-1}: twice |U_j| phi_j phi_n.  The other y in shell n
+    leave x-y in shell n; y in a higher shell puts x-y in the same shell.
+    """
+    group, term = u.group, u.phi.term
+    phi_n = term(n)
+    total = Fraction(0)
+    for j in range(1, n):
+        total += 2 * group.shell_size(j) * term(j) * phi_n
+    prev = 0 if n == 1 else group.layer_size(n - 1)
+    total += (group.shell_size(n) - prev) * phi_n ** 2
+    for j in range(n + 1, cutoff + 1):
+        total += u.sq_term(j)
+    return total
+
+
 def _conv_layer(u: LayerWeight, x, trunc: TruncationSpec, require_tail: bool) -> Interval:
     cutoff = trunc.layer if trunc.layer is not None else DEFAULT_LAYER_CUTOFF
-    if G.layer_of(x) > cutoff:
+    n = G.layer_of(x)
+    if n > cutoff:
         raise ValueError("truncation cutoff must reach the layer of x")
-    phi = u.phi
-    values = {n: phi.term(n) for n in range(1, cutoff + 1)}
-    partial = Fraction(0)
-    for y in u.group.subgroup_elements(cutoff):
-        partial += values[G.layer_of(y)] * values[G.layer_of(G.sub(x, y))]
-    partial *= u.scale * u.scale
+    scale_sq = u.scale * u.scale
+    partial = scale_sq * _layer_partial(u, n, cutoff)
     try:
-        tail = u.scale * u.scale * u.sq_tail(cutoff)
+        tail = scale_sq * u.sq_tail(cutoff)
     except ValueError:
         if require_tail:
             raise TailUnavailableError("no closed-form tail available for this provenance")
@@ -146,18 +167,6 @@ def _conv_layer(u: LayerWeight, x, trunc: TruncationSpec, require_tail: bool) ->
 # --------------------------------------------------------------------------
 # Rationals
 # --------------------------------------------------------------------------
-
-def _rationals_eval(u: RationalsLayerWeight, value: Fraction, memo: dict) -> Fraction:
-    cached = memo.get(value)
-    if cached is None:
-        den = value.denominator
-        n = 1
-        while u.group.chain_value(n) % den != 0:
-            n += 1
-        cached = u.scale * u.phi.term(n) * sigma(even_floor(value))
-        memo[value] = cached
-    return cached
-
 
 def _sigma_range_series(ball: int, shift: int) -> Fraction:
     """Upper bound on sum_{k >= ball} sigma(k) sigma(max(1, k - shift))."""
@@ -171,19 +180,67 @@ def _sigma_range_series(ball: int, shift: int) -> Fraction:
     return total
 
 
+def _sigma_pair_sum(floor_s: int, integral: bool, origin: bool, ball: int) -> Fraction:
+    """sum_m sigma(floor|m + j/t|) sigma(floor|s - m|) over the truncation's m.
+
+    The sum sees j/t in [0, 1) only through origin (j = 0) and s = q - j/t
+    only through floor_s = floor(s) and whether s is an integer.  m runs
+    over [-ball, ball), plus m = ball at the origin (k = ball * t).
+    """
+    total = Fraction(0)
+    for m in range(-ball, ball + 1 if origin else ball):
+        if m >= 0:
+            floor_r = m
+        else:
+            floor_r = -m if origin else -m - 1
+        if m <= floor_s:
+            floor_d = floor_s - m
+        else:
+            floor_d = m - floor_s if integral else m - floor_s - 1
+        total += sigma(floor_r) * sigma(floor_d)
+    return total
+
+
+def _rationals_partial(u: RationalsLayerWeight, q: Fraction, cutoff: int, ball: int) -> Fraction:
+    """sum_{|k| <= ball t} u(k/t) u(q - k/t) with t = t_cutoff, by classes of k mod t."""
+    t = u.group.chain_value(cutoff)
+    q_num = (q * t).numerator  # q lies in (1/t)Z
+    layers: dict[int, int] = {}
+
+    def layer(num: int) -> int:
+        # layer of num/t: the first chain value its reduced denominator divides
+        den = t // math.gcd(num, t)
+        n = layers.get(den)
+        if n is None:
+            n = 1
+            while u.group.chain_value(n) % den != 0:
+                n += 1
+            layers[den] = n
+        return n
+
+    classes: Counter = Counter()
+    for j in range(t):
+        s_num = q_num - j  # t * (q - j/t)
+        classes[(layer(j), layer(s_num), s_num // t, s_num % t == 0, j == 0)] += 1
+    sums: dict[tuple, Fraction] = {}
+    total = Fraction(0)
+    for (layer_r, layer_s, floor_s, integral, origin), count in classes.items():
+        key = (floor_s, integral, origin)
+        if key not in sums:
+            sums[key] = _sigma_pair_sum(floor_s, integral, origin, ball)
+        total += count * u.phi.term(layer_r) * u.phi.term(layer_s) * sums[key]
+    return u.scale * u.scale * total
+
+
 def _conv_rationals(u: RationalsLayerWeight, x, trunc: TruncationSpec,
-                    memo: dict, require_tail: bool) -> Interval:
+                    require_tail: bool) -> Interval:
     cutoff = trunc.layer if trunc.layer is not None else 5
     ball = trunc.ball if trunc.ball is not None else DEFAULT_BALL_CUTOFF
     q = x.value
     reach = even_floor(q) + 1
     if G.layer_of(x) > cutoff or ball < reach + 2:
         raise ValueError("truncation cutoffs must reach the window point")
-    t_cut = u.group.chain_value(cutoff)
-    partial = Fraction(0)
-    for k in range(-ball * t_cut, ball * t_cut + 1):
-        r = Fraction(k, t_cut)
-        partial += _rationals_eval(u, r, memo) * _rationals_eval(u, q - r, memo)
+    partial = _rationals_partial(u, q, cutoff, ball)
     if not u.phi.certified:
         if require_tail:
             raise TailUnavailableError("no closed-form tail available for this provenance")

@@ -61,14 +61,20 @@ def domar_partial(w: WeightFn, x, n_max: int) -> list:
     """Partial sums S_N = sum_{n<=N} log+ w(nx)/n^2 for N = 1..n_max.
 
     Exact rationals when the weight has an exact log on the orbit; otherwise
-    high-precision floats evaluated in log space (no overflow).
+    high-precision floats evaluated in log space (no overflow).  Raises
+    ValueError when log w is undefined at an orbit point.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     partials = []
     total: Union[Fraction, float] = Fraction(0)
     for n in range(1, n_max + 1):
-        term = _log_plus(w, _orbit_point(w, x, n))
+        point = _orbit_point(w, x, n)
+        try:
+            term = _log_plus(w, point)
+        except (ZeroDivisionError, ValueError) as exc:
+            # the circle weights are zero or infinite at 0, which the orbit can reach
+            raise ValueError(f"log w is undefined at the orbit point {n}x = {point}") from exc
         if isinstance(term, Fraction):
             term = term / (n * n)
         else:

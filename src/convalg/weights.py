@@ -532,7 +532,13 @@ class AlgebraWeight(WeightFn):
         return self.p / (self.p - 1)
 
     def raw_eval(self, x) -> float:
-        return float(self.base.eval(x)) ** float(-1 / self.q)
+        u = self.base.eval(x)
+        exponent = float(-1 / self.q)
+        value = float(u)
+        if value == 0.0 and isinstance(u, Fraction) and u > 0:
+            # deep shells underflow float(u); take the root in log space instead
+            return math.exp(exponent * (math.log(u.numerator) - math.log(u.denominator)))
+        return value ** exponent
 
     def submult_exact(self, s, t) -> Optional[bool]:
         if not self.base.exact:

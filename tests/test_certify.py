@@ -5,6 +5,7 @@ import pytest
 import convalg as ca
 from convalg import groups as G
 from convalg.certificates import FAILS, HOLDS, INCONCLUSIVE
+from convalg.serialize import point_to_json
 
 P2 = G.PrueferGroup(2)
 
@@ -224,3 +225,24 @@ def test_sum_sample_window_properties():
     # deterministic for a fixed seed
     again = ca.sum_sample_window(ws.group, 200, seed=0)
     assert window.points == again.points
+    # the draws for Pruefer-only sums are pinned: seeded windows and report
+    # bundles depend on them
+    assert [point_to_json(x) for x in window.points[:2]] == [
+        {"1": "1/2", "2": "1/27", "3": "1/4"}, {"1": "1/2", "2": "4/9", "3": "1/4"}]
+    assert [point_to_json(x) for x in window.points[-2:]] == [{"3": "13/16"}, {"3": "15/16"}]
+
+
+def test_sum_sample_window_with_rationals_summand():
+    uq = ca.rationals_weight()
+    wq = ca.scale_for_b(uq, 2 * uq.sub_constant * uq.mass())
+    ws = ca.direct_sum_weight((scaled(2), wq))
+    window = ca.sum_sample_window(ws.group, 21, seed=1)
+    assert len(window.points) == 21
+    pts = set(window.points)
+    assert all(G.neg(x) in pts for x in pts)
+    coords = [x.coord(2).value for x in window.points if 2 in x.support()]
+    assert coords
+    assert all(abs(q) <= 3 and (q * 24).denominator == 1 for q in coords)
+    assert window.points == ca.sum_sample_window(ws.group, 21, seed=1).points
+    cert = ca.check_b(ws, window, ca.TruncationSpec(per_summand=(6, 6)))
+    assert cert.verdict == HOLDS

@@ -113,6 +113,25 @@ def test_domar_unknown_builtin_exit_2(capsys):
     assert "unknown builtin" in err
 
 
+@pytest.mark.parametrize("name", ["circle-quarter", "circle-inv-sqrt"])
+def test_domar_circle_builtin_orbit_through_zero_exit_2(capsys, name):
+    # 3 * (1/3) = 0 mod 1, where log w is undefined
+    code, out, err = run(capsys, "domar", "--weight", f"builtin:{name}", "--x", "1/3")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "orbit point 3x = 0" in err
+    assert "classification" not in out
+
+
+@pytest.mark.parametrize("name", ["circle-quarter", "circle-inv-sqrt"])
+def test_beurling_circle_builtin_exit_2(capsys, name):
+    code, out, err = run(capsys, "beurling", "--weight", f"builtin:{name}")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "line weight" in err
+    assert out == ""
+
+
 def test_beurling_classifications(capsys):
     code, out, _ = run(capsys, "beurling", "--weight", "builtin:poly2-exp-log", "--T", "40")
     assert code == 0
@@ -165,6 +184,23 @@ def test_verify_algebra_weight_suites(tmp_path, capsys):
     assert code == 0
     assert "submultiplicative" in out
     assert "ess-inf" in out
+
+
+def test_verify_algebra_weight_window_flag(tmp_path, capsys):
+    wfile = tmp_path / "alg.json"
+    run(capsys, "construct", "--group", "pruefer:2", "--p", "2", "--out", str(wfile))
+    certs = tmp_path / "certs.json"
+    code, out, _ = run(capsys, "verify", str(wfile), "--window", "G3",
+                       "--out", str(certs), "--no-timestamp")
+    assert code == 0
+    assert "window G3 (8 points)" in out
+    bundle = json.loads(certs.read_text())
+    assert [c["window"]["name"] for c in bundle["certificates"]] == ["G3"] * 4
+    assert [c["verdict"] for c in bundle["certificates"]] == ["holds"] * 4
+    # a window of another group's kind is a usage error
+    code, _, err = run(capsys, "verify", str(wfile), "--window", "Q3:3")
+    assert code == 2
+    assert "pruefer" in err
 
 
 def test_report_deterministic(tmp_path, capsys):

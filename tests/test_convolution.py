@@ -11,17 +11,68 @@ P2 = G.PrueferGroup(2)
 P3 = G.PrueferGroup(3)
 
 
-def brute_layer_conv(p, x, cutoff):
+def brute_layer_conv(p, x, cutoff, phi=None):
     """Independent oracle: exact sum over the cutoff subgroup plus the exact
     geometric remainder (every omitted pair sits in a common shell j>cutoff,
-    contributing |U_j| phi_j^2 = ((p-1)/p)(4p)^-j, summed in closed form)."""
+    contributing |U_j| phi_j^2 = ((p-1)/p)(4p)^-j, summed in closed form).
+    A custom phi replaces the default shell values in the sum (the remainder
+    is still the default family's)."""
     g = G.PrueferGroup(p)
-    phi = lambda n: F(1, (2 * p) ** n)
+    phi = phi or (lambda n: F(1, (2 * p) ** n))
     total = F(0)
     for y in g.subgroup_elements(cutoff):
         total += phi(G.layer_of(y)) * phi(G.layer_of(G.sub(x, y)))
     tail = F(p - 1, p) * F(1, (4 * p) ** (cutoff + 1)) / (1 - F(1, 4 * p))
     return total, tail
+
+
+def shell_points(g, cutoff):
+    """The identity and two points of every shell n <= cutoff."""
+    pts = [g.identity()]
+    for n in range(1, cutoff + 1):
+        pts += [g.element(1, n), g.element(g.p ** n - 1, n)]
+    return pts
+
+
+@pytest.mark.parametrize("p,cutoff", [(2, 6), (3, 5), (5, 4)])
+def test_layer_partial_sum_equals_enumeration(p, cutoff):
+    g = G.PrueferGroup(p)
+    u = ca.pruefer_weight(p)
+    w = ca.scale_for_b(u, 2 * u.mass())
+    for x in shell_points(g, cutoff):
+        partial, tail = brute_layer_conv(p, x, cutoff)
+        iv = ca.conv_at(u, x, ca.TruncationSpec(layer=cutoff))
+        assert iv.lo == partial
+        assert iv.hi == partial + tail
+        scaled_iv = ca.conv_at(w, x, ca.TruncationSpec(layer=cutoff))
+        assert scaled_iv.lo == w.scale ** 2 * partial
+
+
+@pytest.mark.parametrize("p,cutoff", [(2, 6), (3, 4)])
+def test_layer_partial_sum_broken_weight_equals_enumeration(p, cutoff):
+    g = G.PrueferGroup(p)
+    broken = ca.broken_increasing_phi()
+    w = ca.nested_finite_weight(g, broken, unchecked=True)
+    for x in shell_points(g, cutoff):
+        partial, _ = brute_layer_conv(p, x, cutoff, phi=broken.term)
+        iv = ca.conv_at(w, x, ca.TruncationSpec(layer=cutoff), require_tail=False)
+        assert iv.lo == partial
+        assert iv.hi is None
+
+
+def test_deep_truncation_reaches_exact_value():
+    u = ca.pruefer_weight(2)
+    trunc = ca.TruncationSpec(layer=20)
+    for x in (P2.identity(), P2.element(1, 1), P2.element(3, 7), P2.element(5, 20)):
+        exact = ca.conv_exact(u, x)
+        iv = ca.conv_at(u, x, trunc)
+        assert iv.hi == exact
+        # the omitted mass is the tail sum_{j > 20} |U_j| phi_j^2
+        assert iv.hi - iv.lo == u.sq_tail(20)
+        # every cutoff that reaches x keeps the exact upper end; lower ends rise
+        ivs = [ca.conv_at(u, x, ca.TruncationSpec(layer=n)) for n in range(G.layer_of(x), 21)]
+        assert all(e.hi == exact for e in ivs)
+        assert [e.lo for e in ivs] == sorted(e.lo for e in ivs)
 
 
 def test_pruefer_conv_zero_exact():
@@ -92,6 +143,39 @@ def brute_rationals_conv(u, q, layer, radius):
     for r in u.group.ball_elements(layer, radius):
         total += u.eval(r) * u.eval(G.sub(q, r))
     return total
+
+
+def scaled_rationals():
+    u = ca.rationals_weight()
+    return ca.scale_for_b(u, 2 * u.sub_constant * u.mass())
+
+
+# negative, integer, half-integer, deeper than the default Q3:3 window, and
+# beyond its radius
+RATIONALS_POINTS = [F(-5, 6), F(-1, 2), F(2), F(-3), F(5, 2), F(-7, 2), F(7, 24),
+                    F(-11, 24), F(9, 2), F(-13, 3), F(0)]
+
+
+@pytest.mark.parametrize("value", RATIONALS_POINTS)
+def test_rationals_partial_sum_equals_enumeration(value):
+    u = ca.rationals_weight()
+    w = scaled_rationals()
+    q = u.group.element(value)
+    for cutoff, ball in ((4, 7), (3, 9)):
+        if G.layer_of(q) > cutoff:
+            continue
+        trunc = ca.TruncationSpec(layer=cutoff, ball=ball)
+        assert ca.conv_at(u, q, trunc).lo == brute_rationals_conv(u, q, cutoff, ball)
+        assert ca.conv_at(w, q, trunc).lo == brute_rationals_conv(w, q, cutoff, ball)
+
+
+def test_rationals_partial_sum_broken_weight_equals_enumeration():
+    b = ca.rationals_weight(phi=ca.broken_increasing_phi(), unchecked=True)
+    for value in (F(-5, 6), F(3), F(1, 2)):
+        q = b.group.element(value)
+        iv = ca.conv_at(b, q, ca.TruncationSpec(layer=3, ball=6), require_tail=False)
+        assert iv.lo == brute_rationals_conv(b, q, 3, 6)
+        assert iv.hi is None
 
 
 def test_rationals_conv_interval_contains_refinements():

@@ -177,6 +177,21 @@ def test_algebra_weight():
         ca.algebra_weight(ca.pruefer_weight(2), 2)
 
 
+def test_algebra_weight_deep_layer_does_not_underflow():
+    u = scaled_pruefer(2)
+    w = ca.algebra_weight(u, 2)
+    x = P2.element(1, 600)
+    assert float(u.eval(x)) == 0.0  # 2^-1201 underflows
+    # w = u^(-1/2) = 2^600.5
+    assert w.eval(x) == pytest.approx(math.sqrt(2) * 2.0 ** 600, rel=1e-12)
+    w3 = ca.algebra_weight(u, 3)  # q = 3/2: u^(-2/3) = 2^(2402/3)
+    assert w3.eval(x) == pytest.approx(2.0 ** (2402 / 3), rel=1e-12)
+    # where float(u) is normal the value is the plain float power, bit for bit
+    for n in (1, 5, 40):
+        y = P2.element(1, n)
+        assert w.eval(y) == float(u.eval(y)) ** float(F(-1, 2))
+
+
 def test_algebra_weight_power_identities():
     # u = 1/4 at p=2 gives w = (1/4)^(-1/2) = 2; u = 1/8 at p=3 (q=3/2) gives 8^(2/3) = 4
     x = P2.element(1, 1)
