@@ -32,7 +32,7 @@ from .certify import (
 )
 from .convolution import conv_at, conv_exact, euclidean_conv_value, TailUnavailableError
 from .domar import CONVERGENT, DIVERGENT, domar_classify, domar_partial
-from .formulas import BUILTIN_NAMES, FormulaWeight, algebra_base, builtin_weight
+from .formulas import BUILTIN_NAMES, FormulaWeight, builtin_weight
 from .groups import (
     CircleGroup,
     CirclePoint,

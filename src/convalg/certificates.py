@@ -10,7 +10,6 @@ decide.  Payload scalars are rationals (serialized as "num/den") or floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Optional
 
 HOLDS = "holds"
@@ -83,7 +82,7 @@ class Certificate:
                            self.truncation, self.witness, cert_id)
 
 
-def window_info(window: Window, group: Optional[object] = None) -> dict:
+def window_info(window: Window) -> dict:
     info: dict[str, Any] = {"name": window.name, "size": len(window.points)}
     if window.ae_excluded:
         info["ae_excluded"] = len(window.ae_excluded)

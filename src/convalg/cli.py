@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import groups as G
-from .certificates import FAILS, HOLDS, INCONCLUSIVE, TruncationSpec, Window
+from .certificates import FAILS, INCONCLUSIVE, Certificate, TruncationSpec, Window
 from .certify import (
     check_b,
     check_evenness,
@@ -61,6 +61,7 @@ from .weights import (
     RationalsLayerWeight,
     algebra_weight,
     broken_increasing_phi,
+    direct_sum_weight,
     nested_finite_weight,
     pruefer_weight,
     rationals_weight,
@@ -123,28 +124,21 @@ def _build_weight(args) -> tuple:
             w = nested_finite_weight(G.PrueferGroup(p), broken_increasing_phi(), unchecked=True)
             return w, "uncertified (negative control)"
         u = pruefer_weight(p)
-        mass = u.mass()
-        w = u if args.raw else scale_for_b(u, 2 * mass)
-        return w, format_rational(mass)
-    if spec == "rationals":
+    elif spec == "rationals":
         u = rationals_weight(G.RationalsGroup(args.chain))
-        mass = u.mass()
-        w = u if args.raw else scale_for_b(u, 2 * u.sub_constant * mass)
-        return w, format_rational(mass)
-    if spec == "sum":
+    elif spec == "sum":
         if not args.summands:
             raise ValueError("--summands is required for --group sum")
         summands = []
         for part in args.summands.split(","):
             if not part.startswith("pruefer:"):
                 raise ValueError(f"unsupported summand {part!r}")
-            p = int(part.split(":", 1)[1])
-            u = pruefer_weight(p)
-            summands.append(scale_for_b(u, 2 * u.mass()))
-        from .weights import direct_sum_weight
-        w = direct_sum_weight(tuple(summands))
-        return w, "1 (per-summand, after rescale)"
-    raise ValueError(f"unknown group spec {spec!r}")
+            u = pruefer_weight(int(part.split(":", 1)[1]))
+            summands.append(scale_for_b(u, u.b_bound))
+        return direct_sum_weight(tuple(summands)), "1 (per-summand, after rescale)"
+    else:
+        raise ValueError(f"unknown group spec {spec!r}")
+    return (u if args.raw else scale_for_b(u, u.b_bound)), format_rational(u.mass())
 
 
 def cmd_construct(args) -> int:
@@ -171,26 +165,53 @@ def cmd_construct(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 
-def _default_window_trunc(w) -> tuple[Window, TruncationSpec, object]:
+def _suite_defaults(w, seed: int = 0) -> tuple[Window, TruncationSpec, object]:
+    """Default window, truncation and decay point of each construction.
+
+    An algebra weight takes its base weight's; a direct sum takes its decay
+    point from summand 1's, placed in coordinate 1.
+    """
     if isinstance(w, AlgebraWeight):
-        window, trunc, decay_x = _default_window_trunc(w.base)
-        return window, trunc, decay_x
+        return _suite_defaults(w.base, seed)
     if isinstance(w, LayerWeight):
-        window = pruefer_ball_window(w.group, 4)
-        trunc = TruncationSpec(layer=8)
-        decay_x = w.group.element(1, 1)
-    elif isinstance(w, RationalsLayerWeight):
-        window = rationals_ball_window(w.group, 3, 3)
-        trunc = TruncationSpec(layer=5, ball=12)
-        decay_x = w.group.element(Fraction(1, 2))
-    elif isinstance(w, DirectSumWeight):
-        window = sum_sample_window(w.group, 200, seed=0)
-        trunc = TruncationSpec(per_summand=(6,) * len(w.summands))
-        decay_x = w.group.point({1: w.group.summand(1).element(1, 1)})
-    else:
-        raise ValueError("verify supports the layer, rationals, direct-sum and "
-                         "algebra constructions")
-    return window, trunc, decay_x
+        return pruefer_ball_window(w.group, 4), TruncationSpec(layer=8), w.group.element(1, 1)
+    if isinstance(w, RationalsLayerWeight):
+        return (rationals_ball_window(w.group, 3, 3), TruncationSpec(layer=5, ball=12),
+                w.group.element(Fraction(1, 2)))
+    if isinstance(w, DirectSumWeight):
+        _, _, first = _suite_defaults(w.summands[0])
+        return (sum_sample_window(w.group, 200, seed=seed),
+                TruncationSpec(per_summand=(6,) * len(w.summands)), w.group.point({1: first}))
+    raise ValueError("verify supports the layer, rationals, direct-sum and "
+                     "algebra constructions")
+
+
+def _run_suites(w, letters, window: Window, trunc: TruncationSpec, decay_x,
+                bound=None) -> list[tuple[str, Certificate]]:
+    """Run the suites named by letters: a positivity, b subconvolutivity, c
+    evenness, d polynomial decay.  For an algebra weight w = u^(-1/q), b is
+    submultiplicativity (checked exactly through u) and d the ess-inf check.
+    The b bound defaults to the weight's certified one, at least 1."""
+    if bound is None:
+        b = w.b_bound
+        bound = b if b is not None and b > 1 else Fraction(1)
+    algebra = isinstance(w, AlgebraWeight)
+    results = []
+    for letter in letters:
+        letter = letter.strip()
+        if letter == "a":
+            cert = check_positivity(w, window)
+        elif letter == "b":
+            cert = (check_submultiplicative(w, window=window) if algebra
+                    else check_b(w, window, trunc, bound=bound))
+        elif letter == "c":
+            cert = check_evenness(w, window)
+        elif letter == "d":
+            cert = ess_inf_check(w, window) if algebra else check_poly_decay(w, decay_x, 12)
+        else:
+            raise ValueError(f"unknown suite {letter!r}")
+        results.append((letter, cert))
+    return results
 
 
 def _parse_window(w, spec: str) -> Window:
@@ -241,47 +262,16 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load weight: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    letters = "abcd" if args.suite == "all" else args.suite.split(",")
     try:
-        window, trunc, decay_x = _default_window_trunc(w)
+        window, trunc, decay_x = _suite_defaults(w)
         if args.window:
             window = _parse_window(w, args.window)
         if args.trunc:
             trunc = _parse_trunc(args.trunc)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    suites = ["a", "b", "c", "d"] if args.suite == "all" else args.suite.split(",")
-    certs = []
-    if args.bound is not None:
-        bound = parse_rational(args.bound)
-    else:
-        b = w.b_bound
-        bound = Fraction(1) if (b is not None and b <= 1) else (b if b is not None else Fraction(1))
-    algebra = isinstance(w, AlgebraWeight)
-    try:
-        for letter in suites:
-            letter = letter.strip()
-            if letter == "a":
-                certs.append(check_positivity(w, window).with_id("a:positivity"))
-            elif letter == "b":
-                # for algebra weights w = u^(-1/q) the product condition is
-                # submultiplicativity, checked exactly through the base weight
-                if algebra:
-                    certs.append(check_submultiplicative(w, window=window)
-                                 .with_id("b:submultiplicative"))
-                else:
-                    certs.append(check_b(w, window, trunc, bound=bound)
-                                 .with_id("b:subconvolutive"))
-            elif letter == "c":
-                certs.append(check_evenness(w, window).with_id("c:evenness"))
-            elif letter == "d":
-                if algebra:
-                    certs.append(ess_inf_check(w, window).with_id("d:ess-inf"))
-                else:
-                    certs.append(check_poly_decay(w, decay_x, 12).with_id("d:poly-decay"))
-            else:
-                print(f"error: unknown suite {letter!r}", file=sys.stderr)
-                return EXIT_USAGE
+        bound = parse_rational(args.bound) if args.bound is not None else None
+        certs = [cert.with_id(f"{letter}:{cert.prop}")
+                 for letter, cert in _run_suites(w, letters, window, trunc, decay_x, bound)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -419,36 +409,19 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     certs = []
 
-    u2 = pruefer_weight(2)
-    w2 = scale_for_b(u2, 2 * u2.mass())
-    window = pruefer_ball_window(u2.group, 4)
-    trunc = TruncationSpec(layer=8)
-    certs.append(check_positivity(w2, window).with_id("pruefer2:a"))
-    certs.append(check_b(w2, window, trunc).with_id("pruefer2:b"))
-    certs.append(check_evenness(w2, window).with_id("pruefer2:c"))
-    certs.append(check_poly_decay(w2, u2.group.element(1, 1), 12).with_id("pruefer2:d"))
-    certs.append(ess_inf_check(algebra_weight(w2, 2), window).with_id("pruefer2:essinf"))
-
-    uq = rationals_weight()
-    wq = scale_for_b(uq, 2 * uq.sub_constant * uq.mass())
-    qwindow = rationals_ball_window(uq.group, 3, 3)
-    qtrunc = TruncationSpec(layer=5, ball=12)
-    certs.append(check_positivity(wq, qwindow).with_id("rationals:a"))
-    certs.append(check_b(wq, qwindow, qtrunc).with_id("rationals:b"))
-    certs.append(check_evenness(wq, qwindow).with_id("rationals:c"))
-    certs.append(check_poly_decay(wq, uq.group.element(Fraction(1, 2)), 12).with_id("rationals:d"))
-
-    from .weights import direct_sum_weight
-    summands = []
-    for p in (2, 3, 2):
-        u = pruefer_weight(p)
-        summands.append(scale_for_b(u, 2 * u.mass()))
-    ws = direct_sum_weight(tuple(summands))
-    swindow = sum_sample_window(ws.group, 200, seed=args.seed)
-    strunc = TruncationSpec(per_summand=(6, 6, 6))
-    certs.append(check_positivity(ws, swindow).with_id("sum:a"))
-    certs.append(check_b(ws, swindow, strunc).with_id("sum:b"))
-    certs.append(check_evenness(ws, swindow).with_id("sum:c"))
+    u2, uq = pruefer_weight(2), rationals_weight()
+    w2 = scale_for_b(u2, u2.b_bound)
+    summands = tuple(scale_for_b(u, u.b_bound) for u in map(pruefer_weight, (2, 3, 2)))
+    suites = (
+        ("pruefer2", w2, "abcd"),
+        ("pruefer2", algebra_weight(w2, 2), "d"),
+        ("rationals", scale_for_b(uq, uq.b_bound), "abcd"),
+        ("sum", direct_sum_weight(summands), "abc"),
+    )
+    for name, w, letters in suites:
+        for letter, cert in _run_suites(w, letters, *_suite_defaults(w, args.seed)):
+            suffix = "essinf" if cert.prop == "ess-inf" else letter
+            certs.append(cert.with_id(f"{name}:{suffix}"))
 
     domar_rows = []
     for name in ("poly2", "poly2-exp", "poly2-exp-log"):

@@ -18,25 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import groups as G
 from .weights import WeightFn
 
 Number = Union[Fraction, float, int]
-
-BUILTIN_NAMES = (
-    "poly2",
-    "exp-abs",
-    "poly2-exp",
-    "poly2-exp-log",
-    "poly2-exp-signed",
-    "circle-quarter",
-    "circle-inv-sqrt",
-    "const-one",
-)
-
-_CIRCLE = {"circle-quarter", "circle-inv-sqrt"}
 
 
 @dataclass(frozen=True)
@@ -56,6 +43,76 @@ class GrowthInfo:
     log_damped: bool = False
 
 
+def _quarter_log(s: float, t: float, a: float) -> float:
+    if t == 0:
+        raise ZeroDivisionError("log w undefined at 0")
+    return s + 0.25 * math.log(t)
+
+
+def _inv_sqrt(t: float, a: float) -> float:
+    if t == 0:
+        raise ZeroDivisionError("t^(-1/2) is undefined at 0")
+    return t ** -0.5
+
+
+@dataclass(frozen=True)
+class Builtin:
+    """One builtin weight at scale 1.
+
+    raw(t, a) is w(t) and log(s, t, a) is s + log w(t), evaluated in log
+    space (no overflow for the exp families), where t is the point as a float
+    (reduced mod 1 on the circle) and a = |t|.  infimum is the certified
+    infimum over the domain, or None when w is not bounded below.
+    """
+
+    domain: str
+    raw: Callable[[float, float], float]
+    log: Callable[[float, float, float], float]
+    growth: GrowthInfo
+    infimum: Optional[float]
+
+
+_POLY2_LOG_CONST = math.log(2.0) + 1e-12
+
+BUILTINS = {
+    "poly2": Builtin(
+        "real", lambda t, a: 1.0 + a * a, lambda s, t, a: s + math.log1p(a * a),
+        GrowthInfo(kind="poly", log_const=_POLY2_LOG_CONST, degree=2), 1.0),
+    "exp-abs": Builtin(
+        "real", lambda t, a: math.exp(a), lambda s, t, a: s + a,
+        GrowthInfo(kind="exp", rate=1.0), 1.0),
+    "poly2-exp": Builtin(
+        "real", lambda t, a: (1.0 + a * a) * math.exp(a),
+        lambda s, t, a: s + math.log1p(a * a) + a,
+        GrowthInfo(kind="exp", rate=1.0), 1.0),
+    "poly2-exp-log": Builtin(
+        "real", lambda t, a: (1.0 + a * a) * math.exp(a / math.log(math.e + a)),
+        lambda s, t, a: s + math.log1p(a * a) + a / math.log(math.e + a),
+        GrowthInfo(kind="exp", rate=1.0, log_damped=True), 1.0),
+    # decays as t -> -inf: no infimum
+    "poly2-exp-signed": Builtin(
+        "real", lambda t, a: (1.0 + a * a) * math.exp(t),
+        lambda s, t, a: s + math.log1p(a * a) + t,
+        GrowthInfo(kind="exp-signed", log_const=_POLY2_LOG_CONST, degree=2, rate=1.0), None),
+    # bounded above by 1 on [0, 1)
+    "circle-quarter": Builtin(
+        "circle", lambda t, a: t ** 0.25, _quarter_log,
+        GrowthInfo(kind="const", log_const=0.0), 0.0),
+    "circle-inv-sqrt": Builtin(
+        "circle", _inv_sqrt, lambda s, t, a: s - 0.5 * math.log(t),
+        GrowthInfo(kind="unknown"), 1.0),
+    "const-one": Builtin(
+        "real", lambda t, a: 1.0, lambda s, t, a: s,
+        GrowthInfo(kind="const", log_const=0.0), 1.0),
+}
+
+BUILTIN_NAMES = tuple(BUILTINS)
+
+
+def _mod1(x: Number) -> float:
+    return float(x % 1) if isinstance(x, Fraction) else float(x) % 1.0
+
+
 @dataclass(frozen=True)
 class FormulaWeight(WeightFn):
     """Named closed-form weight; evaluation is float, growth facts are exact."""
@@ -67,68 +124,30 @@ class FormulaWeight(WeightFn):
     exact = False
 
     def __post_init__(self) -> None:
-        if self.name not in BUILTIN_NAMES:
+        if self.name not in BUILTINS:
             raise ValueError(f"unknown builtin weight {self.name!r}")
 
     @property
     def domain(self) -> str:
-        return "circle" if self.name in _CIRCLE else "real"
+        return BUILTINS[self.name].domain
 
     @property
     def descriptor(self) -> G.GroupDescriptor:
         return G.CircleGroup() if self.domain == "circle" else G.RealGroup(1)
 
     def raw_eval(self, t) -> float:
+        b = BUILTINS[self.name]
         x = as_number(t)
-        if self.domain == "circle":
-            x = float(Fraction(x) % 1) if isinstance(x, Fraction) else x % 1.0
-        a = abs(float(x))
-        if self.name == "poly2":
-            return 1.0 + a * a
-        if self.name == "exp-abs":
-            return math.exp(a)
-        if self.name == "poly2-exp":
-            return (1.0 + a * a) * math.exp(a)
-        if self.name == "poly2-exp-log":
-            return (1.0 + a * a) * math.exp(a / math.log(math.e + a))
-        if self.name == "poly2-exp-signed":
-            return (1.0 + a * a) * math.exp(float(x))
-        if self.name == "circle-quarter":
-            return float(x) ** 0.25
-        if self.name == "circle-inv-sqrt":
-            if x == 0:
-                raise ZeroDivisionError("t^(-1/2) is undefined at 0")
-            return float(x) ** -0.5
-        if self.name == "const-one":
-            return 1.0
-        raise AssertionError(self.name)
+        x = float(x) if b.domain == "real" else _mod1(x)
+        return b.raw(x, abs(x))
 
     def log_eval(self, t) -> float:
         """log w(t), evaluated in log space (no overflow for the exp families)."""
+        b = BUILTINS[self.name]
         x = as_number(t)
-        a = abs(float(x))
+        x = float(x) if b.domain == "real" else _mod1(x)
         s = math.log(self.scale) if self.scale != 1.0 else 0.0
-        if self.name == "poly2":
-            return s + math.log1p(a * a)
-        if self.name == "exp-abs":
-            return s + a
-        if self.name == "poly2-exp":
-            return s + math.log1p(a * a) + a
-        if self.name == "poly2-exp-log":
-            return s + math.log1p(a * a) + a / math.log(math.e + a)
-        if self.name == "poly2-exp-signed":
-            return s + math.log1p(a * a) + float(x)
-        if self.name == "circle-quarter":
-            xa = float(Fraction(x) % 1) if isinstance(x, Fraction) else float(x) % 1.0
-            if xa == 0:
-                raise ZeroDivisionError("log w undefined at 0")
-            return s + 0.25 * math.log(xa)
-        if self.name == "circle-inv-sqrt":
-            xa = float(Fraction(x) % 1) if isinstance(x, Fraction) else float(x) % 1.0
-            return s - 0.5 * math.log(xa)
-        if self.name == "const-one":
-            return s
-        raise AssertionError(self.name)
+        return b.log(s, x, abs(x))
 
     def exact_log(self, t) -> Optional[Fraction]:
         """Exact rational log w(t) where the formula admits one (e^|t| only)."""
@@ -139,23 +158,7 @@ class FormulaWeight(WeightFn):
         return None
 
     def growth(self) -> GrowthInfo:
-        if self.name == "poly2":
-            return GrowthInfo(kind="poly", log_const=math.log(2.0) + 1e-12, degree=2)
-        if self.name == "exp-abs":
-            return GrowthInfo(kind="exp", rate=1.0)
-        if self.name == "poly2-exp":
-            return GrowthInfo(kind="exp", rate=1.0)
-        if self.name == "poly2-exp-log":
-            return GrowthInfo(kind="exp", rate=1.0, log_damped=True)
-        if self.name == "poly2-exp-signed":
-            return GrowthInfo(kind="exp-signed", log_const=math.log(2.0) + 1e-12,
-                              degree=2, rate=1.0)
-        if self.name == "const-one":
-            return GrowthInfo(kind="const", log_const=0.0)
-        # circle weights are bounded above by 1 on [0,1)
-        if self.name == "circle-quarter":
-            return GrowthInfo(kind="const", log_const=0.0)
-        return GrowthInfo(kind="unknown")
+        return BUILTINS[self.name].growth
 
     def submult_exact(self, s, t) -> Optional[bool]:
         """Exact verdict of w(s+t) <= w(s) w(t) where the family allows it.
@@ -195,23 +198,14 @@ class FormulaWeight(WeightFn):
 
     def global_min(self) -> Optional[float]:
         """Certified infimum over the domain, from the formula."""
-        if self.name in ("poly2", "exp-abs", "poly2-exp", "poly2-exp-log", "const-one"):
-            return 1.0 * self.scale
-        if self.name == "circle-quarter":
-            return 0.0
-        if self.name == "circle-inv-sqrt":
-            return 1.0 * self.scale
-        return None  # poly2-exp-signed decays as t -> -inf
+        infimum = BUILTINS[self.name].infimum
+        return None if infimum is None else infimum * self.scale
 
     def zero_points(self) -> tuple:
         """Points where positivity fails (excluded under a.e. semantics)."""
         if self.name == "circle-quarter":
             return (Fraction(0),)
         return ()
-
-    @property
-    def even(self) -> bool:
-        return self.name in ("poly2", "exp-abs", "poly2-exp", "poly2-exp-log", "const-one")
 
     def point_add(self, s, t):
         a, b = as_number(s), as_number(t)
@@ -244,10 +238,3 @@ def as_number(t) -> Number:
 def builtin_weight(name: str) -> FormulaWeight:
     return FormulaWeight(name=name)
 
-
-def algebra_base(w: FormulaWeight, p) -> FormulaWeight:
-    """The auxiliary weight u = w^(-q) whose subconvolutivity makes L_p^w an
-    algebra; provided for the quarter-power circle weight at p=2."""
-    if w.name == "circle-quarter" and Fraction(p) == 2:
-        return builtin_weight("circle-inv-sqrt")
-    raise ValueError("algebra base only provided for circle-quarter at p=2")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .rational import even_floor  # noqa: F401  (re-exported group op)
 
@@ -442,5 +442,3 @@ def sort_key(x: GroupPoint):
         return (sort_key(x.real_part), sort_key(x.discrete_part))
     raise TypeError(f"unsupported point type {type(x)}")
 
-
-PointLike = Union[GroupPoint, Fraction]

@@ -53,10 +53,3 @@ class Interval:
             raise ValueError("scale_nonneg requires factor >= 0")
         hi = None if self.hi is None else self.hi * factor
         return Interval(self.lo * factor, hi)
-
-
-def interval_sum(items: list[Interval]) -> Interval:
-    total = Interval.point(Fraction(0))
-    for item in items:
-        total = total.add(item)
-    return total

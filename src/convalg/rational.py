@@ -31,8 +31,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse the "num/den" wire format (a bare integer is also accepted)."""
     s = text.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

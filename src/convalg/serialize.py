@@ -181,10 +181,14 @@ def weight_to_provenance(w: WeightFn, certificates: list[str] | None = None) -> 
 
 
 def weight_from_provenance(data: dict) -> WeightFn:
+    if not isinstance(data, dict):
+        raise ValueError("a weight document must be a JSON object")
     if data.get("schema") != WEIGHT_SCHEMA:
         raise ValueError(f"unsupported weight schema {data.get('schema')!r}")
     construction = data["construction"]
     params = data["params"]
+    if not isinstance(params, dict):
+        raise ValueError("weight params must be a JSON object")
     scale = _scale_from_json(data["scale"])
     if construction == "pruefer-layer":
         group = descriptor_from_json(params["group"])

@@ -212,8 +212,12 @@ class WeightFn:
     construction: str = "abstract"
     exact: bool = True
 
-    descriptor: G.GroupDescriptor
     scale: Scalar
+
+    @property
+    def descriptor(self) -> G.GroupDescriptor:
+        """The group the weight lives on."""
+        return self.group
 
     def raw_eval(self, x) -> Scalar:
         raise NotImplementedError
@@ -254,25 +258,22 @@ class WeightFn:
         return G.neg(s)
 
 
-@dataclass(frozen=True)
-class LayerWeight(WeightFn):
-    """u = phi_n on the n-th shell of a nested-finite-subgroup chain."""
+class ShellWeight(WeightFn):
+    """u = phi_n on the n-th shell of a subgroup chain, up to a shell-wise
+    factor.  The mass sums phi_n against mass_weight(n), the convolution
+    squares phi_n^2 against sq_weight(n); subclasses name these chain weights.
+    """
 
-    group: G.PrueferGroup
     phi: PhiSequence
-    scale: Fraction = Fraction(1)
 
-    construction = "pruefer-layer"
+    def mass_weight(self, n: int) -> int:
+        raise NotImplementedError
 
-    @property
-    def descriptor(self) -> G.GroupDescriptor:
-        return self.group
-
-    def raw_eval(self, x) -> Fraction:
-        return self.phi.term(G.layer_of(x))
+    def sq_weight(self, n: int) -> int:
+        raise NotImplementedError
 
     def mass(self) -> Fraction:
-        """Total (or certified upper bound) of sum phi_n |G_n|."""
+        """Total (or certified upper bound) of sum phi_n mass_weight(n)."""
         if self.phi.exact_mass is not None:
             return self.phi.exact_mass
         if not self.phi.certified or self.phi.mass_ratio >= 1:
@@ -280,9 +281,43 @@ class LayerWeight(WeightFn):
         partial = Fraction(0)
         k = 8
         for n in range(1, k + 1):
-            partial += self.phi.term(n) * self.group.layer_size(n)
-        last = self.phi.term(k) * self.group.layer_size(k)
+            partial += self.phi.term(n) * self.mass_weight(n)
+        last = self.phi.term(k) * self.mass_weight(k)
         return partial + last * self.phi.mass_ratio / (1 - self.phi.mass_ratio)
+
+    def sq_term(self, n: int) -> Fraction:
+        """sq_weight(n) phi_n^2, the shell factor of the self-convolution."""
+        return self.sq_weight(n) * self.phi.term(n) ** 2
+
+    def sq_tail(self, cutoff: int) -> Fraction:
+        """sum_{j > cutoff} sq_term(j) -- exact for geometric families."""
+        if not self.phi.certified or self.phi.sq_ratio >= 1:
+            raise ValueError("no closed-form tail available for this shell sequence")
+        return self.sq_term(cutoff + 1) / (1 - self.phi.sq_ratio)
+
+    def max_value(self) -> Fraction:
+        return self.scale * self.phi.term(1)
+
+
+@dataclass(frozen=True)
+class LayerWeight(ShellWeight):
+    """u = phi_n on the n-th shell of a nested-finite-subgroup chain; the mass
+    counts the subgroup sizes |G_n|, the squares the shell sizes |U_n|."""
+
+    group: G.PrueferGroup
+    phi: PhiSequence
+    scale: Fraction = Fraction(1)
+
+    construction = "pruefer-layer"
+
+    def raw_eval(self, x) -> Fraction:
+        return self.phi.term(G.layer_of(x))
+
+    def mass_weight(self, n: int) -> int:
+        return self.group.layer_size(n)
+
+    def sq_weight(self, n: int) -> int:
+        return self.group.shell_size(n)
 
     def raw_b_bound(self) -> Optional[Fraction]:
         try:
@@ -290,22 +325,9 @@ class LayerWeight(WeightFn):
         except ValueError:
             return None
 
-    def sq_term(self, n: int) -> Fraction:
-        """Shell-weighted square |U_n| phi_n^2 (the self-convolution kernel at 0)."""
-        return self.group.shell_size(n) * self.phi.term(n) ** 2
-
-    def sq_tail(self, cutoff: int) -> Fraction:
-        """sum_{j > cutoff} |U_j| phi_j^2 -- exact for geometric families."""
-        if not self.phi.certified or self.phi.sq_ratio >= 1:
-            raise ValueError("no closed-form tail available for this shell sequence")
-        return self.sq_term(cutoff + 1) / (1 - self.phi.sq_ratio)
-
     @property
     def tails_exact(self) -> bool:
         return self.phi.geometric_tails
-
-    def max_value(self) -> Fraction:
-        return self.scale * self.phi.term(1)
 
     def decay_certificate(self, x) -> tuple[Fraction, int]:
         # the orbit {nx} stays inside the layer of x, where phi is smallest
@@ -313,8 +335,9 @@ class LayerWeight(WeightFn):
 
 
 @dataclass(frozen=True)
-class RationalsLayerWeight(WeightFn):
-    """u(q) = phi_n sigma(floor|q|) on the n-th shell of the rationals chain."""
+class RationalsLayerWeight(ShellWeight):
+    """u(q) = phi_n sigma(floor|q|) on the n-th shell of the rationals chain;
+    the mass and the squares both count the chain values t_n."""
 
     group: G.RationalsGroup
     phi: PhiSequence
@@ -323,24 +346,13 @@ class RationalsLayerWeight(WeightFn):
 
     construction = "rationals-layer"
 
-    @property
-    def descriptor(self) -> G.GroupDescriptor:
-        return self.group
-
     def raw_eval(self, x) -> Fraction:
         return self.phi.term(G.layer_of(x)) * sigma(even_floor(x.value))
 
-    def mass(self) -> Fraction:
-        if self.phi.exact_mass is not None:
-            return self.phi.exact_mass
-        if not self.phi.certified or self.phi.mass_ratio >= 1:
-            raise ValueError("mass bound not certifiable from the closed form")
-        partial = Fraction(0)
-        k = 8
-        for n in range(1, k + 1):
-            partial += self.phi.term(n) * self.group.chain_value(n)
-        last = self.phi.term(k) * self.group.chain_value(k)
-        return partial + last * self.phi.mass_ratio / (1 - self.phi.mass_ratio)
+    def mass_weight(self, n: int) -> int:
+        return self.group.chain_value(n)
+
+    sq_weight = mass_weight
 
     @property
     def sub_constant(self) -> Fraction:
@@ -353,15 +365,6 @@ class RationalsLayerWeight(WeightFn):
         except ValueError:
             return None
 
-    def sq_term(self, n: int) -> Fraction:
-        """t_n phi_n^2, the shell factor of the convolution layer tail."""
-        return self.group.chain_value(n) * self.phi.term(n) ** 2
-
-    def sq_tail(self, cutoff: int) -> Fraction:
-        if not self.phi.certified or self.phi.sq_ratio >= 1:
-            raise ValueError("no closed-form tail available for this shell sequence")
-        return self.sq_term(cutoff + 1) / (1 - self.phi.sq_ratio)
-
     def mass_up_to(self, cutoff: int) -> Fraction:
         """sum_{j <= cutoff} (t_j - t_{j-1}) phi_j, the per-unit-interval mass."""
         total = Fraction(0)
@@ -371,9 +374,6 @@ class RationalsLayerWeight(WeightFn):
             total += (t - prev) * self.phi.term(j)
             prev = t
         return total
-
-    def max_value(self) -> Fraction:
-        return self.scale * self.phi.term(1)
 
     def decay_certificate(self, x) -> tuple[Fraction, int]:
         m = G.layer_of(x)
@@ -392,10 +392,6 @@ class DirectSumWeight(WeightFn):
     scale: Fraction = Fraction(1)
 
     construction = "direct-sum"
-
-    @property
-    def descriptor(self) -> G.GroupDescriptor:
-        return self.group
 
     def raw_eval(self, x) -> Fraction:
         value = self.coeffs.value(x.support())
@@ -443,10 +439,6 @@ class EuclideanWeight(WeightFn):
     construction = "euclidean"
     exact = False
 
-    @property
-    def descriptor(self) -> G.GroupDescriptor:
-        return self.group
-
     def raw_eval(self, x) -> float:
         value = 1.0
         for c in x.coords:
@@ -477,10 +469,6 @@ class ProductWeight(WeightFn):
 
     construction = "product"
     exact = False
-
-    @property
-    def descriptor(self) -> G.GroupDescriptor:
-        return self.group
 
     def raw_eval(self, x) -> float:
         return float(self.real_factor.eval(x.real_part)) * float(self.discrete_factor.eval(x.discrete_part))
@@ -559,6 +547,7 @@ class AlgebraWeight(WeightFn):
 # --------------------------------------------------------------------------
 
 def _validate_phi(phi: PhiSequence, first: int = 10) -> None:
+    """Positive nonincreasing shell values whose mass has a certified tail."""
     prev = None
     for n in range(1, first + 1):
         t = phi.term(n)
@@ -567,6 +556,8 @@ def _validate_phi(phi: PhiSequence, first: int = 10) -> None:
         if prev is not None and t > prev:
             raise ValueError("shell values must be nonincreasing")
         prev = t
+    if not phi.certified or phi.mass_ratio >= 1:
+        raise ValueError("mass bound not certifiable from the closed form")
 
 
 def nested_finite_weight(group: G.PrueferGroup, phi: PhiSequence, *,
@@ -581,8 +572,6 @@ def nested_finite_weight(group: G.PrueferGroup, phi: PhiSequence, *,
     if unchecked:
         return LayerWeight(group=group, phi=phi)
     _validate_phi(phi)
-    if not phi.certified or phi.mass_ratio >= 1:
-        raise ValueError("mass bound not certifiable from the closed form")
     w = LayerWeight(group=group, phi=phi)
     w.mass()
     return w
@@ -612,8 +601,6 @@ def rationals_weight(group: G.RationalsGroup | None = None,
     phi = phi or rationals_default_phi()
     if not unchecked:
         _validate_phi(phi)
-        if not phi.certified or phi.mass_ratio >= 1:
-            raise ValueError("mass bound not certifiable from the closed form")
     c2 = c2 if c2 is not None else _cached_c2()
     w = RationalsLayerWeight(group=group, phi=phi, c2=c2)
     if not unchecked:

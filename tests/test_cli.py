@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -203,13 +204,60 @@ def test_verify_algebra_weight_window_flag(tmp_path, capsys):
     assert "pruefer" in err
 
 
+# SHA-256 of the seed-0 `report --no-timestamp` bundle: a change to any
+# certificate of the report changes it
+REPORT_SEED0_SHA256 = "dd53f724feb43329274e21cbfc6a439ed14121238edf90971483731d5366a931"
+
+
+def test_verify_sum_with_rationals_first_summand(tmp_path, capsys):
+    # the default decay point comes from summand 1, here a rationals weight
+    summands = (ca.rationals_weight(), ca.pruefer_weight(2))
+    w = ca.direct_sum_weight(tuple(ca.scale_for_b(u, u.b_bound) for u in summands))
+    wfile = tmp_path / "sum.json"
+    wfile.write_text(ca.canonical_dumps(ca.weight_to_provenance(w)))
+    certs = tmp_path / "certs.json"
+    code, _, _ = run(capsys, "verify", str(wfile), "--out", str(certs), "--no-timestamp")
+    assert code == 0
+    bundle = json.loads(certs.read_text())
+    assert [c["id"] for c in bundle["certificates"]] == [
+        "a:positivity", "b:subconvolutive", "c:evenness", "d:poly-decay"]
+    assert [c["verdict"] for c in bundle["certificates"]] == ["holds"] * 4
+
+
+def _edit_weight(**changes):
+    def edit(prov):
+        prov.update(changes)
+        return prov
+    return edit
+
+
+@pytest.mark.parametrize("edit, flags", [
+    (None, ["--bound", "abc"]),
+    (None, ["--bound", "1/0"]),
+    (lambda prov: [prov], []),
+    (_edit_weight(scale="1/0"), []),
+    (_edit_weight(params=[]), []),
+], ids=["bound-text", "bound-zero-den", "top-level-list", "scale-zero-den", "params-list"])
+def test_verify_malformed_input_exit_2(tmp_path, capsys, edit, flags):
+    wfile = tmp_path / "w.json"
+    run(capsys, "construct", "--group", "pruefer:2", "--out", str(wfile))
+    if edit is not None:
+        wfile.write_text(json.dumps(edit(json.loads(wfile.read_text()))))
+    code, out, err = run(capsys, "verify", str(wfile), *flags)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_report_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     code, _, _ = run(capsys, "report", "--out", str(out1), "--no-timestamp")
     assert code == 0
     code, _, _ = run(capsys, "report", "--out", str(out2), "--no-timestamp")
     assert code == 0
-    assert (out1 / "certificates.json").read_bytes() == (out2 / "certificates.json").read_bytes()
+    bundle = (out1 / "certificates.json").read_bytes()
+    assert hashlib.sha256(bundle).hexdigest() == REPORT_SEED0_SHA256
+    assert bundle == (out2 / "certificates.json").read_bytes()
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
     assert (out1 / "domar.csv").read_bytes() == (out2 / "domar.csv").read_bytes()
 
