@@ -68,6 +68,8 @@ def circle_grid_window(resolution: int, include_zero: bool = False) -> Window:
 
 def line_grid_window(lo, hi, step) -> Window:
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+    if step <= 0:
+        raise ValueError("grid step must be positive")
     pts = []
     t = lo
     while t <= hi:

@@ -145,7 +145,7 @@ def cmd_construct(args) -> int:
     try:
         w, mass_note = _build_weight(args)
         if args.p is not None:
-            w = algebra_weight(w, Fraction(args.p))
+            w = algebra_weight(w, parse_rational(args.p))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -287,6 +287,14 @@ def cmd_verify(args) -> int:
 # domar / beurling
 # --------------------------------------------------------------------------
 
+def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _load_builtin(spec: str):
     if not spec.startswith("builtin:"):
         raise ValueError("expected --weight builtin:NAME")
@@ -312,11 +320,7 @@ def cmd_domar(args) -> int:
                      "partial_sum_float": float(s)})
     if args.csv:
         path = Path(args.csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["n", "partial_sum", "partial_sum_float"])
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(path, ["n", "partial_sum", "partial_sum_float"], rows)
         print(f"wrote {path}")
     else:
         print("n,partial_sum,partial_sum_float")
@@ -340,11 +344,7 @@ def cmd_beurling(args) -> int:
         return EXIT_USAGE
     if args.csv:
         path = Path(args.csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["cutoff", "integral_lo", "integral_hi"])
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(path, ["cutoff", "integral_lo", "integral_hi"], rows)
         print(f"wrote {path}")
     else:
         print("cutoff,integral_lo,integral_hi")
@@ -392,10 +392,10 @@ def cmd_equivalence(args) -> int:
         w1 = _load_builtin(args.weight1)
         w2 = _load_builtin(args.weight2)
         lo, hi, step = (parse_rational(v) for v in args.grid.split(":"))
+        window = line_grid_window(lo, hi, step)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    window = line_grid_window(lo, hi, step)
     cert = weight_equivalence(w1, w2, window)
     print(f"window {window.name}: C1 = {cert.payload['c1']}, C2 = {cert.payload['c2']}")
     if args.out:
@@ -444,15 +444,9 @@ def cmd_report(args) -> int:
     certs.append(line.certificate.with_id("euclidean:conv-ratio"))
 
     _write_bundle(out_dir / "certificates.json", None, certs, timestamp=not args.no_timestamp)
-    with (out_dir / "summary.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["id", "property", "verdict"])
-        writer.writeheader()
-        for c in certs:
-            writer.writerow({"id": c.cert_id, "property": c.prop, "verdict": c.verdict})
-    with (out_dir / "domar.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["weight", "classification", "partial_12"])
-        writer.writeheader()
-        writer.writerows(domar_rows)
+    _write_csv(out_dir / "summary.csv", ["id", "property", "verdict"],
+               [{"id": c.cert_id, "property": c.prop, "verdict": c.verdict} for c in certs])
+    _write_csv(out_dir / "domar.csv", ["weight", "classification", "partial_12"], domar_rows)
     print(f"wrote {out_dir}/certificates.json, summary.csv, domar.csv (seed {args.seed})")
     _print_table(certs)
     # domar/beurling certificates are classifications (a "fails" there records a

@@ -27,7 +27,13 @@ counts over shells rather than enumerations of group elements:
   carrying at most the full per-interval mass, with an integral-comparison
   cap on the remaining sigma series;
 * direct sums: the sum factorizes over coordinate patterns into per-summand
-  self-convolutions, evaluated recursively with their own tails;
+  self-convolutions, evaluated recursively with their own tails.  Patterns
+  are grouped by the pinned set C of the support and the loop set E of the
+  complement; the two point-term patterns on P = support \\ C share one
+  product and differ only in the subset coefficients, which add up to
+  K(P, C u E) = sum_{A subset P} a_{C u E u A} a_{C u E u (P \\ A)}
+  (`SubsetCoeffs.pair_sum`), so a point takes 2^|support| 2^|complement|
+  terms instead of 3^|support| 2^|complement|;
 * Euclidean factors: the closed-form self-convolution of 1/(1+t^2).
 
 Every partial sum is the same exact rational the element-by-element sum
@@ -37,7 +43,6 @@ are safe.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -274,7 +279,8 @@ def _conv_sum(u: DirectSumWeight, x, trunc: TruncationSpec, conv_fn=None) -> Int
     reduces the sum to finitely many patterns weighted by subset coefficients;
     each pattern multiplies per-summand quantities: point values, the pinned
     self-convolutions S_j = (u_j*u_j)(x_j) - 2 u_j(0) u_j(x_j), and the
-    off-support loop sums Z_j = (u_j*u_j)(0) - u_j(0)^2.
+    off-support loop sums Z_j = (u_j*u_j)(0) - u_j(0)^2.  Patterns are summed
+    per pinned set C and base C u E, weighted by `SubsetCoeffs.pair_sum`.
     """
     count = len(u.summands)
     cutoffs = trunc.per_summand if trunc.per_summand is not None else (DEFAULT_LAYER_CUTOFF,) * count
@@ -288,38 +294,33 @@ def _conv_sum(u: DirectSumWeight, x, trunc: TruncationSpec, conv_fn=None) -> Int
     support = sorted(x.support())
     comp = [j for j in range(1, count + 1) if j not in x.support()]
 
+    # S_j on the support and Z_j on the complement: disjoint keys, one dict
     point_term: dict[int, Fraction] = {}
-    pinned: dict[int, Interval] = {}
+    factor: dict[int, Interval] = {}
     for j in support:
         uj = u.summands[j - 1]
         u0 = uj.eval(uj.descriptor.identity())
         ux = uj.eval(x.coord(j))
         conv_j = conv_fn(j, uj, x.coord(j))
         point_term[j] = u.alphas.value(j) * ux
-        pinned[j] = _nonneg(Interval(conv_j.lo - 2 * u0 * ux, conv_j.hi - 2 * u0 * ux)
+        factor[j] = _nonneg(Interval(conv_j.lo - 2 * u0 * ux, conv_j.hi - 2 * u0 * ux)
                             ).scale_nonneg(u.alphas.value(j) ** 2)
-    loops: dict[int, Interval] = {}
     for j in comp:
         uj = u.summands[j - 1]
         u0 = uj.eval(uj.descriptor.identity())
         conv0 = conv_fn(j, uj, uj.descriptor.identity())
-        loops[j] = _nonneg(Interval(conv0.lo - u0 * u0, conv0.hi - u0 * u0)
-                           ).scale_nonneg(u.alphas.value(j) ** 2)
+        factor[j] = _nonneg(Interval(conv0.lo - u0 * u0, conv0.hi - u0 * u0)
+                            ).scale_nonneg(u.alphas.value(j) ** 2)
 
     total = Interval.point(Fraction(0))
-    for pattern in itertools.product("ABC", repeat=len(support)):
-        v_base = frozenset(j for j, c in zip(support, pattern) if c in "BC")
-        w_base = frozenset(j for j, c in zip(support, pattern) if c in "AC")
+    for c_mask in range(2 ** len(support)):
+        pinned = frozenset(support[i] for i in range(len(support)) if c_mask >> i & 1)
+        points = frozenset(support) - pinned
+        point_product = math.prod(point_term[j] for j in points)
         for mask in range(2 ** len(comp)):
-            extra = frozenset(comp[i] for i in range(len(comp)) if mask >> i & 1)
-            coeff = u.coeffs.value(v_base | extra) * u.coeffs.value(w_base | extra)
-            term = Interval.point(coeff)
-            for j, c in zip(support, pattern):
-                if c in "AB":
-                    term = term.scale_nonneg(point_term[j])
-                else:
-                    term = term.mul_nonneg(pinned[j])
-            for j in extra:
-                term = term.mul_nonneg(loops[j])
+            base = pinned | frozenset(comp[i] for i in range(len(comp)) if mask >> i & 1)
+            term = Interval.point(u.coeffs.pair_sum(points, base) * point_product)
+            for j in base:
+                term = term.mul_nonneg(factor[j])
             total = total.add(term)
     return total.scale_nonneg(u.scale * u.scale)

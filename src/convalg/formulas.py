@@ -146,8 +146,11 @@ class FormulaWeight(WeightFn):
         b = BUILTINS[self.name]
         x = as_number(t)
         x = float(x) if b.domain == "real" else _mod1(x)
-        s = math.log(self.scale) if self.scale != 1.0 else 0.0
-        return b.log(s, x, abs(x))
+        return b.log(self.log_shift(), x, abs(x))
+
+    def log_shift(self) -> float:
+        """log(scale), the shift log_eval adds to log w at scale 1."""
+        return math.log(self.scale) if self.scale != 1.0 else 0.0
 
     def exact_log(self, t) -> Optional[Fraction]:
         """Exact rational log w(t) where the formula admits one (e^|t| only)."""

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .certificates import Certificate, FAILS, HOLDS, INCONCLUSIVE
-from .formulas import FormulaWeight
+from .formulas import BUILTINS, FormulaWeight
 from .intervals import Interval
 
 TWO_PI = 2.0 * math.pi
@@ -59,7 +59,7 @@ def panel_integral(f: Callable[[float], float], a: float, b: float, nodes: int) 
 
 def composite_integral(f: Callable[[float], float], a: float, b: float,
                        panels: int, nodes: int) -> float:
-    edges = np.linspace(a, b, panels + 1)
+    edges = np.linspace(a, b, panels + 1).tolist()
     return sum(panel_integral(f, edges[i], edges[i + 1], nodes) for i in range(panels))
 
 
@@ -250,8 +250,11 @@ def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
     if not isinstance(w, FormulaWeight) or w.domain != "real":
         raise ValueError("a builtin line weight is required")
 
+    # w.log_eval(t) for a float t, with the record and the shift looked up once
+    log, shift = BUILTINS[w.name].log, w.log_shift()
+
     def f(t: float) -> float:
-        return max(0.0, w.log_eval(t)) / (1.0 + t * t)
+        return max(0.0, log(shift, t, abs(t))) / (1.0 + t * t)
 
     panels = max(64, int(2 * cutoff))
     value = composite_integral(f, 0.0, cutoff, panels, spec.nodes) \

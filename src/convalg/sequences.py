@@ -5,7 +5,10 @@ Two independent pieces live here:
 * the subconvolutivity constant of the reciprocal-square kernel sigma,
   i.e. a rigorous enclosure of  sup_m  sum_n sigma(n) sigma(m-n) / sigma(m),
   computed from exact partial sums, integral-comparison range tails and a
-  closed-form cap for all m beyond the scanned range;
+  closed-form cap for all m beyond the scanned range.  The partial sums are
+  closed forms in exact harmonic prefix sums: for n not in {0, m},
+      1/(n^2 (m-n)^2) = (1/n^2 + 1/(m-n)^2)/m^2 + 2 (1/n + 1/(m-n))/m^3,
+  so one table of H_1, H_2, H_4 serves every scanned m;
 
 * the rapidly growing integer sequence q_1=2, q_n = least multiple of
   q_{n-1} exceeding 2 q_{n-1} exp(q_{n-1}^2), whose reciprocal sum alpha has
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .certificates import Certificate, HOLDS
 from .intervals import Interval
@@ -48,23 +52,47 @@ def _ln_upper(x: Fraction) -> Fraction:
 # Subconvolutivity constant of sigma
 # --------------------------------------------------------------------------
 
+def _harmonic_sums(limit: int) -> tuple[list[Fraction], ...]:
+    """Exact prefix sums H_p[k] = sum_{1 <= i <= k} 1/i^p for p = 1, 2, 4 and k <= limit."""
+    return tuple(list(accumulate((Fraction(1, k ** p) for k in range(1, limit + 1)),
+                                 initial=Fraction(0))) for p in (1, 2, 4))
+
+
+def _conv_ratio(m: int, trunc: int, sums: tuple[list[Fraction], ...]) -> Interval:
+    """sigma_conv_ratio from prefix sums reaching trunc + m, for 0 <= m and trunc >= 2m + 2.
+
+    n = 0 and n = m give 2/m^2, the other n split as in the module docstring;
+    the 1/n terms cancel except at n = m, and m - trunc < 0, so with T = trunc
+        partial(m) = 2/m^2 + (2 H_2[T] + H_2[T-m] + H_2[T+m] - 2/m^2)/m^2
+                     + 2 (H_1[T+m] - H_1[T-m] - 2/m)/m^3,
+        partial(0) = 1 + 2 H_4[T].
+    """
+    h1, h2, h4 = sums
+    if m == 0:
+        partial = 1 + 2 * h4[trunc]
+    else:
+        inv_sq = Fraction(1, m * m)
+        partial = (2 * inv_sq
+                   + (2 * h2[trunc] + h2[trunc - m] + h2[trunc + m] - 2 * inv_sq) * inv_sq
+                   + 2 * (h1[trunc + m] - h1[trunc - m] - Fraction(2, m)) / m ** 3)
+    tail = Fraction(5, 3 * trunc ** 3)
+    inv = Fraction(1) / sigma(m)
+    return Interval(partial * inv, (partial + tail) * inv)
+
+
 def sigma_conv_ratio(m: int, trunc: int = 200) -> Interval:
     """Enclosure of sum_n sigma(n) sigma(m-n) / sigma(m).
 
-    Exact partial sum over |n| <= trunc; the two range tails are bounded by
-    integral comparison: for n > trunc >= 2|m| we have n-m >= n/2, so
-    sigma(m-n) <= 4/n^2 and the tail is below 4 * 1/(3 trunc^3); for
-    n < -trunc, sigma(m-n) <= sigma(n) gives 1/(3 trunc^3).
+    Exact partial sum over |n| <= trunc (in closed form, `_conv_ratio`); the
+    two range tails are bounded by integral comparison: for n > trunc >= 2|m|
+    we have n-m >= n/2, so sigma(m-n) <= 4/n^2 and the tail is below
+    4 * 1/(3 trunc^3); for n < -trunc, sigma(m-n) <= sigma(n) gives
+    1/(3 trunc^3).
     """
     m = abs(m)
     if trunc < max(100, 2 * m + 2):
         raise ValueError("trunc must be >= max(100, 2|m|+2)")
-    partial = Fraction(0)
-    for n in range(-trunc, trunc + 1):
-        partial += sigma(n) * sigma(m - n)
-    tail = Fraction(5, 3 * trunc ** 3)
-    inv = Fraction(1) / sigma(m)
-    return Interval(partial * inv, (partial + tail) * inv)
+    return _conv_ratio(m, trunc, _harmonic_sums(trunc + m))
 
 
 def _unscanned_cap(scan_limit: int) -> Fraction:
@@ -94,10 +122,11 @@ def sigma_subconvolutive_constant(trunc: int = 200, scan_limit: int | None = Non
         scan_limit = min(60, trunc // 2 - 1)
     if scan_limit < 2 or 2 * scan_limit + 2 > trunc:
         raise ValueError("scan_limit must be in [2, (trunc-2)/2]")
+    sums = _harmonic_sums(trunc + scan_limit)
     lo = Fraction(0)
     hi = Fraction(0)
     for m in range(scan_limit + 1):
-        r = sigma_conv_ratio(m, trunc)
+        r = _conv_ratio(m, trunc, sums)
         lo = max(lo, r.lo)
         hi = max(hi, r.hi)
     return Interval(lo, max(hi, _unscanned_cap(scan_limit)))

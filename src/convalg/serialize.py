@@ -62,6 +62,8 @@ def descriptor_to_json(desc: G.GroupDescriptor) -> dict:
 
 
 def descriptor_from_json(data: dict) -> G.GroupDescriptor:
+    if not isinstance(data, dict):
+        raise ValueError("a group descriptor must be a JSON object")
     variant = data["variant"]
     if variant == "pruefer":
         return G.PrueferGroup(int(data["p"]))
@@ -139,6 +141,8 @@ def _scale_to_json(scale) -> Any:
 def _scale_from_json(data) -> Any:
     if isinstance(data, str):
         return parse_rational(data)
+    if not isinstance(data, (int, float)):
+        raise ValueError("scale must be a rational string or a number")
     return float(data)
 
 

@@ -123,6 +123,16 @@ def _coeff_value(eps1: Fraction, support: frozenset) -> Fraction:
     return eps1 / sum(math.factorial(j) for j in support)
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_sum(eps1: Fraction, free: frozenset, base: frozenset) -> Fraction:
+    members = sorted(free)
+    total = Fraction(0)
+    for mask in range(2 ** len(members)):
+        part = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
+        total += _coeff_value(eps1, base | part) * _coeff_value(eps1, base | (free - part))
+    return total
+
+
 @dataclass(frozen=True)
 class SubsetCoeffs:
     """Subset coefficients a_s = eps1 / sum_{j in s} j!, a_empty = eps1.
@@ -144,15 +154,13 @@ class SubsetCoeffs:
         if self.eps1 * e2_hi > Fraction(1, 8):
             raise ValueError("eps1 too large: the split-sum budget 1/4 is not certified")
 
+    def pair_sum(self, free: frozenset, base: frozenset) -> Fraction:
+        """Exact K(P, Q) = sum_{A subset P} a_{Q u A} a_{Q u (P\\A)} for P = free, Q = base."""
+        return _pair_sum(self.eps1, frozenset(free), frozenset(base))
+
     def split_sum(self, support: frozenset) -> Fraction:
         """Exact sum_{v subset s} a_v a_{s\\v} / a_s (for enumeration checks)."""
-        s = frozenset(support)
-        total = Fraction(0)
-        members = sorted(s)
-        for mask in range(2 ** len(members)):
-            v = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
-            total += self.value(v) * self.value(s - v)
-        return total / self.value(s)
+        return self.pair_sum(support, frozenset()) / self.value(support)
 
 
 def default_coeffs(eps1: Fraction = Fraction(1, 60)) -> SubsetCoeffs:

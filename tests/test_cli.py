@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import convalg as ca
 from convalg.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -56,6 +62,28 @@ def test_construct_invalid_params_exit_2(tmp_path, capsys):
                        "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert "prime" in err
+
+
+def test_construct_algebra_zero_denominator_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "construct", "--group", "pruefer:2", "--p", "1/0",
+                         "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("grid", ["0:1:0", "0:1:-1/2"])
+def test_equivalence_nonpositive_step_exit_2(grid):
+    # a subprocess with a timeout, so a grid loop that never ends fails the test
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "convalg.cli", "equivalence",
+                             "--weight1", "builtin:poly2", "--weight2", "builtin:exp-abs",
+                             f"--grid={grid}"],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""
 
 
 def test_verify_broken_weight_fails_with_witness(tmp_path, capsys):
@@ -237,7 +265,10 @@ def _edit_weight(**changes):
     (lambda prov: [prov], []),
     (_edit_weight(scale="1/0"), []),
     (_edit_weight(params=[]), []),
-], ids=["bound-text", "bound-zero-den", "top-level-list", "scale-zero-den", "params-list"])
+    (_edit_weight(scale=None), []),
+    (lambda prov: {**prov, "params": {**prov["params"], "group": []}}, []),
+], ids=["bound-text", "bound-zero-den", "top-level-list", "scale-zero-den", "params-list",
+        "scale-null", "group-list"])
 def test_verify_malformed_input_exit_2(tmp_path, capsys, edit, flags):
     wfile = tmp_path / "w.json"
     run(capsys, "construct", "--group", "pruefer:2", "--out", str(wfile))

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -222,6 +223,76 @@ def test_sum_conv_matches_brute_force():
     assert exact - partials[-1] < F(1, 10 ** 6)
     iv = ca.conv_at(w, x, ca.TruncationSpec(per_summand=(6, 6)))
     assert iv.hi == exact
+
+
+def brute_sum_conv(u, x, conv_fn):
+    """Reference pattern loop: every coordinate of the support is A (x'_j = 0),
+    B (x'_j = x_j) or C (pinned), every complement coordinate is off or looped,
+    and each of the 3^|support| 2^|complement| patterns is summed on its own."""
+    support = sorted(x.support())
+    comp = [j for j in range(1, len(u.summands) + 1) if j not in x.support()]
+    point_term, pinned, loops = {}, {}, {}
+    for j in support:
+        uj = u.summands[j - 1]
+        u0, ux = uj.eval(uj.descriptor.identity()), uj.eval(x.coord(j))
+        conv_j = conv_fn(j, uj, x.coord(j))
+        point_term[j] = u.alphas.value(j) * ux
+        pinned[j] = ca.Interval(max(conv_j.lo - 2 * u0 * ux, F(0)),
+                                conv_j.hi - 2 * u0 * ux).scale_nonneg(u.alphas.value(j) ** 2)
+    for j in comp:
+        uj = u.summands[j - 1]
+        u0 = uj.eval(uj.descriptor.identity())
+        conv0 = conv_fn(j, uj, uj.descriptor.identity())
+        loops[j] = ca.Interval(max(conv0.lo - u0 * u0, F(0)),
+                               conv0.hi - u0 * u0).scale_nonneg(u.alphas.value(j) ** 2)
+    total = ca.Interval.point(F(0))
+    for pattern in itertools.product("ABC", repeat=len(support)):
+        v_base = frozenset(j for j, c in zip(support, pattern) if c in "BC")
+        w_base = frozenset(j for j, c in zip(support, pattern) if c in "AC")
+        for mask in range(2 ** len(comp)):
+            extra = frozenset(comp[i] for i in range(len(comp)) if mask >> i & 1)
+            term = ca.Interval.point(u.coeffs.value(v_base | extra) * u.coeffs.value(w_base | extra))
+            for j, c in zip(support, pattern):
+                term = term.scale_nonneg(point_term[j]) if c in "AB" else term.mul_nonneg(pinned[j])
+            for j in extra:
+                term = term.mul_nonneg(loops[j])
+            total = total.add(term)
+    return total.scale_nonneg(u.scale * u.scale)
+
+
+def truncated_summands(cutoffs):
+    def conv_fn(j, uj, xj):
+        try:
+            layer = G.layer_of(xj)
+        except G.LayerError:
+            layer = 1
+        return ca.conv_at(uj, xj, ca.TruncationSpec(layer=max(cutoffs[j - 1], layer)))
+    return conv_fn
+
+
+def exact_summands(j, uj, xj):
+    return ca.Interval.point(ca.conv_exact(uj, xj))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sum_conv_equals_pattern_loop(seed):
+    w = ca.direct_sum_weight(tuple(ca.scale_for_b(u, u.b_bound)
+                                   for u in map(ca.pruefer_weight, (2, 3, 2))))
+    window = ca.sum_sample_window(w.group, 200, seed=seed)
+    trunc = ca.TruncationSpec(per_summand=(6, 6, 6))
+    for x in window.points:
+        assert ca.conv_at(w, x, trunc) == brute_sum_conv(w, x, truncated_summands((6, 6, 6)))
+        assert ca.conv_exact(w, x) == brute_sum_conv(w, x, exact_summands).lo
+
+
+def test_sum_conv_with_rationals_summand_equals_pattern_loop():
+    uq = ca.rationals_weight()
+    w = ca.direct_sum_weight((scaled(2), ca.scale_for_b(uq, uq.b_bound)))
+    window = ca.sum_sample_window(w.group, 24, seed=0)
+    trunc = ca.TruncationSpec(per_summand=(6, 5))
+    for x in window.points:
+        assert ca.conv_at(w, x, trunc) == brute_sum_conv(w, x, truncated_summands((6, 5)))
+    assert ca.conv_exact(w, window.points[0]) is None
 
 
 def test_sum_conv_identity_and_trivial_group():

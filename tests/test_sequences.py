@@ -70,6 +70,43 @@ def test_sigma_ratio_at_zero_matches_zeta_oracle():
     assert float(iv.width) < 1e-6
 
 
+def brute_sigma_partial(m, trunc):
+    return sum(R.sigma(n) * R.sigma(m - n) for n in range(-trunc, trunc + 1))
+
+
+@pytest.mark.parametrize("trunc, ms", [
+    (200, range(61)),
+    (100, (0, 1, 2, 7, 30, 49)),
+    (333, (0, 1, 3, 11, 60, 97, 165)),
+])
+def test_sigma_ratio_closed_form_equals_enumeration(trunc, ms):
+    tail = F(5, 3 * trunc ** 3)
+    for m in ms:
+        partial = brute_sigma_partial(m, trunc)
+        assert ca.sigma_conv_ratio(m, trunc) == ca.Interval(partial / R.sigma(m),
+                                                            (partial + tail) / R.sigma(m))
+        assert ca.sigma_conv_ratio(-m, trunc) == ca.sigma_conv_ratio(m, trunc)
+
+
+# the exact enclosure computed by term-by-term enumeration; its lower end is
+# the ratio at m = 60, its upper end the cap for m > 60
+C2_LO = F(int(
+    "157522712409844028668152008031000911245909209987372323781388163195206949"
+    "543835310513750617250189278522556408822037730559217007855019017684870840"
+    "988339753589441317144937138407208679723366914530903159752607246840864112"
+    "596679593"), int(
+    "183641743757105554923500878370611769063186447502777256945581438653152331"
+    "412213224869985360593760953795691086926857736132828521050229144699397490"
+    "950497798300717558219288039868357949429024759992265118856935904927044413"
+    "44000000"))
+
+
+def test_sigma_constant_pinned():
+    c2 = ca.sigma_subconvolutive_constant()
+    assert c2.lo == C2_LO == ca.sigma_conv_ratio(60, 200).lo
+    assert c2.hi == F(72119579, 7625000)
+
+
 def test_sigma_ratio_requires_wide_truncation():
     with pytest.raises(ValueError):
         ca.sigma_conv_ratio(80, 100)

@@ -98,6 +98,23 @@ def test_default_coeffs_budgets_exhaustive():
         assert coeffs.split_sum(s) <= F(1, 4)
 
 
+def test_pair_sum_equals_subset_enumeration():
+    coeffs = ca.default_coeffs()
+    members = (1, 2, 3, 4, 5)
+    for free_mask in range(2 ** 5):
+        free = [j for i, j in enumerate(members) if free_mask >> i & 1]
+        rest = [j for j in members if j not in free]
+        for base_mask in range(2 ** len(rest)):
+            base = frozenset(j for i, j in enumerate(rest) if base_mask >> i & 1)
+            expected = F(0)
+            for part_mask in range(2 ** len(free)):
+                part = frozenset(j for i, j in enumerate(free) if part_mask >> i & 1)
+                expected += coeffs.value(base | part) * coeffs.value(base | (frozenset(free) - part))
+            assert coeffs.pair_sum(frozenset(free), base) == expected
+    s = frozenset({1, 3, 4})
+    assert coeffs.split_sum(s) == coeffs.pair_sum(s, frozenset()) / coeffs.value(s)
+
+
 def test_default_coeffs_example_value():
     coeffs = ca.default_coeffs()
     assert coeffs.value(frozenset({1, 2})) == F(1, 180)
