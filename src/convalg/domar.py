@@ -5,7 +5,16 @@ For a weight w and a point x the regularity criterion asks whether
     sum_{n>=1} log+ w(nx) / n^2
 
 converges.  Partial sums are computed exactly when the weight admits an exact
-log (e^|t| at rational points) and in log space otherwise.  Classification
+log (e^|t| at rational points) and in log space otherwise.
+
+For a builtin formula weight at a rational x = a/b (b > 0) the orbit is
+walked in integer arithmetic: the orbit point is t = (n a)/b on the line and
+((n a) mod b)/b on the circle.  CPython's int/int true division is correctly
+rounded, so t is the same double as float(n x) (resp. float({n x})).  A
+float x keeps n * x on the line; on the circle it is the rational
+x.as_integer_ratio().  For e^|t| at scale 1 and rational x every term is
+|n x|/n^2 = |x|/n, so S_N = |x| H_N with H_N the exact harmonic prefix sum,
+the same reduced Fraction as the term-by-term sum.  Classification
 never extrapolates: "convergent" requires a polynomial-growth certificate
 log+ w(nx) <= a + d log n (then the series is capped by a pi^2/6 + d * sum
 log n / n^2), "divergent" requires a certified lower bound c n / rho(n) with
@@ -17,12 +26,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Union
 
 from . import groups as G
 from .certificates import Certificate, FAILS, HOLDS, INCONCLUSIVE
-from .formulas import FormulaWeight, as_number
+from .formulas import BUILTINS, FormulaWeight, as_number
 from .rational import LOG_SUM_OVER_SQUARES_UPPER, PI_SQUARED_UPPER
+from .sequences import harmonic_prefix_sums
 from .weights import AlgebraWeight, WeightFn
 
 CONVERGENT = "convergent"
@@ -34,27 +45,42 @@ _PI2_OVER_6 = float(PI_SQUARED_UPPER) / 6.0
 _LOG_SUM = float(LOG_SUM_OVER_SQUARES_UPPER)
 
 
-def _orbit_point(w: WeightFn, x, n: int):
-    if isinstance(x, G.GroupPoint):
-        return G.nmul(n, x)
-    value = as_number(x)
-    if isinstance(w, FormulaWeight) and w.domain == "circle":
-        return (n * Fraction(value)) % 1
-    return n * value
-
-
 def _log_plus(w: WeightFn, point) -> Union[Fraction, float]:
-    if isinstance(w, FormulaWeight):
-        exact = w.exact_log(point)
-        if exact is not None:
-            return max(Fraction(0), exact)
-        return max(0.0, w.log_eval(point))
     value = Fraction(w.eval(point)) if w.exact else None
     if value is not None:
         if value <= 1:
             return Fraction(0)
         return max(0.0, math.log(value.numerator) - math.log(value.denominator))
     return max(0.0, math.log(float(w.eval(point))))
+
+
+def _formula_partial(w: FormulaWeight, value, n_max: int) -> list:
+    """domar_partial for a builtin weight at a number, per the module docstring."""
+    if w.name == "exp-abs" and w.scale == 1.0 and not isinstance(value, float):
+        size = abs(Fraction(value))
+        return [size * h for h in islice(harmonic_prefix_sums(n_max), 1, None)]
+    # w.log_eval(t) for a float t, with the record and the shift looked up once
+    log, shift = BUILTINS[w.name].log, w.log_shift()
+    circle = w.domain == "circle"
+    ns = range(1, n_max + 1)
+    if isinstance(value, float) and not circle:
+        x = float(value)
+        points = (n * x for n in ns)
+    else:
+        a, b = value.as_integer_ratio()
+        points = (((n * a) % b) / b for n in ns) if circle else (n * a / b for n in ns)
+    partials = []
+    total = 0.0
+    for n, t in enumerate(points, 1):
+        try:
+            term = log(shift, t, abs(t))
+        except (ZeroDivisionError, ValueError) as exc:
+            # the circle weights are zero or infinite at 0, which the orbit can reach
+            point = Fraction(n * a, b) % 1 if circle else n * value
+            raise ValueError(f"log w is undefined at the orbit point {n}x = {point}") from exc
+        total += max(0.0, term) / float(n * n)
+        partials.append(total)
+    return partials
 
 
 def domar_partial(w: WeightFn, x, n_max: int) -> list:
@@ -66,14 +92,15 @@ def domar_partial(w: WeightFn, x, n_max: int) -> list:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if isinstance(w, FormulaWeight):
+        return _formula_partial(w, as_number(x), n_max)
     partials = []
     total: Union[Fraction, float] = Fraction(0)
     for n in range(1, n_max + 1):
-        point = _orbit_point(w, x, n)
+        point = G.nmul(n, x) if isinstance(x, G.GroupPoint) else n * as_number(x)
         try:
             term = _log_plus(w, point)
         except (ZeroDivisionError, ValueError) as exc:
-            # the circle weights are zero or infinite at 0, which the orbit can reach
             raise ValueError(f"log w is undefined at the orbit point {n}x = {point}") from exc
         if isinstance(term, Fraction):
             term = term / (n * n)

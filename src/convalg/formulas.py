@@ -62,7 +62,9 @@ class Builtin:
     raw(t, a) is w(t) and log(s, t, a) is s + log w(t), evaluated in log
     space (no overflow for the exp families), where t is the point as a float
     (reduced mod 1 on the circle) and a = |t|.  infimum is the certified
-    infimum over the domain, or None when w is not bounded below.
+    infimum over the domain, or None when w is not bounded below.  even
+    marks a line weight whose log reads only a, so log(s, -t, a) is
+    log(s, t, a) bit for bit.
     """
 
     domain: str
@@ -70,6 +72,7 @@ class Builtin:
     log: Callable[[float, float, float], float]
     growth: GrowthInfo
     infimum: Optional[float]
+    even: bool = False
 
 
 _POLY2_LOG_CONST = math.log(2.0) + 1e-12
@@ -77,18 +80,18 @@ _POLY2_LOG_CONST = math.log(2.0) + 1e-12
 BUILTINS = {
     "poly2": Builtin(
         "real", lambda t, a: 1.0 + a * a, lambda s, t, a: s + math.log1p(a * a),
-        GrowthInfo(kind="poly", log_const=_POLY2_LOG_CONST, degree=2), 1.0),
+        GrowthInfo(kind="poly", log_const=_POLY2_LOG_CONST, degree=2), 1.0, even=True),
     "exp-abs": Builtin(
         "real", lambda t, a: math.exp(a), lambda s, t, a: s + a,
-        GrowthInfo(kind="exp", rate=1.0), 1.0),
+        GrowthInfo(kind="exp", rate=1.0), 1.0, even=True),
     "poly2-exp": Builtin(
         "real", lambda t, a: (1.0 + a * a) * math.exp(a),
         lambda s, t, a: s + math.log1p(a * a) + a,
-        GrowthInfo(kind="exp", rate=1.0), 1.0),
+        GrowthInfo(kind="exp", rate=1.0), 1.0, even=True),
     "poly2-exp-log": Builtin(
         "real", lambda t, a: (1.0 + a * a) * math.exp(a / math.log(math.e + a)),
         lambda s, t, a: s + math.log1p(a * a) + a / math.log(math.e + a),
-        GrowthInfo(kind="exp", rate=1.0, log_damped=True), 1.0),
+        GrowthInfo(kind="exp", rate=1.0, log_damped=True), 1.0, even=True),
     # decays as t -> -inf: no infimum
     "poly2-exp-signed": Builtin(
         "real", lambda t, a: (1.0 + a * a) * math.exp(t),
@@ -103,7 +106,7 @@ BUILTINS = {
         GrowthInfo(kind="unknown"), 1.0),
     "const-one": Builtin(
         "real", lambda t, a: 1.0, lambda s, t, a: s,
-        GrowthInfo(kind="const", log_const=0.0), 1.0),
+        GrowthInfo(kind="const", log_const=0.0), 1.0, even=True),
 }
 
 BUILTIN_NAMES = tuple(BUILTINS)
@@ -151,14 +154,6 @@ class FormulaWeight(WeightFn):
     def log_shift(self) -> float:
         """log(scale), the shift log_eval adds to log w at scale 1."""
         return math.log(self.scale) if self.scale != 1.0 else 0.0
-
-    def exact_log(self, t) -> Optional[Fraction]:
-        """Exact rational log w(t) where the formula admits one (e^|t| only)."""
-        if self.name == "exp-abs" and self.scale == 1.0:
-            x = as_number(t)
-            if isinstance(x, (Fraction, int)):
-                return abs(Fraction(x))
-        return None
 
     def growth(self) -> GrowthInfo:
         return BUILTINS[self.name].growth

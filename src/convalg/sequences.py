@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import Iterator
 
 from .certificates import Certificate, HOLDS
 from .intervals import Interval
@@ -52,10 +53,14 @@ def _ln_upper(x: Fraction) -> Fraction:
 # Subconvolutivity constant of sigma
 # --------------------------------------------------------------------------
 
+def harmonic_prefix_sums(limit: int, p: int = 1) -> Iterator[Fraction]:
+    """Exact prefix sums H_p[k] = sum_{1 <= i <= k} 1/i^p for k = 0..limit, one at a time."""
+    return accumulate((Fraction(1, k ** p) for k in range(1, limit + 1)), initial=Fraction(0))
+
+
 def _harmonic_sums(limit: int) -> tuple[list[Fraction], ...]:
-    """Exact prefix sums H_p[k] = sum_{1 <= i <= k} 1/i^p for p = 1, 2, 4 and k <= limit."""
-    return tuple(list(accumulate((Fraction(1, k ** p) for k in range(1, limit + 1)),
-                                 initial=Fraction(0))) for p in (1, 2, 4))
+    """The tables H_1, H_2, H_4 of `harmonic_prefix_sums` up to limit."""
+    return tuple(list(harmonic_prefix_sums(limit, p)) for p in (1, 2, 4))
 
 
 def _conv_ratio(m: int, trunc: int, sums: tuple[list[Fraction], ...]) -> Interval:

@@ -61,12 +61,21 @@ def descriptor_to_json(desc: G.GroupDescriptor) -> dict:
     raise TypeError(f"unsupported descriptor {type(desc).__name__}")
 
 
+def _json_int(data: dict, key: str) -> int:
+    """The integer field data[key]; a JSON number with a fraction, a string,
+    null, a list or a boolean is refused."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
 def descriptor_from_json(data: dict) -> G.GroupDescriptor:
     if not isinstance(data, dict):
         raise ValueError("a group descriptor must be a JSON object")
     variant = data["variant"]
     if variant == "pruefer":
-        return G.PrueferGroup(int(data["p"]))
+        return G.PrueferGroup(_json_int(data, "p"))
     if variant == "rationals":
         return G.RationalsGroup(data.get("chain", "factorial"))
     if variant == "circle":
@@ -74,7 +83,7 @@ def descriptor_from_json(data: dict) -> G.GroupDescriptor:
     if variant == "sum":
         return G.SumGroup(tuple(descriptor_from_json(s) for s in data["summands"]))
     if variant == "real":
-        return G.RealGroup(int(data["dim"]))
+        return G.RealGroup(_json_int(data, "dim"))
     if variant == "product":
         return G.ProductGroup(descriptor_from_json(data["real"]),
                               descriptor_from_json(data["discrete"]))
@@ -184,6 +193,13 @@ def weight_to_provenance(w: WeightFn, certificates: list[str] | None = None) -> 
     }
 
 
+def _phi_from_json(params: dict):
+    name = params["phi"]
+    if not isinstance(name, str) or name not in PHI_REGISTRY:
+        raise ValueError(f"unknown phi {name!r}")
+    return PHI_REGISTRY[name]
+
+
 def weight_from_provenance(data: dict) -> WeightFn:
     if not isinstance(data, dict):
         raise ValueError("a weight document must be a JSON object")
@@ -196,11 +212,11 @@ def weight_from_provenance(data: dict) -> WeightFn:
     scale = _scale_from_json(data["scale"])
     if construction == "pruefer-layer":
         group = descriptor_from_json(params["group"])
-        phi = PHI_REGISTRY[params["phi"]](group.p)
+        phi = _phi_from_json(params)(group.p)
         w: WeightFn = nested_finite_weight(group, phi, unchecked=not phi.certified)
     elif construction == "rationals-layer":
         group = descriptor_from_json(params["group"])
-        phi = PHI_REGISTRY[params["phi"]]()
+        phi = _phi_from_json(params)()
         w = rationals_weight(group, phi, c2=parse_rational(params["c2"]),
                              unchecked=not phi.certified)
     elif construction == "direct-sum":
@@ -210,7 +226,7 @@ def weight_from_provenance(data: dict) -> WeightFn:
         coeffs = SubsetCoeffs(parse_rational(params["eps1"]))
         w = direct_sum_weight(summands, alphas, coeffs)
     elif construction == "euclidean":
-        w = EuclideanWeight(group=G.RealGroup(int(params["dim"])))
+        w = EuclideanWeight(group=G.RealGroup(_json_int(params, "dim")))
     elif construction == "product":
         real_factor = weight_from_provenance(params["real"])
         discrete_factor = weight_from_provenance(params["discrete"])

@@ -161,6 +161,49 @@ def test_beurling_circle_builtin_exit_2(capsys, name):
     assert out == ""
 
 
+@pytest.mark.parametrize("cutoff", ["inf", "-5", "0", "nan"])
+def test_beurling_bad_cutoff_exit_2(capsys, cutoff):
+    code, out, err = run(capsys, "beurling", "--weight", "builtin:poly2", f"--T={cutoff}")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "cutoff" in err
+    assert out == ""
+
+
+# SHA-256 of the stdout of `domar --N 1500` at x = 1 and x = -7/3 and of
+# `beurling --T 400`, generated before the integer-arithmetic orbits and the
+# mirrored panels; a fast path that moves one bit of a partial sum or an
+# integral changes them
+CRITERION_STDOUT_SHA256 = {
+    "poly2": ("b90ef6973fd47f90c393903da4d65dd04bd6e131f4e3e9602b1f96bb2fd2aa62",
+              "4c4e3c937824b2bb18859e049b83e102dc98aca69ecb5444941681a9c74f0a2e",
+              "e927edad8a84ca4fcf23f67b0106a0ce0f9da644fd6e2ae7d8f9ba89321b2751"),
+    "exp-abs": ("07eadc05847353064e9e5deee0201b5f22c39b49f2706cd88c76bef68e2a0cfb",
+                "cdff05cd6739bb3d5257b63951c3c3eebcf387ffa6952f8913c93bf3b59b110b",
+                "f1136e9734ca32249c217f9e5b8770a1d07b86dfaf1f2613bc72da70d4a52d8e"),
+    "poly2-exp": ("7ed7db23c246131caec45382a50c6fa9e18dcb14e154b4b9de82e298bff56930",
+                  "ffd7328c0ea05d9e046a224cbe830421e3dc3cacbd49347bcf7ebb18126f47e1",
+                  "53b7682b90f8b0c8c73500cc53323e62825193e1b9385a4484d8e3401ff27d38"),
+    "poly2-exp-log": ("beb297886ff467cf73e1d331c8ea6158c6a9bba486ae60b842de11135941a142",
+                      "326ef829013e8f5a0c704eff58e70bf4047fddff6a718774237ff86d6f402a59",
+                      "229ddd76d87ebf830ead20b260f309b2506fb5428c10849c3d484d71c283ed5d"),
+    "poly2-exp-signed": ("7ed7db23c246131caec45382a50c6fa9e18dcb14e154b4b9de82e298bff56930",
+                         "808d11e790127dfe58968b142b4dc56571a788d0adb1b51582f7a38340c9a096",
+                         "652629da7974a28464cd84ef6fec1475ac7995b5784bdbf20ee62f71100099e7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRITERION_STDOUT_SHA256))
+def test_criterion_stdout_pinned(capsys, name):
+    digests = []
+    for argv in (["domar", "--x=1", "--N", "1500"], ["domar", "--x=-7/3", "--N", "1500"],
+                 ["beurling", "--T", "400"]):
+        code, out, _ = run(capsys, *argv, "--weight", f"builtin:{name}")
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == CRITERION_STDOUT_SHA256[name]
+
+
 def test_beurling_classifications(capsys):
     code, out, _ = run(capsys, "beurling", "--weight", "builtin:poly2-exp-log", "--T", "40")
     assert code == 0
@@ -259,6 +302,13 @@ def _edit_weight(**changes):
     return edit
 
 
+def _edit_params(**changes):
+    def edit(prov):
+        prov["params"].update(changes)
+        return prov
+    return edit
+
+
 @pytest.mark.parametrize("edit, flags", [
     (None, ["--bound", "abc"]),
     (None, ["--bound", "1/0"]),
@@ -267,8 +317,13 @@ def _edit_weight(**changes):
     (_edit_weight(params=[]), []),
     (_edit_weight(scale=None), []),
     (lambda prov: {**prov, "params": {**prov["params"], "group": []}}, []),
+    (_edit_params(group={"variant": "pruefer", "p": None}), []),
+    (_edit_params(group={"variant": "pruefer", "p": [2]}), []),
+    (_edit_params(phi=["geometric"]), []),
+    (lambda prov: {**prov, "construction": "euclidean", "params": {"dim": None}}, []),
+    (lambda prov: {**prov, "construction": "euclidean", "params": {"dim": [1]}}, []),
 ], ids=["bound-text", "bound-zero-den", "top-level-list", "scale-zero-den", "params-list",
-        "scale-null", "group-list"])
+        "scale-null", "group-list", "p-null", "p-list", "phi-list", "dim-null", "dim-list"])
 def test_verify_malformed_input_exit_2(tmp_path, capsys, edit, flags):
     wfile = tmp_path / "w.json"
     run(capsys, "construct", "--group", "pruefer:2", "--out", str(wfile))

@@ -6,6 +6,7 @@ import pytest
 import convalg as ca
 from convalg import groups as G
 from convalg.domar import CONVERGENT, DIVERGENT
+from convalg.formulas import BUILTIN_NAMES, FormulaWeight, as_number
 
 
 def test_partial_sums_exp_abs_exact():
@@ -77,3 +78,80 @@ def test_beurling_agreement_with_domar():
         label, _ = ca.domar_classify(ca.builtin_weight(name), F(1))
         res = ca.beurling_integral(ca.builtin_weight(name))
         assert (label == CONVERGENT) == (res.classification == "finite")
+
+
+# --------------------------------------------------------------------------
+# Oracle: the term-by-term loop domar_partial ran for builtin weights
+# --------------------------------------------------------------------------
+
+def _brute_orbit_point(w, x, n):
+    if isinstance(x, G.GroupPoint):
+        return G.nmul(n, x)
+    value = as_number(x)
+    if w.domain == "circle":
+        return (n * F(value)) % 1
+    return n * value
+
+
+def _brute_log_plus(w, point):
+    value = as_number(point)
+    if w.name == "exp-abs" and w.scale == 1.0 and isinstance(value, (F, int)):
+        # the exact log of e^|t| at a rational point
+        return max(F(0), abs(F(value)))
+    return max(0.0, w.log_eval(point))
+
+
+def brute_domar_partial(w: FormulaWeight, x, n_max: int) -> list:
+    """Each orbit point as a Fraction (or n * x for a float x), its log+ exact
+    for e^|t| at scale 1 and from log_eval otherwise, one division and one
+    addition per term."""
+    partials = []
+    total = F(0)
+    for n in range(1, n_max + 1):
+        point = _brute_orbit_point(w, x, n)
+        try:
+            term = _brute_log_plus(w, point)
+        except (ZeroDivisionError, ValueError) as exc:
+            raise ValueError(f"log w is undefined at the orbit point {n}x = {point}") from exc
+        if isinstance(term, F):
+            term = term / (n * n)
+        else:
+            term = term / float(n * n)
+        total = total + term
+        partials.append(total)
+    return partials
+
+
+def _outcome(fn, w, x, n_max):
+    """Every partial sum as (repr, type), or the error message."""
+    try:
+        return [(repr(s), type(s)) for s in fn(w, x, n_max)]
+    except ValueError as exc:
+        return str(exc)
+
+
+ORBIT_GENERATORS = (F(1), F(-7, 3), F(5, 2), F(22, 7), F(3, 1501), F(0), 3, -2, 0.1, -2.75, 1e-3)
+
+
+@pytest.mark.parametrize("scale", [F(1), F(1, 2)])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_domar_partial_matches_term_by_term_loop(name, scale):
+    w = ca.builtin_weight(name).rescaled(scale)
+    for x in ORBIT_GENERATORS:
+        for n_max in (1, 7, 1500):
+            assert _outcome(ca.domar_partial, w, x, n_max) == \
+                _outcome(brute_domar_partial, w, x, n_max), (x, n_max)
+
+
+@pytest.mark.parametrize("name, x, message", [
+    ("circle-quarter", F(1, 3), "log w is undefined at the orbit point 3x = 0"),
+    ("circle-inv-sqrt", F(-7, 3), "log w is undefined at the orbit point 3x = 0"),
+    ("circle-quarter", -2.75, "log w is undefined at the orbit point 4x = 0"),
+    ("circle-inv-sqrt", 3, "log w is undefined at the orbit point 1x = 0"),
+])
+def test_domar_partial_circle_error_text(name, x, message):
+    w = ca.builtin_weight(name)
+    with pytest.raises(ValueError) as exc:
+        ca.domar_partial(w, x, 1500)
+    assert str(exc.value) == message
+    assert _outcome(brute_domar_partial, w, x, 1500) == message

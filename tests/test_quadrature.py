@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import convalg as ca
+from convalg.formulas import BUILTINS
 from convalg.quadrature import (
     QuadratureSpec,
+    _gl_nodes,
     beta_segment_oracle,
     beta_segment_quadrature,
     circle_conv_ratio_value,
     circle_conv_value,
+    composite_integral,
     line_conv_closed_form,
     line_conv_quadrature,
     wrap_segment_closed,
@@ -111,3 +115,51 @@ def test_beurling_integral_grows_with_cutoff_for_divergent():
     small = ca.beurling_integral(w, cutoff=25.0)
     large = ca.beurling_integral(w, cutoff=100.0)
     assert large.integral.lo > small.integral.hi
+
+
+# --------------------------------------------------------------------------
+# Mirrored panels: the same double as the two composite sums
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_gl_nodes_exactly_symmetric(n):
+    xs, ws = _gl_nodes(n)
+    assert all(xs[i] == -xs[n - 1 - i] for i in range(n))
+    assert all(ws[i] == ws[n - 1 - i] for i in range(n))
+
+
+LINE_BUILTINS = [name for name, b in BUILTINS.items() if b.domain == "real"]
+MIRRORED_CUTOFFS = (12.5, 25.0, 50.0, 100.0, 400.0)
+UNMIRRORED_CUTOFFS = (33.3, 1000 / 3)
+
+
+def _edges_mirror(cutoff: float) -> bool:
+    panels = max(64, int(2 * cutoff))
+    right = np.linspace(0.0, cutoff, panels + 1).tolist()
+    return np.linspace(-cutoff, 0.0, panels + 1).tolist() == [-e for e in reversed(right)]
+
+
+def _two_sided(w, cutoff: float, spec: QuadratureSpec) -> float:
+    """The Beurling partial integral as two composite sums over [0, T] and [-T, 0]."""
+    def f(t: float) -> float:
+        return max(0.0, w.log_eval(t)) / (1.0 + t * t)
+
+    panels = max(64, int(2 * cutoff))
+    return composite_integral(f, 0.0, cutoff, panels, spec.nodes) \
+        + composite_integral(f, -cutoff, 0.0, panels, spec.nodes)
+
+
+def test_mirror_cutoffs_cover_both_paths():
+    assert all(_edges_mirror(c) for c in MIRRORED_CUTOFFS)
+    assert not any(_edges_mirror(c) for c in UNMIRRORED_CUTOFFS)
+    assert [name for name in LINE_BUILTINS if not BUILTINS[name].even] == ["poly2-exp-signed"]
+
+
+@pytest.mark.parametrize("scale", [F(1), F(1, 2), F(3)])
+@pytest.mark.parametrize("name", LINE_BUILTINS)
+def test_beurling_partial_integral_bit_for_bit(name, scale):
+    w = ca.builtin_weight(name).rescaled(scale)
+    spec = QuadratureSpec()
+    for cutoff in MIRRORED_CUTOFFS + UNMIRRORED_CUTOFFS:
+        value = ca.beurling_integral(w, cutoff, spec).certificate.payload["partial_integral"]
+        assert value.hex() == _two_sided(w, cutoff, spec).hex(), cutoff
