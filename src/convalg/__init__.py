@@ -18,7 +18,6 @@ from .certificates import (
 from .certify import (
     check_b,
     check_evenness,
-    check_parity_positivity,
     check_poly_decay,
     check_positivity,
     check_submultiplicative,

@@ -16,6 +16,10 @@ HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
+# The most points a window may enumerate, and the most residues a truncated
+# rationals convolution may loop over: larger work runs for minutes or more.
+MAX_POINTS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class Window:
@@ -87,11 +91,3 @@ def window_info(window: Window) -> dict:
     if window.ae_excluded:
         info["ae_excluded"] = len(window.ae_excluded)
     return info
-
-
-def worst_verdict(verdicts: list[str]) -> str:
-    if FAILS in verdicts:
-        return FAILS
-    if INCONCLUSIVE in verdicts:
-        return INCONCLUSIVE
-    return HOLDS

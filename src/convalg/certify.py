@@ -23,10 +23,10 @@ from .certificates import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    MAX_POINTS,
     TruncationSpec,
     Window,
     window_info,
-    worst_verdict,
 )
 from .convolution import conv_at
 from .formulas import FormulaWeight, as_number
@@ -51,10 +51,18 @@ def _point_repr(x):
 # --------------------------------------------------------------------------
 
 def pruefer_ball_window(group: G.PrueferGroup, layer: int) -> Window:
+    # p >= 2, so p^21 already exceeds the bound and no huge power is formed
+    if layer < 0 or group.p ** min(layer, 21) > MAX_POINTS:
+        raise ValueError(f"window G{layer} must hold between 1 and 2^20 points, "
+                         f"not {group.p}^{layer}")
     points = sorted(group.subgroup_elements(layer), key=G.sort_key)
     return Window(name=f"G{layer}", points=tuple(points))
 
 def rationals_ball_window(group: G.RationalsGroup, layer: int, radius: int) -> Window:
+    # t_10 = 10! already exceeds the bound, so no huge factorial is formed
+    if layer < 1 or radius < 1 or 2 * radius * group.chain_value(min(layer, 10)) + 1 > MAX_POINTS:
+        raise ValueError(f"window Q{layer}:{radius} must have layer and radius >= 1 "
+                         f"and hold at most 2^20 points, not 2*{radius}*{layer}!+1")
     points = sorted(group.ball_elements(layer, radius), key=G.sort_key)
     return Window(name=f"Q{layer}:[-{radius},{radius}]", points=tuple(points))
 
@@ -89,6 +97,8 @@ def sum_sample_window(group: G.SumGroup, size: int, seed: int = 0,
     coordinates come from that subgroup's ball of radius _SAMPLE_RADIUS (a
     zero coordinate just leaves the support).
     """
+    if not 1 <= size <= MAX_POINTS:
+        raise ValueError(f"a sampled window must hold between 1 and 2^20 points, not {size}")
     rng = random.Random(seed)
     chosen: dict = {}
     if size % 2 == 1:
@@ -106,15 +116,18 @@ def sum_sample_window(group: G.SumGroup, size: int, seed: int = 0,
                 k = rng.randrange(1, summand.p ** layer_cap)
                 coords[j] = summand.element(k, layer_cap)
             else:
-                ball = summand.ball_elements(layer_cap, _SAMPLE_RADIUS)
-                coords[j] = ball[rng.randrange(len(ball))]
+                # index the ball of radius R in (1/t)Z rather than list its 2Rt+1 points
+                t = summand.chain_value(layer_cap)
+                k = rng.randrange(2 * _SAMPLE_RADIUS * t + 1)
+                coords[j] = summand.element(Fraction(k, t) - _SAMPLE_RADIUS)
         return group.point(coords)
 
     guard = 0
     while len(chosen) < size:
         guard += 1
         if guard > 100_000:
-            raise RuntimeError("window sampling did not converge")
+            raise ValueError(f"window sampling found fewer than {size} points "
+                             f"up to layer {layer_cap}")
         x = random_point()
         nx = G.neg(x)
         if x == nx or x in chosen:
@@ -200,17 +213,6 @@ def check_evenness(u: WeightFn, window: Window) -> Certificate:
                        window=window_info(window))
 
 
-def check_parity_positivity(u: WeightFn, window: Window) -> Certificate:
-    pos = check_positivity(u, window)
-    even = check_evenness(u, window)
-    verdict = worst_verdict([pos.verdict, even.verdict])
-    witness = pos.witness if pos.verdict == FAILS else even.witness
-    payload = {"positivity": pos.verdict, "evenness": even.verdict}
-    payload.update({k: v for k, v in pos.payload.items() if k != "note"})
-    return Certificate(prop="parity-positivity", verdict=verdict, payload=payload,
-                       window=window_info(window), witness=witness)
-
-
 def check_poly_decay(u: WeightFn, x, n_max: int = 12) -> Certificate:
     """Produce (C, d) with 1/u(nx) <= C n^d, provenance-backed, and verify it
     for n = 1..n_max.  Without provenance only sampled bounds are reported and
@@ -259,33 +261,21 @@ def _submult_once(w: WeightFn, s, t) -> tuple[bool, bool]:
 
 def check_submultiplicative(w: WeightFn, window: Optional[Window] = None,
                             pairs: Optional[Sequence[tuple]] = None,
-                            mode: str = "exact", max_pairs: int = 4096,
-                            seed: int = 0) -> Certificate:
-    """Exact mode: verdict of w(s+t) <= w(s) w(t) per pair, witness on failure.
-    Invariance mode: per s, the window maximum of w(s+t)/w(t) (a finite-sample
-    stand-in for the translation norm; no essential-sup claim is made)."""
+                            max_pairs: int = 4096, seed: int = 0) -> Certificate:
+    """Verdict of w(s+t) <= w(s) w(t) per pair, witness on failure.  A window
+    with more than max_pairs ordered pairs is sampled by pair index, so the
+    n^2 pairs are never built."""
     if window is None and pairs is None:
         raise ValueError("need a window or explicit pairs")
     if pairs is None:
-        pts = list(window.points)
-        all_pairs = [(s, t) for s in pts for t in pts]
-        if len(all_pairs) > max_pairs:
-            rng = random.Random(seed)
-            all_pairs = rng.sample(all_pairs, max_pairs)
-        pairs = all_pairs
+        pts = window.points
+        n = len(pts)
+        if n * n > max_pairs:
+            picked = random.Random(seed).sample(range(n * n), max_pairs)
+            pairs = [(pts[k // n], pts[k % n]) for k in picked]
+        else:
+            pairs = [(s, t) for s in pts for t in pts]
     info = window_info(window) if window is not None else {"name": "pairs", "size": len(pairs)}
-    if mode == "invariance":
-        table = []
-        for s in window.points:
-            best = None
-            for t in window.points:
-                ratio = float(w.eval(w.point_add(s, t))) / float(w.eval(t))
-                best = ratio if best is None else max(best, ratio)
-            table.append({"s": _point_repr(s), "max_ratio": best})
-        payload = {"mode": "invariance", "per_translation_max": table,
-                   "note": "finite-sample maxima; no essential-supremum claim"}
-        return Certificate(prop="invariance-report", verdict=HOLDS, payload=payload,
-                           window=info)
     exact_all = True
     for s, t in pairs:
         ok, exact = _submult_once(w, s, t)

@@ -118,6 +118,10 @@ def _write_bundle(path: Path, weight_prov: dict | None, certs, timestamp: bool) 
 def _build_weight(args) -> tuple:
     """Returns (weight, mass_note)."""
     spec = args.group
+    if args.summands is not None and spec != "sum":
+        raise ValueError("--summands applies to --group sum only")
+    if args.phi == "broken" and not spec.startswith("pruefer:"):
+        raise ValueError("--phi broken applies to --group pruefer:P only")
     if spec.startswith("pruefer:"):
         p = int(spec.split(":", 1)[1])
         if args.phi == "broken":
@@ -125,8 +129,10 @@ def _build_weight(args) -> tuple:
             return w, "uncertified (negative control)"
         u = pruefer_weight(p)
     elif spec == "rationals":
-        u = rationals_weight(G.RationalsGroup(args.chain))
+        u = rationals_weight()
     elif spec == "sum":
+        if args.raw:
+            raise ValueError("--raw does not apply to --group sum")
         if not args.summands:
             raise ValueError("--summands is required for --group sum")
         summands = []
@@ -259,7 +265,8 @@ def cmd_verify(args) -> int:
     try:
         prov = json.loads(Path(args.weight).read_text())
         w = weight_from_provenance(prov)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the parser's recursion limit
         print(f"error: cannot load weight: {exc}", file=sys.stderr)
         return EXIT_USAGE
     letters = "abcd" if args.suite == "all" else args.suite.split(",")
@@ -468,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="build a weight and write its provenance JSON")
     c.add_argument("--group", required=True, help="pruefer:P | rationals | sum")
-    c.add_argument("--chain", default="factorial", help="subgroup chain for the rationals")
     c.add_argument("--summands", default=None, help="comma list, e.g. pruefer:2,pruefer:3")
     c.add_argument("--phi", default="default", choices=["default", "broken"],
                    help="'broken' builds the increasing-shell negative control")

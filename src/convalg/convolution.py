@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import groups as G
-from .certificates import TruncationSpec
+from .certificates import MAX_POINTS, TruncationSpec
 from .intervals import Interval
 from .rational import even_floor, sigma
 from .weights import (
@@ -208,6 +208,10 @@ def _sigma_pair_sum(floor_s: int, integral: bool, origin: bool, ball: int) -> Fr
 
 def _rationals_partial(u: RationalsLayerWeight, q: Fraction, cutoff: int, ball: int) -> Fraction:
     """sum_{|k| <= ball t} u(k/t) u(q - k/t) with t = t_cutoff, by classes of k mod t."""
+    # t_10 = 10! already exceeds the bound, so no huge factorial is formed
+    if u.group.chain_value(min(cutoff, 10)) > MAX_POINTS or 2 * ball + 1 > MAX_POINTS:
+        raise ValueError(f"truncation N{cutoff},B{ball} loops over more than 2^20 "
+                         "residues or unit intervals")
     t = u.group.chain_value(cutoff)
     q_num = (q * t).numerator  # q lies in (1/t)Z
     layers: dict[int, int] = {}

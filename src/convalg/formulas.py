@@ -127,7 +127,7 @@ class FormulaWeight(WeightFn):
     exact = False
 
     def __post_init__(self) -> None:
-        if self.name not in BUILTINS:
+        if not isinstance(self.name, str) or self.name not in BUILTINS:
             raise ValueError(f"unknown builtin weight {self.name!r}")
 
     @property

@@ -1,7 +1,7 @@
 """Exact element arithmetic for the abelian groups the weights live on.
 
 Variants: the p-power torsion circles Z(p^infinity) given as fractions k/p^n
-mod 1, the additive rationals with a declared chain of subgroups (1/t_n)Z,
+mod 1, the additive rationals exhausted by the subgroups (1/n!)Z,
 finite-support direct sums, the unit circle [0,1) under fractional addition,
 real coordinate vectors, and real x discrete product pairs.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .rational import even_floor  # noqa: F401  (re-exported group op)
 
@@ -29,16 +29,23 @@ class LayerError(ValueError):
     """The group variant has no declared subgroup chain."""
 
 
+# Miller-Rabin with the primes up to 41 as bases decides every n below this
+# bound exactly (it is the least strong pseudoprime to all thirteen bases).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin; refuses n it cannot decide (n >= _MR_LIMIT)."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is not decided below {_MR_LIMIT}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s is the largest power of 2 dividing n - 1
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2 ** r, n) != n - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -53,27 +60,6 @@ class GroupDescriptor:
 
     def identity(self):
         raise NotImplementedError
-
-
-def _factorial_chain(n: int) -> int:
-    return math.factorial(n)
-
-
-# Named subgroup chains t_1 | t_2 | ... for the rationals.  Only named chains
-# serialize; callers may register additional ones.
-CHAIN_REGISTRY: dict[str, Callable[[int], int]] = {"factorial": _factorial_chain}
-
-
-def register_chain(name: str, fn: Callable[[int], int]) -> None:
-    """Register a chain n -> t_n. Validated on first terms: strictly increasing
-    divisibility chain with t_1 >= 1."""
-    prev = None
-    for n in range(1, 13):
-        t = fn(n)
-        if t < 1 or (prev is not None and (t <= prev or t % prev != 0)):
-            raise ValueError(f"chain {name!r} is not an increasing divisibility chain")
-        prev = t
-    CHAIN_REGISTRY[name] = fn
 
 
 @dataclass(frozen=True)
@@ -112,17 +98,12 @@ class PrueferGroup(GroupDescriptor):
 
 @dataclass(frozen=True)
 class RationalsGroup(GroupDescriptor):
-    """The additive rationals, exhausted by the subgroups (1/t_n)Z."""
+    """The additive rationals, exhausted by the subgroups (1/t_n)Z with t_n = n!."""
 
-    chain: str = "factorial"
     variant = "rationals"
 
-    def __post_init__(self) -> None:
-        if self.chain not in CHAIN_REGISTRY:
-            raise ValueError(f"unknown chain {self.chain!r}")
-
     def chain_value(self, n: int) -> int:
-        return CHAIN_REGISTRY[self.chain](n)
+        return math.factorial(n)
 
     def identity(self) -> "RationalPoint":
         return RationalPoint(self, Fraction(0))

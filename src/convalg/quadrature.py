@@ -225,18 +225,16 @@ def line_conv_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()) -> I
     return Interval(value - tail - pad, value + tail + pad)
 
 
-def line_conv_ratio(spec: QuadratureSpec = QuadratureSpec(), dim: int = 1,
-                    grid_lo: float = -10.0, grid_hi: float = 10.0) -> RatioResult:
+def line_conv_ratio(spec: QuadratureSpec = QuadratureSpec(), dim: int = 1) -> RatioResult:
     """Enclosure of sup (u*u)/u for the d=1 rational-decay weight.
 
     The closed-form ratio 2 pi (1+t^2)/(4+t^2) increases to 2 pi, so the sup
     is exactly 2 pi (and (2 pi)^d for the d-fold product); the grid maximum
-    cross-validates the quadrature against the closed form.
+    cross-validates the quadrature against the closed form on [-10, 10].
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    steps = max(8, int((grid_hi - grid_lo) / 1.0))
-    grid = [grid_lo + k * (grid_hi - grid_lo) / steps for k in range(steps + 1)]
+    grid = [float(t) for t in range(-10, 11)]
     grid_max, argmax = 0.0, grid[0]
     max_quad_error = 0.0
     for t in grid:
@@ -257,7 +255,7 @@ def line_conv_ratio(spec: QuadratureSpec = QuadratureSpec(), dim: int = 1,
         "tolerance": spec.ratio_tol,
     }
     cert = Certificate(prop="conv-ratio", verdict=verdict, payload=payload,
-                       window={"name": f"line:[{grid_lo},{grid_hi}]", "size": len(grid)})
+                       window={"name": "line:[-10.0,10.0]", "size": len(grid)})
     return RatioResult(sup=sup, grid_max=grid_max, argmax=argmax, certificate=cert)
 
 

@@ -29,6 +29,8 @@ LOG_SUM_OVER_SQUARES_UPPER = Fraction(94, 100)
 
 def parse_rational(text: str) -> Fraction:
     """Parse the "num/den" wire format (a bare integer is also accepted)."""
+    if not isinstance(text, str):
+        raise ValueError(f"a rational must be a \"num/den\" string, not {text!r}")
     s = text.strip()
     if "/" in s:
         num, den = (int(part) for part in s.split("/", 1))

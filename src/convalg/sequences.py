@@ -114,19 +114,17 @@ def _unscanned_cap(scan_limit: int) -> Fraction:
     return base + correction
 
 
-def sigma_subconvolutive_constant(trunc: int = 200, scan_limit: int | None = None) -> Interval:
+def sigma_subconvolutive_constant(trunc: int = 200) -> Interval:
     """Enclosure of the best constant C2 with sum sigma(n) sigma(m-n) <= C2 sigma(m).
 
     The lower end is the largest scanned ratio (a witness that no smaller
     constant works); the upper end dominates both every scanned ratio and the
     closed-form cap for all m beyond the scan, so it is a valid constant.
+    The scan covers m <= min(60, trunc/2 - 1).
     """
     if trunc < 100:
         raise ValueError("trunc must be >= 100")
-    if scan_limit is None:
-        scan_limit = min(60, trunc // 2 - 1)
-    if scan_limit < 2 or 2 * scan_limit + 2 > trunc:
-        raise ValueError("scan_limit must be in [2, (trunc-2)/2]")
+    scan_limit = min(60, trunc // 2 - 1)
     sums = _harmonic_sums(trunc + scan_limit)
     lo = Fraction(0)
     hi = Fraction(0)

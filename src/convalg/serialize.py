@@ -7,6 +7,7 @@ runs are byte-identical apart from optional timestamps.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -16,18 +17,19 @@ from .formulas import FormulaWeight, builtin_weight
 from .rational import format_rational, parse_rational
 from .weights import (
     AlgebraWeight,
-    AlphaSequence,
     DirectSumWeight,
     EuclideanWeight,
     LayerWeight,
-    PHI_REGISTRY,
     ProductWeight,
     RationalsLayerWeight,
-    SubsetCoeffs,
     WeightFn,
+    algebra_weight,
+    broken_increasing_phi,
     direct_sum_weight,
+    euclidean_weight,
     nested_finite_weight,
-    pruefer_default_phi,
+    product_weight,
+    pruefer_weight,
     rationals_weight,
 )
 
@@ -48,7 +50,7 @@ def descriptor_to_json(desc: G.GroupDescriptor) -> dict:
     if isinstance(desc, G.PrueferGroup):
         return {"variant": "pruefer", "p": desc.p}
     if isinstance(desc, G.RationalsGroup):
-        return {"variant": "rationals", "chain": desc.chain}
+        return {"variant": "rationals", "chain": "factorial"}
     if isinstance(desc, G.CircleGroup):
         return {"variant": "circle"}
     if isinstance(desc, G.SumGroup):
@@ -61,6 +63,29 @@ def descriptor_to_json(desc: G.GroupDescriptor) -> dict:
     raise TypeError(f"unsupported descriptor {type(desc).__name__}")
 
 
+def _require_object(data, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+
+
+def _json_float(value) -> float:
+    """A JSON number as a float; a string, null, list, boolean or a number
+    beyond the float range is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value} is beyond the float range") from None
+
+
+def _json_list(data: dict, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list, not {value!r}")
+    return value
+
+
 def _json_int(data: dict, key: str) -> int:
     """The integer field data[key]; a JSON number with a fraction, a string,
     null, a list or a boolean is refused."""
@@ -71,17 +96,18 @@ def _json_int(data: dict, key: str) -> int:
 
 
 def descriptor_from_json(data: dict) -> G.GroupDescriptor:
-    if not isinstance(data, dict):
-        raise ValueError("a group descriptor must be a JSON object")
+    _require_object(data, "a group descriptor")
     variant = data["variant"]
     if variant == "pruefer":
         return G.PrueferGroup(_json_int(data, "p"))
     if variant == "rationals":
-        return G.RationalsGroup(data.get("chain", "factorial"))
+        if data.get("chain") != "factorial":
+            raise ValueError("the rationals chain must be 'factorial'")
+        return G.RationalsGroup()
     if variant == "circle":
         return G.CircleGroup()
     if variant == "sum":
-        return G.SumGroup(tuple(descriptor_from_json(s) for s in data["summands"]))
+        return G.SumGroup(tuple(descriptor_from_json(s) for s in _json_list(data, "summands")))
     if variant == "real":
         return G.RealGroup(_json_int(data, "dim"))
     if variant == "product":
@@ -127,11 +153,15 @@ def point_from_json(group: G.GroupDescriptor, data: Any) -> G.GroupPoint:
     if isinstance(group, G.CircleGroup):
         return G.CirclePoint(group, parse_rational(data))
     if isinstance(group, G.SumGroup):
+        _require_object(data, "a direct-sum point")
         coords = {int(j): point_from_json(group.summand(int(j)), pt) for j, pt in data.items()}
         return group.point(coords)
     if isinstance(group, G.RealGroup):
-        return G.RealPoint(group, tuple(float(c) for c in data))
+        if not isinstance(data, list):
+            raise ValueError("a real point must be a list of numbers")
+        return G.RealPoint(group, tuple(_json_float(c) for c in data))
     if isinstance(group, G.ProductGroup):
+        _require_object(data, "a product point")
         return G.ProductPoint(group, point_from_json(group.real, data["real"]),
                               point_from_json(group.discrete, data["discrete"]))
     raise TypeError(f"unsupported descriptor {type(group).__name__}")
@@ -148,14 +178,14 @@ def _scale_to_json(scale) -> Any:
 
 
 def _scale_from_json(data) -> Any:
-    if isinstance(data, str):
-        return parse_rational(data)
-    if not isinstance(data, (int, float)):
-        raise ValueError("scale must be a rational string or a number")
-    return float(data)
+    """A finite scale > 0: a rational string, or a number read as a float."""
+    scale = parse_rational(data) if isinstance(data, str) else _json_float(data)
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0, not {data!r}")
+    return scale
 
 
-def weight_to_provenance(w: WeightFn, certificates: list[str] | None = None) -> dict:
+def weight_to_provenance(w: WeightFn) -> dict:
     if isinstance(w, LayerWeight):
         params = {"group": descriptor_to_json(w.group), "phi": w.phi.name}
         if w.phi.certified:
@@ -189,60 +219,63 @@ def weight_to_provenance(w: WeightFn, certificates: list[str] | None = None) -> 
         "params": params,
         "scale": _scale_to_json(w.scale),
         "exact": w.exact,
-        "certificates": certificates or [],
+        "certificates": [],
     }
 
 
-def _phi_from_json(params: dict):
-    name = params["phi"]
-    if not isinstance(name, str) or name not in PHI_REGISTRY:
-        raise ValueError(f"unknown phi {name!r}")
-    return PHI_REGISTRY[name]
+def _rebuild(construction, params: dict) -> WeightFn:
+    """The weight that the named construction builds from the fields that
+    name it; every other field is derived, and checked by the caller."""
+    broken = params.get("phi") == "broken-demo"
+    if construction == "pruefer-layer":
+        group = descriptor_from_json(params["group"])
+        if not isinstance(group, G.PrueferGroup):
+            raise ValueError("a pruefer-layer weight lives on a pruefer group")
+        if broken:
+            return nested_finite_weight(group, broken_increasing_phi(), unchecked=True)
+        return pruefer_weight(group.p)
+    if construction == "rationals-layer":
+        return rationals_weight(broken_increasing_phi(), unchecked=True) if broken \
+            else rationals_weight()
+    if construction == "direct-sum":
+        return direct_sum_weight([weight_from_provenance(s)
+                                  for s in _json_list(params, "summands")])
+    if construction == "euclidean":
+        return euclidean_weight(_json_int(params, "dim"))
+    if construction == "product":
+        return product_weight(weight_from_provenance(params["real"]),
+                              weight_from_provenance(params["discrete"]))
+    if construction == "algebra":
+        return algebra_weight(weight_from_provenance(params["base"]),
+                              parse_rational(params["p"]))
+    if construction == "formula":
+        return builtin_weight(params["name"])
+    raise ValueError(f"unknown construction {construction!r}")
 
 
 def weight_from_provenance(data: dict) -> WeightFn:
-    if not isinstance(data, dict):
-        raise ValueError("a weight document must be a JSON object")
+    """Rebuild a weight document with its construction's own constructor.
+
+    The document must be what weight_to_provenance writes for that weight
+    (its certificates list aside): a derived field (c2, mass, alphas, eps1,
+    the chain, ...) that differs from the rebuilt weight's is refused, never
+    trusted.
+    """
+    _require_object(data, "a weight document")
     if data.get("schema") != WEIGHT_SCHEMA:
         raise ValueError(f"unsupported weight schema {data.get('schema')!r}")
-    construction = data["construction"]
     params = data["params"]
-    if not isinstance(params, dict):
-        raise ValueError("weight params must be a JSON object")
+    _require_object(params, "weight params")
     scale = _scale_from_json(data["scale"])
-    if construction == "pruefer-layer":
-        group = descriptor_from_json(params["group"])
-        phi = _phi_from_json(params)(group.p)
-        w: WeightFn = nested_finite_weight(group, phi, unchecked=not phi.certified)
-    elif construction == "rationals-layer":
-        group = descriptor_from_json(params["group"])
-        phi = _phi_from_json(params)()
-        w = rationals_weight(group, phi, c2=parse_rational(params["c2"]),
-                             unchecked=not phi.certified)
-    elif construction == "direct-sum":
-        summands = tuple(weight_from_provenance(s) for s in params["summands"])
-        alphas = AlphaSequence(tuple(parse_rational(a) for a in params["alphas"]),
-                               rule=params.get("alpha_rule", "3^-j"))
-        coeffs = SubsetCoeffs(parse_rational(params["eps1"]))
-        w = direct_sum_weight(summands, alphas, coeffs)
-    elif construction == "euclidean":
-        w = EuclideanWeight(group=G.RealGroup(_json_int(params, "dim")))
-    elif construction == "product":
-        real_factor = weight_from_provenance(params["real"])
-        discrete_factor = weight_from_provenance(params["discrete"])
-        w = ProductWeight(
-            group=G.ProductGroup(real_factor.descriptor, discrete_factor.descriptor),
-            real_factor=real_factor, discrete_factor=discrete_factor)
-    elif construction == "algebra":
-        w = AlgebraWeight(base=weight_from_provenance(params["base"]),
-                          p=parse_rational(params["p"]))
-    elif construction == "formula":
-        w = builtin_weight(params["name"])
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
-    if scale != w.scale:
-        w = w.rescaled(scale / w.scale)
-    return w
+    w = _rebuild(data["construction"], params)
+    expected = weight_to_provenance(w)
+    for key in ("construction", "params", "exact"):
+        if data.get(key) != expected[key]:
+            raise ValueError(f"{key!r} differs from what the {w.construction} "
+                             "construction builds")
+    if w.exact and not isinstance(scale, Fraction):
+        raise ValueError("an exact weight takes a rational scale")
+    return w.rescaled(scale / w.scale)
 
 
 # --------------------------------------------------------------------------

@@ -105,13 +105,6 @@ def broken_increasing_phi() -> PhiSequence:
     )
 
 
-PHI_REGISTRY: dict[str, Callable[..., PhiSequence]] = {
-    "geometric": pruefer_default_phi,
-    "factorial": lambda p=None: rationals_default_phi(),
-    "broken-demo": lambda p=None: broken_increasing_phi(),
-}
-
-
 # --------------------------------------------------------------------------
 # Direct-sum coefficients
 # --------------------------------------------------------------------------
@@ -596,29 +589,22 @@ def _cached_c2() -> Fraction:
     return Fraction(sigma_subconvolutive_constant().hi)
 
 
-def rationals_weight(group: G.RationalsGroup | None = None,
-                     phi: PhiSequence | None = None, *,
-                     c2: Fraction | None = None,
+def rationals_weight(phi: PhiSequence | None = None, *,
                      unchecked: bool = False) -> RationalsLayerWeight:
     """Weight on the additive rationals: u(q) = phi_n sigma(floor|q|) on shell n.
 
     Records the subconvolutivity constant C2 of the sigma kernel, which enters
     the certified bound u*u <= 2*(8*C2)*mass * u.
     """
-    group = group or G.RationalsGroup()
     phi = phi or rationals_default_phi()
+    w = RationalsLayerWeight(group=G.RationalsGroup(), phi=phi, c2=_cached_c2())
     if not unchecked:
         _validate_phi(phi)
-    c2 = c2 if c2 is not None else _cached_c2()
-    w = RationalsLayerWeight(group=group, phi=phi, c2=c2)
-    if not unchecked:
         w.mass()
     return w
 
 
-def direct_sum_weight(summands: tuple[WeightFn, ...] | list[WeightFn],
-                      alphas: AlphaSequence | None = None,
-                      coeffs: SubsetCoeffs | None = None) -> DirectSumWeight:
+def direct_sum_weight(summands: tuple[WeightFn, ...] | list[WeightFn]) -> DirectSumWeight:
     """Assemble a subconvolutive weight on the direct sum of the summand groups.
 
     Every summand must carry a subconvolutivity certificate (b_bound <= 1);
@@ -633,11 +619,10 @@ def direct_sum_weight(summands: tuple[WeightFn, ...] | list[WeightFn],
             raise ValueError(f"summand {j} lacks a subconvolutivity certificate "
                              "(rescale it with scale_for_b first)")
     group = G.SumGroup(tuple(u.descriptor for u in summands))
-    alphas = alphas or default_alphas(summands)
-    coeffs = coeffs or default_coeffs()
+    alphas = default_alphas(summands)
+    coeffs = default_coeffs()
     zeros = tuple(Fraction(u.eval(u.descriptor.identity())) for u in summands)
     alphas.certify(zeros)
-    coeffs.certify()
     return DirectSumWeight(group=group, summands=summands, alphas=alphas, coeffs=coeffs)
 
 
@@ -647,13 +632,12 @@ def euclidean_weight(d: int) -> EuclideanWeight:
     return EuclideanWeight(group=G.RealGroup(d))
 
 
-def product_weight(real_factor: WeightFn, discrete_factor: WeightFn, *,
-                   normalize: bool = True) -> ProductWeight:
+def product_weight(real_factor: WeightFn, discrete_factor: WeightFn) -> ProductWeight:
     """u(r,h) = u_R(r) u_H(h).  The compact open subgroup of the discrete
     factor is modeled as already quotiented out: u_H lives on the quotient.
 
-    With normalize=True (default) the Euclidean factor is rescaled by its
-    recorded constant so the product carries a subconvolutivity certificate.
+    The Euclidean factor is rescaled by its recorded constant, so the product
+    carries a subconvolutivity certificate.
     """
     if not isinstance(real_factor.descriptor, G.RealGroup):
         raise ValueError("first factor must live on R^d")
@@ -662,7 +646,7 @@ def product_weight(real_factor: WeightFn, discrete_factor: WeightFn, *,
     if not discrete_factor.has_b_certificate:
         raise ValueError("discrete factor lacks a subconvolutivity certificate")
     rf = real_factor
-    if normalize and rf.b_bound is not None and rf.b_bound > 1:
+    if rf.b_bound is not None and rf.b_bound > 1:
         rf = rf.rescaled(1.0 / float(rf.b_bound))
     group = G.ProductGroup(real_factor.descriptor, discrete_factor.descriptor)
     return ProductWeight(group=group, real_factor=rf, discrete_factor=discrete_factor)

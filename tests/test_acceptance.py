@@ -54,7 +54,8 @@ def test_acceptance_2_rationals_suite():
     assert ratio0.contains(F(target))
     assert float(ratio0.width) < 1e-6
 
-    u = ca.rationals_weight(c2=F(c2_interval.hi))
+    u = ca.rationals_weight()
+    assert u.c2 == F(c2_interval.hi)
     assert u.phi.term(2) == F(1, 8)  # phi_n = 1/(n! 2^n)
     bound = 2 * (8 * u.c2) * u.mass()
     window = ca.rationals_ball_window(u.group, 3, 3)

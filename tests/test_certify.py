@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -81,7 +82,6 @@ def test_positivity_and_evenness_constructed():
     window = ca.pruefer_ball_window(P2, 4)
     assert ca.check_positivity(w, window).verdict == HOLDS
     assert ca.check_evenness(w, window).verdict == HOLDS
-    assert ca.check_parity_positivity(w, window).verdict == HOLDS
 
 
 def test_positivity_circle_quarter_fails_at_zero():
@@ -143,6 +143,44 @@ def test_submultiplicative_exact_modes():
     assert cert.payload["exact_comparison"] is True
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_submultiplicative_samples_pairs_by_index(seed):
+    # 1 + t^2 is not submultiplicative, so the witness is the first failing
+    # pair in sample order: it must be the pair the all-pairs list samples
+    w = ca.builtin_weight("poly2")
+    grid = ca.line_grid_window(-5, 5, F(1, 2))
+    all_pairs = [(s, t) for s in grid.points for t in grid.points]
+    sampled = random.Random(seed).sample(all_pairs, 50)
+    first = next((s, t) for s, t in sampled if w.eval(s + t) > w.eval(s) * w.eval(t))
+    cert = ca.check_submultiplicative(w, window=grid, max_pairs=50, seed=seed)
+    assert cert.verdict == FAILS
+    assert cert.witness == [point_to_json(first[0]), point_to_json(first[1])]
+
+
+def test_windows_and_truncations_refuse_unbounded_or_empty_work():
+    too_many = pytest.raises(ValueError, match="2\\^20")
+    with too_many:
+        ca.pruefer_ball_window(G.PrueferGroup(37), 4)
+    with too_many:
+        ca.pruefer_ball_window(G.PrueferGroup(1031), 2)  # 1031^2 > 2^20
+    with too_many:
+        ca.rationals_ball_window(G.RationalsGroup(), 10, 1)
+    with too_many:
+        ca.sum_sample_window(G.SumGroup((P2,)), 2 ** 20 + 1)
+    uq = ca.rationals_weight()
+    with too_many:
+        ca.conv_at(uq, uq.group.identity(), ca.TruncationSpec(layer=10, ball=12))
+    with too_many:
+        ca.conv_at(uq, uq.group.identity(), ca.TruncationSpec(layer=5, ball=2 ** 20))
+    # an empty window would let every check hold vacuously
+    for make in (lambda: ca.pruefer_ball_window(P2, -1),
+                 lambda: ca.rationals_ball_window(G.RationalsGroup(), 3, 0),
+                 lambda: ca.sum_sample_window(G.SumGroup((P2,)), 0)):
+        with pytest.raises(ValueError):
+            make()
+    assert len(ca.pruefer_ball_window(G.PrueferGroup(7), 4)) == 7 ** 4
+
+
 def test_submultiplicative_algebra_weight_ultrametric():
     w = ca.algebra_weight(scaled(2), 2)
     window = ca.pruefer_ball_window(P2, 3)
@@ -153,14 +191,6 @@ def test_submultiplicative_algebra_weight_ultrametric():
     for s in window.points:
         for t in window.points:
             assert u.eval(G.add(s, t)) >= u.eval(s) * u.eval(t)
-
-
-def test_submultiplicative_invariance_mode():
-    w = ca.builtin_weight("exp-abs")
-    grid = ca.line_grid_window(-2, 2, F(1, 2))
-    cert = ca.check_submultiplicative(w, window=grid, mode="invariance")
-    assert cert.prop == "invariance-report"
-    assert len(cert.payload["per_translation_max"]) == len(grid.points)
 
 
 def test_weight_equivalence_examples():
@@ -243,6 +273,9 @@ def test_sum_sample_window_with_rationals_summand():
     coords = [x.coord(2).value for x in window.points if 2 in x.support()]
     assert coords
     assert all(abs(q) <= 3 and (q * 24).denominator == 1 for q in coords)
+    # the rationals draws are pinned too: the k-th draw is the k-th ball point
+    assert [point_to_json(x) for x in window.points[:2]] == [{}, {"1": "1/2", "2": "-1/12"}]
+    assert [point_to_json(x) for x in window.points[-2:]] == [{"2": "7/12"}, {"2": "17/24"}]
     assert window.points == ca.sum_sample_window(ws.group, 21, seed=1).points
     cert = ca.check_b(ws, window, ca.TruncationSpec(per_summand=(6, 6)))
     assert cert.verdict == HOLDS

@@ -119,6 +119,15 @@ def test_verify_unreadable_weight_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_deeply_nested_json_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "verify", str(deep))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_domar_csv_and_classification(tmp_path, capsys):
     csv_path = tmp_path / "d.csv"
     code, out, _ = run(capsys, "domar", "--weight", "builtin:exp-abs", "--x", "1",
@@ -309,30 +318,85 @@ def _edit_params(**changes):
     return edit
 
 
-@pytest.mark.parametrize("edit, flags", [
-    (None, ["--bound", "abc"]),
-    (None, ["--bound", "1/0"]),
-    (lambda prov: [prov], []),
-    (_edit_weight(scale="1/0"), []),
-    (_edit_weight(params=[]), []),
-    (_edit_weight(scale=None), []),
-    (lambda prov: {**prov, "params": {**prov["params"], "group": []}}, []),
-    (_edit_params(group={"variant": "pruefer", "p": None}), []),
-    (_edit_params(group={"variant": "pruefer", "p": [2]}), []),
-    (_edit_params(phi=["geometric"]), []),
-    (lambda prov: {**prov, "construction": "euclidean", "params": {"dim": None}}, []),
-    (lambda prov: {**prov, "construction": "euclidean", "params": {"dim": [1]}}, []),
+def _edit_base(**changes):
+    def edit(prov):
+        prov["params"]["base"].update(changes)
+        return prov
+    return edit
+
+
+P2_ARGS = ["--group", "pruefer:2"]
+RAT_ARGS = ["--group", "rationals"]
+SUM_ARGS = ["--group", "sum", "--summands", "pruefer:2,pruefer:3"]
+ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
+
+
+@pytest.mark.parametrize("construct, edit, flags", [
+    (P2_ARGS, None, ["--bound", "abc"]),
+    (P2_ARGS, None, ["--bound", "1/0"]),
+    (P2_ARGS, lambda prov: [prov], []),
+    (P2_ARGS, _edit_weight(scale="1/0"), []),
+    (P2_ARGS, _edit_weight(params=[]), []),
+    (P2_ARGS, _edit_weight(scale=None), []),
+    (P2_ARGS, lambda prov: {**prov, "params": {**prov["params"], "group": []}}, []),
+    (P2_ARGS, _edit_params(group={"variant": "pruefer", "p": None}), []),
+    (P2_ARGS, _edit_params(group={"variant": "pruefer", "p": [2]}), []),
+    (P2_ARGS, _edit_params(phi=["geometric"]), []),
+    (P2_ARGS, lambda prov: {**prov, "construction": "euclidean", "params": {"dim": None}}, []),
+    (P2_ARGS, lambda prov: {**prov, "construction": "euclidean", "params": {"dim": [1]}}, []),
+    (RAT_ARGS, _edit_params(c2="1/1000000"), ["--suite", "b", "--trunc", "N3,B12"]),
+    (RAT_ARGS, _edit_params(c2=["72119579/7625000"]), []),
+    (RAT_ARGS, _edit_params(group={"variant": "rationals", "chain": ["factorial"]}), []),
+    (RAT_ARGS, _edit_params(phi="geometric"), []),
+    (P2_ARGS, _edit_params(phi="factorial"), []),
+    (P2_ARGS, _edit_params(mass="1/4"), []),
+    (SUM_ARGS, _edit_params(eps1=None), []),
+    (SUM_ARGS, _edit_params(alphas=3), []),
+    (SUM_ARGS, _edit_params(summands=3), []),
+    (ALG_ARGS, _edit_params(p="1/1"), []),
+    (ALG_ARGS, _edit_params(p="1/2"), []),
+    (ALG_ARGS, _edit_params(p="-3/1"), []),
+    (ALG_ARGS, _edit_base(scale="1/1"), []),
+    (P2_ARGS, _edit_weight(scale=float("inf")), []),
+    (P2_ARGS, _edit_weight(scale=0), []),
+    (P2_ARGS, _edit_weight(scale="-1/2"), []),
+    (P2_ARGS, _edit_weight(scale=0.25), []),
+    (P2_ARGS, _edit_params(group={"variant": "pruefer", "p": 2 ** 61 - 1}), []),
+    (["--group", "pruefer:37"], None, []),
+    (RAT_ARGS, None, ["--trunc", "N11,B12"]),
+    (RAT_ARGS, None, ["--window", "Q9:3"]),
+    (SUM_ARGS, None, ["--window", "sample:50:0:1"]),
 ], ids=["bound-text", "bound-zero-den", "top-level-list", "scale-zero-den", "params-list",
-        "scale-null", "group-list", "p-null", "p-list", "phi-list", "dim-null", "dim-list"])
-def test_verify_malformed_input_exit_2(tmp_path, capsys, edit, flags):
+        "scale-null", "group-list", "p-null", "p-list", "phi-list", "dim-null", "dim-list",
+        "c2-edited", "c2-list", "chain-list", "phi-geometric-on-rationals",
+        "phi-factorial-on-pruefer", "mass-edited", "eps1-null", "alphas-number",
+        "summands-number", "algebra-p-one", "algebra-p-half", "algebra-p-negative",
+        "algebra-base-unscaled", "scale-infinite", "scale-zero", "scale-negative",
+        "scale-float-on-exact", "p-mersenne-61", "pruefer37-default-window",
+        "rationals-trunc-N11", "rationals-window-Q9", "sum-sample-too-few-points"])
+def test_verify_malformed_input_exit_2(tmp_path, capsys, construct, edit, flags):
     wfile = tmp_path / "w.json"
-    run(capsys, "construct", "--group", "pruefer:2", "--out", str(wfile))
+    run(capsys, "construct", *construct, "--out", str(wfile))
     if edit is not None:
         wfile.write_text(json.dumps(edit(json.loads(wfile.read_text()))))
     code, out, err = run(capsys, "verify", str(wfile), *flags)
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--group", "rationals", "--phi", "broken"],
+    SUM_ARGS + ["--phi", "broken"],
+    SUM_ARGS + ["--raw"],
+    ["--group", "pruefer:2", "--summands", "pruefer:3"],
+], ids=["rationals-phi-broken", "sum-phi-broken", "sum-raw", "pruefer-summands"])
+def test_construct_refuses_ignored_flags(tmp_path, capsys, argv):
+    wfile = tmp_path / "w.json"
+    code, out, err = run(capsys, "construct", *argv, "--out", str(wfile))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not wfile.exists()
 
 
 def test_report_deterministic(tmp_path, capsys):

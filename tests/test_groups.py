@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import convalg as ca
 from convalg import groups as G
+from convalg.serialize import descriptor_to_json
 
 P2 = G.PrueferGroup(2)
 P3 = G.PrueferGroup(3)
@@ -74,6 +76,26 @@ def test_pruefer_group_validation():
         G.PrueferGroup(4)
 
 
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(-3, 5000) if G.is_prime(n)] == [n for n in range(-3, 5000) if trial(n)]
+    # strong pseudoprimes to the first bases, and Carmichael numbers
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461, 561, 41041):
+        assert not G.is_prime(n)
+
+
+def test_is_prime_large_prime_is_fast():
+    t0 = time.perf_counter()
+    assert G.is_prime(2 ** 61 - 1) and G.is_prime(2 ** 31 - 1)
+    assert not G.is_prime(1000003 * (2 ** 61 - 1))
+    G.PrueferGroup(2 ** 61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ValueError):
+        G.is_prime(2 ** 89 - 1)  # beyond the range the fixed bases decide
+
+
 def _random_point(rng, group):
     if isinstance(group, G.PrueferGroup):
         n = rng.randrange(0, 6)
@@ -93,7 +115,7 @@ def _random_point(rng, group):
     raise AssertionError
 
 
-@pytest.mark.parametrize("group", [P2, P3, Q, CIRCLE, SUM23], ids=lambda g: g.variant + getattr(g, "chain", ""))
+@pytest.mark.parametrize("group", [P2, P3, Q, CIRCLE, SUM23], ids=lambda g: g.variant + descriptor_to_json(g).get("chain", ""))
 def test_group_laws_random_triples(group):
     rng = random.Random(1234)
     identity = group.identity()

@@ -1,10 +1,8 @@
 """Cross-cutting invariants: brute-force agreement of the pair checks,
-product-weight certificates, chain validation, verify-bundle determinism."""
+product-weight certificates, verify-bundle determinism."""
 
 import json
 from fractions import Fraction as F
-
-import pytest
 
 import convalg as ca
 from convalg import groups as G
@@ -86,16 +84,6 @@ def test_domar_partial_exact_weights_bounded_by_zero():
     partials = ca.domar_partial(alg, P2.element(1, 1), 5)
     assert all(p >= 0 for p in partials)
     assert all(b >= a for a, b in zip(partials, partials[1:]))
-
-
-def test_register_chain_validation():
-    with pytest.raises(ValueError):
-        G.register_chain("bad-decreasing", lambda n: max(1, 100 - n))
-    with pytest.raises(ValueError):
-        G.register_chain("bad-nondivisible", lambda n: n + 1)
-    G.register_chain("powers-of-two", lambda n: 2 ** (n - 1))
-    group = G.RationalsGroup("powers-of-two")
-    assert G.layer_of(group.element(F(5, 8))) == 4
 
 
 def test_verify_bundle_byte_identical_across_runs(tmp_path, capsys):

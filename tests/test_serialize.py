@@ -1,10 +1,15 @@
+import functools
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import convalg as ca
 from convalg import groups as G
+from convalg.cli import main as cli_main
 
 P2 = G.PrueferGroup(2)
 P3 = G.PrueferGroup(3)
@@ -102,3 +107,90 @@ def test_unknown_schema_rejected():
         ca.weight_from_provenance({"schema": "bogus/9"})
     with pytest.raises(ValueError):
         ca.certificate_from_json({"schema": "bogus/9"})
+
+
+# --------------------------------------------------------------------------
+# Loader fuzz: any JSON value anywhere gives a weight, a ValueError or a
+# KeyError (the two errors verify maps to exit 2), never another exception.
+# --------------------------------------------------------------------------
+
+CONSTRUCT_ARGS = (
+    ["--group", "pruefer:2"],
+    ["--group", "pruefer:2", "--raw"],
+    ["--group", "pruefer:2", "--phi", "broken"],
+    ["--group", "pruefer:2", "--p", "2"],
+    ["--group", "rationals"],
+    ["--group", "sum", "--summands", "pruefer:2,pruefer:3"],
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _construct_outputs() -> tuple:
+    docs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, args in enumerate(CONSTRUCT_ARGS):
+            out = Path(tmp) / f"w{k}.json"
+            assert cli_main(["construct", *args, "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+    return tuple(docs)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _paths(value, prefix + (index,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
+WIRE_WORDS = ("1/2", "2/1", "1/0", "-1/2", "0/1", "factorial", "geometric", "broken-demo",
+              "pruefer", "rationals", "sum", "real", "product", "convalg.weight/1")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(WIRE_WORDS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=4) | st.sampled_from(("variant", "p", "1", "2", "real", "discrete")),
+        inner, max_size=3),
+    max_leaves=6)
+FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(data=st.data())
+def test_loader_fuzz_fails_closed(data):
+    doc = data.draw(st.sampled_from(_construct_outputs()))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    edited = _replace(doc, path, data.draw(JSON_VALUES))
+    try:
+        w = ca.weight_from_provenance(edited)
+    except (ValueError, KeyError):
+        return
+    assert isinstance(w, ca.WeightFn)
+
+
+FUZZ_GROUPS = (P2, G.RationalsGroup(), G.CircleGroup(), G.SumGroup((P2, G.RationalsGroup())),
+               G.RealGroup(2), G.ProductGroup(G.RealGroup(1), P3))
+
+
+@FUZZ
+@given(group=st.sampled_from(FUZZ_GROUPS), value=JSON_VALUES)
+def test_point_fuzz_fails_closed(group, value):
+    try:
+        pt = ca.point_from_json(group, value)
+    except (ValueError, KeyError):
+        return
+    assert pt.group == group
