@@ -59,7 +59,6 @@ from .quadrature import (
     BeurlingResult,
     QuadratureSpec,
     RatioResult,
-    beta_segment_oracle,
     beta_segment_quadrature,
     beurling_integral,
     circle_conv_ratio,

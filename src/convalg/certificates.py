@@ -19,6 +19,9 @@ INCONCLUSIVE = "inconclusive"
 # The most points a window may enumerate, and the most residues a truncated
 # rationals convolution may loop over: larger work runs for minutes or more.
 MAX_POINTS = 2 ** 20
+# The deepest layer a truncation or a sampled window may reach: exact shell
+# terms grow with the layer, so a Pruefer conv_at at layer 8000 takes seconds.
+MAX_LAYER = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,11 @@ class TruncationSpec:
     layer: Optional[int] = None
     ball: Optional[int] = None
     per_summand: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        for cutoff in (self.layer, *(self.per_summand or ())):
+            if cutoff is not None and cutoff > MAX_LAYER:
+                raise ValueError(f"truncation layer {cutoff} is above 2^10")
 
     def describe(self) -> dict:
         out: dict[str, Any] = {}

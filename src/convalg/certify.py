@@ -23,6 +23,7 @@ from .certificates import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    MAX_LAYER,
     MAX_POINTS,
     TruncationSpec,
     Window,
@@ -99,6 +100,8 @@ def sum_sample_window(group: G.SumGroup, size: int, seed: int = 0,
     """
     if not 1 <= size <= MAX_POINTS:
         raise ValueError(f"a sampled window must hold between 1 and 2^20 points, not {size}")
+    if layer_cap > MAX_LAYER:
+        raise ValueError(f"a sampled window's layer cap {layer_cap} is above 2^10")
     rng = random.Random(seed)
     chosen: dict = {}
     if size % 2 == 1:

@@ -7,8 +7,8 @@ series tables.  Exit codes: 0 all certificates hold, 1 a certificate fails,
 seed is recorded; rerunning a command reproduces byte-identical files apart
 from the optional timestamp field (suppress it with --no-timestamp).
 
-The environment variable CONVALG_PRECISION (decimal digits, default 9) sets
-the default quadrature tolerance.
+The environment variable CONVALG_PRECISION (decimal digits, an integer from 1
+to 12, default 9) sets the quadrature tolerance of beurling and report.
 """
 
 from __future__ import annotations
@@ -75,8 +75,11 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _default_spec() -> QuadratureSpec:
-    digits = int(os.environ.get("CONVALG_PRECISION", "9"))
-    return QuadratureSpec(tol=10.0 ** -digits)
+    # 12 digits is what the 32-point rule reaches on the beta segment
+    digits = os.environ.get("CONVALG_PRECISION", "9")
+    if not (digits.isascii() and digits.isdigit() and 1 <= int(digits) <= 12):
+        raise ValueError(f"CONVALG_PRECISION must be an integer from 1 to 12, not {digits!r}")
+    return QuadratureSpec(tol=10.0 ** -int(digits))
 
 
 def _exit_for(verdicts: list[str]) -> int:
@@ -317,14 +320,14 @@ def cmd_domar(args) -> int:
         x = parse_rational(args.x)
         partials = domar_partial(w, x, args.N)
         label, cert = domar_classify(w, x)
+        rows = []
+        for n, s in enumerate(partials, start=1):
+            value = format_rational(s) if isinstance(s, Fraction) else repr(float(s))
+            rows.append({"n": n, "partial_sum": value,
+                         "partial_sum_float": float(s)})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
-    for n, s in enumerate(partials, start=1):
-        value = format_rational(s) if isinstance(s, Fraction) else repr(float(s))
-        rows.append({"n": n, "partial_sum": value,
-                     "partial_sum_float": float(s)})
     if args.csv:
         path = Path(args.csv)
         _write_csv(path, ["n", "partial_sum", "partial_sum_float"], rows)
@@ -338,9 +341,9 @@ def cmd_domar(args) -> int:
 
 
 def cmd_beurling(args) -> int:
-    spec = _default_spec()
     rows = []
     try:
+        spec = _default_spec()
         w = _load_builtin(args.weight)
         for cutoff in (args.T / 4, args.T / 2, args.T):
             res = beurling_integral(w, cutoff=cutoff, spec=spec)
@@ -385,7 +388,7 @@ def cmd_countex(args) -> int:
     certs.append(div)
     print(f"  per-term divergence bounds >= 1/4; verified partial sum >= "
           f"{div.payload['verified_partial_sum_lower']}")
-    ratio = circle_conv_ratio(_default_spec())
+    ratio = circle_conv_ratio()
     certs.append(ratio.certificate)
     print(f"  circle conv ratio sup M in [{ratio.sup.lo:.6f}, {ratio.sup.hi:.6f}] (finite)")
     if args.out:
@@ -412,6 +415,11 @@ def cmd_equivalence(args) -> int:
 
 
 def cmd_report(args) -> int:
+    try:
+        spec = _default_spec()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     certs = []
@@ -438,16 +446,16 @@ def cmd_report(args) -> int:
         partials = domar_partial(w, Fraction(1), 12)
         domar_rows.append({"weight": name, "classification": label,
                            "partial_12": float(partials[-1])})
-        res = beurling_integral(w, cutoff=50.0, spec=_default_spec())
+        res = beurling_integral(w, cutoff=50.0, spec=spec)
         certs.append(res.certificate.with_id(f"beurling:{name}"))
 
     seq = build_q_sequence(2)
     for n in (1, 2):
         certs.append(check_q_fractional_bound(seq, n).with_id(f"countex:frac{n}"))
     certs.append(countex_divergence_lower_bound(seq).with_id("countex:divergence"))
-    ratio = circle_conv_ratio(_default_spec())
+    ratio = circle_conv_ratio()
     certs.append(ratio.certificate.with_id("countex:conv-ratio"))
-    line = line_conv_ratio(_default_spec())
+    line = line_conv_ratio(spec)
     certs.append(line.certificate.with_id("euclidean:conv-ratio"))
 
     _write_bundle(out_dir / "certificates.json", None, certs, timestamp=not args.no_timestamp)

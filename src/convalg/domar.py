@@ -30,7 +30,7 @@ from itertools import islice
 from typing import Union
 
 from . import groups as G
-from .certificates import Certificate, FAILS, HOLDS, INCONCLUSIVE
+from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE
 from .formulas import BUILTINS, FormulaWeight, as_number
 from .rational import LOG_SUM_OVER_SQUARES_UPPER, PI_SQUARED_UPPER
 from .sequences import harmonic_prefix_sums
@@ -90,8 +90,8 @@ def domar_partial(w: WeightFn, x, n_max: int) -> list:
     high-precision floats evaluated in log space (no overflow).  Raises
     ValueError when log w is undefined at an orbit point.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not 1 <= n_max <= MAX_POINTS:
+        raise ValueError(f"n_max must lie between 1 and 2^20, not {n_max}")
     if isinstance(w, FormulaWeight):
         return _formula_partial(w, as_number(x), n_max)
     partials = []

@@ -8,17 +8,20 @@ integrates far below the declared tolerance, and the inner segment
     int_0^t s^(-1/2) (t-s)^(-1/2) ds = pi   for every t in (0,1)
 
 serves as the exactness oracle.  Line integrals use composite Gauss-Legendre
-panels plus explicit integral-comparison tail bounds.
+panels plus explicit integral-comparison tail bounds.  Every integral uses
+one 32-point rule, GL_NODES and GL_WEIGHTS: the doubles numpy's leggauss(32)
+returns, with panel edges computed as numpy's linspace computes them, so the
+results are numpy's without importing it.
 
-Mirrored panels: numpy's leggauss symmetrizes its output, so its nodes
-satisfy x_i = -x_(n-1-i) and its weights w_i = w_(n-1-i) exactly.  When the
-edges of [-T, 0] are exactly the negated, reversed edges of [0, T], the
-midpoint and half-width of panel P-1-k of the negative side are exactly the
-negated midpoint and the half-width of panel k, so its node i is exactly
--t_(n-1-i).  For an even integrand (an even builtin; f(-t) == f(t) bit for
-bit) panel P-1-k then has the products w_i f(t_i) of panel k in reverse
-order.  beurling_integral evaluates f once per positive panel, sums the
-products forward and reversed, and sums the negative panels in their own
+Mirrored panels: the negative half of the table is built as the exact mirror
+of its nonnegative half, so x_i = -x_(n-1-i) and w_i = w_(n-1-i) hold
+exactly.  When the edges of [-T, 0] are exactly the negated, reversed edges
+of [0, T], the midpoint and half-width of panel P-1-k of the negative side
+are exactly the negated midpoint and the half-width of panel k, so its node i
+is exactly -t_(n-1-i).  For an even integrand (an even builtin; f(-t) == f(t)
+bit for bit) panel P-1-k then has the products w_i f(t_i) of panel k in
+reverse order.  beurling_integral evaluates f once per positive panel, sums
+the products forward and reversed, and sums the negative panels in their own
 order: the same roundings as two composite_integral calls, with half the
 evaluations.  The edge test is made on every call, so an odd builtin or a
 cutoff whose edges do not mirror takes the two calls.
@@ -31,67 +34,71 @@ magnitude and are cross-checked against closed forms in the test suite.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
-
-import numpy as np
 
 from .certificates import Certificate, FAILS, HOLDS, INCONCLUSIVE
 from .formulas import BUILTINS, FormulaWeight
 from .intervals import Interval
 
 TWO_PI = 2.0 * math.pi
+CIRCLE_GRID = 128     # the circle ratio grid k/128, 0 < k < 128
+LINE_CUTOFF = 150.0   # line_conv_quadrature integrates over [-150, 150]
+RATIO_TOL = 1e-6      # largest quadrature error line_conv_ratio accepts
+
+# The nonnegative half of leggauss(32) as node, weight pairs, nodes ascending.
+_GL_HALF = [float.fromhex(v) for v in """
+    0x1.8bbc8488cc49ap-5 0x1.8b6d9eaec77a3p-4  0x1.27e0ea717f237p-3 0x1.87bc776f8c6ccp-4
+    0x1.ea0f7e19c094bp-3 0x1.8062fc0f6fef5p-4  0x1.53d55ce57bdf6p-2 0x1.7572bdb3f6e49p-4
+    0x1.af76b57c6f8f1p-2 0x1.6705e18e13ecfp-4  0x1.038862866b29dp-1 0x1.553ee25ebebc3p-4
+    0x1.2ce9146962ca4p-1 0x1.40483e126fd0ep-4  0x1.537a89c487f8ap-1 0x1.2854103b35e00p-4
+    0x1.76e0931d693bap-1 0x1.0d9b9a62cac04p-4  0x1.96c69481c4bc5p-1 0x1.e0bd76c924984p-5
+    0x1.b2e04fd686a13p-1 0x1.a1c6ae961fbeep-5  0x1.caea9b4574cb9p-1 0x1.5ee963a3354abp-5
+    0x1.deac0259f7f42p-1 0x1.18c5800a35609p-5  0x1.edf5518053baap-1 0x1.a0060a8531ff0p-6
+    0x1.f8a212714bcdcp-1 0x1.0aa3c248696dep-6  0x1.fe995e70409b6p-1 0x1.cbf8bc743ce34p-8
+""".split()]
+GL_NODES = tuple(-x for x in reversed(_GL_HALF[::2])) + tuple(_GL_HALF[::2])
+GL_WEIGHTS = tuple(reversed(_GL_HALF[1::2])) + tuple(_GL_HALF[1::2])
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid resolution, domain cutoff, tolerances and panel order."""
+    """Absolute tolerance padded onto the quadrature enclosures."""
 
-    h: Fraction = Fraction(1, 128)
-    cutoff: float = 150.0
     tol: float = 1e-9
-    ratio_tol: float = 1e-6
-    nodes: int = 32
 
 
-@functools.lru_cache(maxsize=None)
-def _gl_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    xs, ws = np.polynomial.legendre.leggauss(n)
-    return tuple(xs.tolist()), tuple(ws.tolist())
+def _linspace(a: float, b: float, num: int) -> list[float]:
+    """numpy.linspace(a, b, num).tolist() for num >= 2 and a nonzero step."""
+    step = (b - a) / (num - 1)
+    return [i * step + a for i in range(num - 1)] + [b]
 
 
-def panel_integral(f: Callable[[float], float], a: float, b: float, nodes: int) -> float:
-    xs, ws = _gl_nodes(nodes)
+def panel_integral(f: Callable[[float], float], a: float, b: float) -> float:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * sum(w * f(mid + half * x) for x, w in zip(xs, ws))
+    return half * sum(w * f(mid + half * x) for x, w in zip(GL_NODES, GL_WEIGHTS))
 
 
-def composite_integral(f: Callable[[float], float], a: float, b: float,
-                       panels: int, nodes: int) -> float:
-    edges = np.linspace(a, b, panels + 1).tolist()
-    return sum(panel_integral(f, edges[i], edges[i + 1], nodes) for i in range(panels))
+def composite_integral(f: Callable[[float], float], a: float, b: float, panels: int) -> float:
+    edges = _linspace(a, b, panels + 1)
+    return sum(panel_integral(f, edges[i], edges[i + 1]) for i in range(panels))
 
 
-def _mirrored_composite(f: Callable[[float], float], cutoff: float, panels: int,
-                        nodes: int) -> Optional[float]:
+def _mirrored_composite(f: Callable[[float], float], cutoff: float,
+                        panels: int) -> Optional[float]:
     """composite_integral of an even f over [0, T] plus over [-T, 0], with f
     evaluated once per mirrored node pair, or None when the edges of the two
     sides do not mirror exactly (see the module docstring)."""
-    # lists, not array comparisons: numpy's comparison ufuncs would map more
-    # of its library on first use and raise the peak RSS
-    edges = np.linspace(0.0, cutoff, panels + 1).tolist()
-    if np.linspace(-cutoff, 0.0, panels + 1).tolist() != [-e for e in reversed(edges)]:
+    edges = _linspace(0.0, cutoff, panels + 1)
+    if _linspace(-cutoff, 0.0, panels + 1) != [-e for e in reversed(edges)]:
         return None
-    xs, ws = _gl_nodes(nodes)
     right, left = [], []
     for a, b in zip(edges, edges[1:]):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        products = [w * f(mid + half * x) for x, w in zip(xs, ws)]
+        products = [w * f(mid + half * x) for x, w in zip(GL_NODES, GL_WEIGHTS)]
         right.append(half * sum(products))
         left.append(half * sum(reversed(products)))
     return sum(right) + sum(reversed(left))
@@ -101,7 +108,7 @@ def _mirrored_composite(f: Callable[[float], float], cutoff: float, panels: int,
 # Quarter-power circle weight: u = t^(-1/2)
 # --------------------------------------------------------------------------
 
-def beta_segment_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def beta_segment_quadrature(t: float) -> float:
     """int_0^t s^(-1/2)(t-s)^(-1/2) ds by symmetric split and u = sqrt(s).
 
     The substituted integrand 4/sqrt(t-u^2) on [0, sqrt(t/2)] is analytic with
@@ -111,38 +118,13 @@ def beta_segment_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()) -
     if not 0 < t < 1:
         raise ValueError("t must lie in (0,1)")
     top = math.sqrt(t / 2.0)
-    return 4.0 * panel_integral(lambda u: 1.0 / math.sqrt(t - u * u), 0.0, top, spec.nodes)
-
-
-def beta_segment_oracle() -> float:
-    """Closed form of the segment: pi, independent of t."""
-    return math.pi
+    return 4.0 * panel_integral(lambda u: 1.0 / math.sqrt(t - u * u), 0.0, top)
 
 
 def wrap_segment_closed(t: float) -> float:
     """int_t^1 s^(-1/2)(1+t-s)^(-1/2) ds = 2[asin(sqrt(s/(1+t)))] from t to 1."""
     c = 1.0 + t
     return 2.0 * (math.asin(math.sqrt(1.0 / c)) - math.asin(math.sqrt(t / c)))
-
-
-def wrap_segment_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Cross-check of the wrap segment: u = sqrt(s) and geometric panels
-    toward the s=1 end (the nearest singularity sits at s = 1+t)."""
-    if not 0 < t < 1:
-        raise ValueError("t must lie in (0,1)")
-    c = 1.0 + t
-
-    def g(u: float) -> float:
-        return 2.0 / math.sqrt(c - u * u)
-
-    lo, hi = math.sqrt(t), 1.0
-    edges = [lo]
-    remaining = hi - lo
-    for _ in range(24):
-        remaining *= 0.5
-        edges.append(hi - remaining)
-    edges.append(hi)
-    return sum(panel_integral(g, a, b, spec.nodes) for a, b in zip(edges, edges[1:]))
 
 
 def circle_conv_value(t: float) -> float:
@@ -170,9 +152,9 @@ def circle_conv_ratio(spec: QuadratureSpec = QuadratureSpec()) -> RatioResult:
     sqrt(b) (pi + wrap(a)) because the wrap term decreases while sqrt grows,
     so the segment caps give a rigorous upper end.  A weight equivalent to
     u/M is then subconvolutive, making the p=2 circle space an algebra.
+    The grid and caps are fixed; spec is not read.
     """
-    m = max(16, int(1 / spec.h))
-    grid = [k / m for k in range(1, m)]
+    grid = [k / CIRCLE_GRID for k in range(1, CIRCLE_GRID)]
     grid_max, argmax = 0.0, grid[0]
     for t in grid:
         r = circle_conv_ratio_value(t)
@@ -190,7 +172,7 @@ def circle_conv_ratio(spec: QuadratureSpec = QuadratureSpec()) -> RatioResult:
                        "equivalent weight makes the p=2 circle space an algebra",
     }
     cert = Certificate(prop="conv-ratio", verdict=HOLDS, payload=payload,
-                       window={"name": f"circle-grid:1/{m}", "size": m - 1})
+                       window={"name": f"circle-grid:1/{CIRCLE_GRID}", "size": CIRCLE_GRID - 1})
     return RatioResult(sup=sup, grid_max=grid_max, argmax=argmax, certificate=cert)
 
 
@@ -209,7 +191,7 @@ def line_conv_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()) -> I
     Composite panels on [-S, S], plus the two-sided tail bound
     2 * (S/(S-|t|))^2 * 1/(3 S^3) from 1/(1+(t-s)^2) <= (S/(S-|t|))^2 / s^2.
     """
-    S = spec.cutoff
+    S = LINE_CUTOFF
     if S <= 2 * abs(t) + 4:
         raise ValueError("cutoff too small for the tail bound")
 
@@ -218,7 +200,7 @@ def line_conv_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()) -> I
         return 1.0 / ((1.0 + s * s) * (1.0 + d * d))
 
     panels = max(64, int(S))
-    value = composite_integral(f, -S, S, panels, spec.nodes)
+    value = composite_integral(f, -S, S, panels)
     ratio = S / (S - abs(t))
     tail = 2.0 * ratio * ratio / (3.0 * S ** 3)
     pad = spec.tol
@@ -247,12 +229,12 @@ def line_conv_ratio(spec: QuadratureSpec = QuadratureSpec(), dim: int = 1) -> Ra
             grid_max, argmax = ratio, t
     sup1 = Interval(grid_max * (1.0 - 1e-12), TWO_PI * (1.0 + 1e-12))
     sup = Interval(sup1.lo ** dim, sup1.hi ** dim)
-    verdict = HOLDS if max_quad_error <= spec.ratio_tol else FAILS
+    verdict = HOLDS if max_quad_error <= RATIO_TOL else FAILS
     payload = {
         "sup_lo": sup.lo, "sup_hi": sup.hi, "argmax": argmax, "dim": dim,
         "value_at_zero": line_conv_closed_form(0.0),
         "max_quadrature_error": max_quad_error,
-        "tolerance": spec.ratio_tol,
+        "tolerance": RATIO_TOL,
     }
     cert = Certificate(prop="conv-ratio", verdict=verdict, payload=payload,
                        window={"name": "line:[-10.0,10.0]", "size": len(grid)})
@@ -292,10 +274,10 @@ def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
         return max(0.0, log(shift, t, abs(t))) / (1.0 + t * t)
 
     panels = max(64, int(2 * cutoff))
-    value = _mirrored_composite(f, cutoff, panels, spec.nodes) if builtin.even else None
+    value = _mirrored_composite(f, cutoff, panels) if builtin.even else None
     if value is None:
-        value = composite_integral(f, 0.0, cutoff, panels, spec.nodes) \
-            + composite_integral(f, -cutoff, 0.0, panels, spec.nodes)
+        value = composite_integral(f, 0.0, cutoff, panels) \
+            + composite_integral(f, -cutoff, 0.0, panels)
     enclosure = Interval(value - spec.tol, value + spec.tol)
 
     info = w.growth()

@@ -172,6 +172,15 @@ def test_windows_and_truncations_refuse_unbounded_or_empty_work():
         ca.conv_at(uq, uq.group.identity(), ca.TruncationSpec(layer=10, ball=12))
     with too_many:
         ca.conv_at(uq, uq.group.identity(), ca.TruncationSpec(layer=5, ball=2 ** 20))
+    with too_many:
+        ca.domar_partial(ca.builtin_weight("poly2"), 1, 2 ** 20 + 1)
+    too_deep = pytest.raises(ValueError, match="2\\^10")
+    with too_deep:
+        ca.TruncationSpec(layer=2 ** 10 + 1)
+    with too_deep:
+        ca.TruncationSpec(per_summand=(6, 2 ** 10 + 1))
+    with too_deep:
+        ca.sum_sample_window(G.SumGroup((P2,)), 20, layer_cap=2 ** 10 + 1)
     # an empty window would let every check hold vacuously
     for make in (lambda: ca.pruefer_ball_window(P2, -1),
                  lambda: ca.rationals_ball_window(G.RationalsGroup(), 3, 0),

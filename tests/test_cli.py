@@ -86,6 +86,27 @@ def test_equivalence_nonpositive_step_exit_2(grid):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("construct, flags", [
+    (["--group", "pruefer:2"], ["--trunc", "N20000"]),
+    (["--group", "sum", "--summands", "pruefer:2,pruefer:3"], ["--trunc", "L6/2000"]),
+    (["--group", "sum", "--summands", "pruefer:2,pruefer:3"],
+     ["--window", "sample:20:0:100000"]),
+], ids=["pruefer-trunc-N20000", "sum-trunc-L2000", "sum-sample-cap-100000"])
+def test_verify_layer_above_bound_exit_2(tmp_path, construct, flags):
+    # a subprocess with a timeout: each of these ran for minutes before the bound
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    wfile = tmp_path / "w.json"
+    assert main(["construct", *construct, "--out", str(wfile)]) == 0
+    result = subprocess.run([sys.executable, "-m", "convalg.cli", "verify", str(wfile),
+                             "--suite", "b", *flags],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "2^10" in result.stderr
+    assert result.stdout == ""
+
+
 def test_verify_broken_weight_fails_with_witness(tmp_path, capsys):
     wfile = tmp_path / "broken.json"
     run(capsys, "construct", "--group", "pruefer:2", "--phi", "broken", "--out", str(wfile))
@@ -159,6 +180,33 @@ def test_domar_circle_builtin_orbit_through_zero_exit_2(capsys, name):
     assert err.startswith("error: ")
     assert "orbit point 3x = 0" in err
     assert "classification" not in out
+
+
+@pytest.mark.parametrize("weight, n", [
+    ("exp-abs", 10_000),    # H_N's exact digits pass the int-to-str limit
+    ("poly2", 2 ** 20 + 1),  # above the series bound, refused before any work
+])
+def test_domar_unprintable_or_unbounded_series_exit_2(capsys, weight, n):
+    code, out, err = run(capsys, "domar", "--weight", f"builtin:{weight}", "--x", "1",
+                         "--N", str(n))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "400", "-3", "0", "13"])
+def test_bad_precision_env_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("CONVALG_PRECISION", value)
+    for argv in (["beurling", "--weight", "builtin:poly2"],
+                 ["report", "--out", str(tmp_path / "r"), "--no-timestamp"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: CONVALG_PRECISION")
+        assert out == ""
+    assert not (tmp_path / "r").exists()
+    # countex has no quadrature tolerance to set
+    code, _, _ = run(capsys, "countex")
+    assert code == 0
 
 
 @pytest.mark.parametrize("name", ["circle-quarter", "circle-inv-sqrt"])

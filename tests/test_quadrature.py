@@ -1,5 +1,10 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,35 +12,49 @@ import pytest
 import convalg as ca
 from convalg.formulas import BUILTINS
 from convalg.quadrature import (
+    GL_NODES,
+    GL_WEIGHTS,
     QuadratureSpec,
-    _gl_nodes,
-    beta_segment_oracle,
+    _linspace,
     beta_segment_quadrature,
     circle_conv_ratio_value,
     circle_conv_value,
     composite_integral,
     line_conv_closed_form,
     line_conv_quadrature,
+    panel_integral,
     wrap_segment_closed,
-    wrap_segment_quadrature,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def wrap_segment_quadrature(t: float) -> float:
+    """Cross-check of the wrap segment: u = sqrt(s) and geometric panels
+    toward the s=1 end (the nearest singularity sits at s = 1+t)."""
+    c = 1.0 + t
+
+    def g(u: float) -> float:
+        return 2.0 / math.sqrt(c - u * u)
+
+    lo, hi = math.sqrt(t), 1.0
+    edges = [lo]
+    remaining = hi - lo
+    for _ in range(24):
+        remaining *= 0.5
+        edges.append(hi - remaining)
+    edges.append(hi)
+    return sum(panel_integral(g, a, b) for a, b in zip(edges, edges[1:]))
 
 
 def test_beta_segment_equals_pi_on_grid():
     for k in range(1, 21):
         t = k / 21.0
-        assert abs(beta_segment_quadrature(t) - beta_segment_oracle()) < 1e-9
+        assert abs(beta_segment_quadrature(t) - math.pi) < 1e-9
 
 
 def test_beta_segment_quadrature_converges_with_order():
-    errs = []
-    for nodes in (4, 8, 16):
-        spec = QuadratureSpec(nodes=nodes)
-        errs.append(max(abs(beta_segment_quadrature(k / 11.0, spec) - math.pi)
-                        for k in range(1, 11)))
-    # strictly decreasing until machine precision is reached
-    assert errs[0] > errs[1] > errs[2]
-    assert max(abs(beta_segment_quadrature(k / 11.0, QuadratureSpec(nodes=32)) - math.pi)
+    assert max(abs(beta_segment_quadrature(k / 11.0) - math.pi)
                for k in range(1, 11)) < 1e-12
 
 
@@ -78,15 +97,13 @@ def test_line_conv_value_at_zero():
 
 
 def test_line_panel_refinement_reduces_error():
-    from convalg.quadrature import composite_integral
-
     def f(s):
         return 1.0 / ((1.0 + s * s) * (1.0 + (1.0 - s) ** 2))
 
     closed = line_conv_closed_form(1.0)
     errs = []
     for panels in (4, 16, 64):
-        value = composite_integral(f, -150.0, 150.0, panels, 8)
+        value = composite_integral(f, -150.0, 150.0, panels)
         errs.append(abs(value - closed))
     assert errs[0] > errs[1] > errs[2]
 
@@ -121,11 +138,12 @@ def test_beurling_integral_grows_with_cutoff_for_divergent():
 # Mirrored panels: the same double as the two composite sums
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [4, 8, 16, 32])
-def test_gl_nodes_exactly_symmetric(n):
-    xs, ws = _gl_nodes(n)
-    assert all(xs[i] == -xs[n - 1 - i] for i in range(n))
-    assert all(ws[i] == ws[n - 1 - i] for i in range(n))
+def test_gl_table_is_leggauss_32_and_symmetric():
+    xs, ws = np.polynomial.legendre.leggauss(32)
+    assert [x.hex() for x in GL_NODES] == [x.hex() for x in xs.tolist()]
+    assert [w.hex() for w in GL_WEIGHTS] == [w.hex() for w in ws.tolist()]
+    assert all(GL_NODES[i] == -GL_NODES[31 - i] for i in range(32))
+    assert all(GL_WEIGHTS[i] == GL_WEIGHTS[31 - i] for i in range(32))
 
 
 LINE_BUILTINS = [name for name, b in BUILTINS.items() if b.domain == "real"]
@@ -139,14 +157,14 @@ def _edges_mirror(cutoff: float) -> bool:
     return np.linspace(-cutoff, 0.0, panels + 1).tolist() == [-e for e in reversed(right)]
 
 
-def _two_sided(w, cutoff: float, spec: QuadratureSpec) -> float:
+def _two_sided(w, cutoff: float) -> float:
     """The Beurling partial integral as two composite sums over [0, T] and [-T, 0]."""
     def f(t: float) -> float:
         return max(0.0, w.log_eval(t)) / (1.0 + t * t)
 
     panels = max(64, int(2 * cutoff))
-    return composite_integral(f, 0.0, cutoff, panels, spec.nodes) \
-        + composite_integral(f, -cutoff, 0.0, panels, spec.nodes)
+    return composite_integral(f, 0.0, cutoff, panels) \
+        + composite_integral(f, -cutoff, 0.0, panels)
 
 
 def test_mirror_cutoffs_cover_both_paths():
@@ -162,4 +180,45 @@ def test_beurling_partial_integral_bit_for_bit(name, scale):
     spec = QuadratureSpec()
     for cutoff in MIRRORED_CUTOFFS + UNMIRRORED_CUTOFFS:
         value = ca.beurling_integral(w, cutoff, spec).certificate.payload["partial_integral"]
-        assert value.hex() == _two_sided(w, cutoff, spec).hex(), cutoff
+        assert value.hex() == _two_sided(w, cutoff).hex(), cutoff
+
+
+# --------------------------------------------------------------------------
+# The pure-Python panel edges and the numpy-free runtime
+# --------------------------------------------------------------------------
+
+def _assert_linspace_matches(a: float, b: float, num: int) -> None:
+    assert _linspace(a, b, num) == np.linspace(a, b, num).tolist(), (a, b, num)
+
+
+def test_linspace_matches_numpy_on_used_cutoffs():
+    # beurling's T/4, T/2 and T, report's 50, the benchmark's cutoffs, and
+    # the line convolution's [-150, 150] in 150 panels
+    cutoffs = {c for T in (7.0, 12.5, 33.3, 50.0, 400.0, 1000.0) for c in (T / 4, T / 2, T)}
+    cutoffs |= set(MIRRORED_CUTOFFS + UNMIRRORED_CUTOFFS) | {200.0}
+    for cutoff in sorted(cutoffs):
+        panels = max(64, int(2 * cutoff))
+        _assert_linspace_matches(0.0, cutoff, panels + 1)
+        _assert_linspace_matches(-cutoff, 0.0, panels + 1)
+    _assert_linspace_matches(-150.0, 150.0, 151)
+
+
+def test_linspace_matches_numpy_on_random_cutoffs():
+    rng = random.Random(0)
+    for _ in range(20_000):
+        cutoff = 10.0 ** rng.uniform(-3.0, 4.0)
+        if rng.random() < 0.5:
+            cutoff = round(cutoff, rng.randrange(4)) or cutoff
+        panels = rng.randrange(1, 300)
+        _assert_linspace_matches(0.0, cutoff, panels + 1)
+        _assert_linspace_matches(-cutoff, 0.0, panels + 1)
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, convalg.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
