@@ -13,6 +13,7 @@ enclosures; a coarse tail yields "inconclusive", never a silent pass, and a
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,6 +33,7 @@ from .certificates import (
 from .convolution import conv_at
 from .formulas import FormulaWeight, as_number
 from .rational import format_rational
+from .serialize import point_to_json
 from .weights import AlgebraWeight, DirectSumWeight, LayerWeight, RationalsLayerWeight, WeightFn
 
 
@@ -40,11 +42,6 @@ def _num(x):
     if isinstance(x, Fraction):
         return format_rational(x)
     return x
-
-
-def _point_repr(x):
-    from .serialize import point_to_json
-    return point_to_json(x)
 
 
 # --------------------------------------------------------------------------
@@ -79,12 +76,12 @@ def line_grid_window(lo, hi, step) -> Window:
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
     if step <= 0:
         raise ValueError("grid step must be positive")
-    pts = []
-    t = lo
-    while t <= hi:
-        pts.append(t)
-        t += step
-    return Window(name=f"line:[{lo},{hi}]:{step}", points=tuple(pts))
+    count = (hi - lo) // step + 1
+    if not 1 <= count <= MAX_POINTS:
+        raise ValueError(f"grid {lo}:{hi}:{step} must hold between 1 and 2^20 points, "
+                         f"not {max(count, 0)}")
+    return Window(name=f"line:[{lo},{hi}]:{step}",
+                  points=tuple(lo + k * step for k in range(count)))
 
 _SAMPLE_RADIUS = 3  # |q| bound of rationals coordinates in sampled sum windows
 
@@ -171,12 +168,12 @@ def check_b(u: WeightFn, window: Window, trunc: TruncationSpec,
             }
             return Certificate(prop="subconvolutive", verdict=FAILS, payload=payload,
                                window=window_info(window), truncation=trunc.describe(),
-                               witness=_point_repr(x))
+                               witness=point_to_json(x))
         inconclusive.append(x)
     if inconclusive:
         payload = {
             "bound": _num(bound),
-            "undecided_points": [_point_repr(x) for x in inconclusive[:8]],
+            "undecided_points": [point_to_json(x) for x in inconclusive[:8]],
             "undecided_count": len(inconclusive),
             "note": "tail bound too coarse at the listed points; refine the truncation",
         }
@@ -201,7 +198,7 @@ def check_positivity(u: WeightFn, window: Window) -> Certificate:
             if isinstance(u, FormulaWeight) and as_number(x) in u.zero_points():
                 payload["ae_exclusion_available"] = True
             return Certificate(prop="positivity", verdict=FAILS, payload=payload,
-                               window=window_info(window), witness=_point_repr(x))
+                               window=window_info(window), witness=point_to_json(x))
     return Certificate(prop="positivity", verdict=HOLDS, payload=payload,
                        window=window_info(window))
 
@@ -211,7 +208,7 @@ def check_evenness(u: WeightFn, window: Window) -> Certificate:
         if u.eval(x) != u.eval(u.point_neg(x)):
             payload = {"value": _num(u.eval(x)), "value_at_neg": _num(u.eval(u.point_neg(x)))}
             return Certificate(prop="evenness", verdict=FAILS, payload=payload,
-                               window=window_info(window), witness=_point_repr(x))
+                               window=window_info(window), witness=point_to_json(x))
     return Certificate(prop="evenness", verdict=HOLDS, payload={},
                        window=window_info(window))
 
@@ -234,14 +231,14 @@ def check_poly_decay(u: WeightFn, x, n_max: int = 12) -> Certificate:
             "note": "no provenance decay formula; sampled bound only",
         }
         return Certificate(prop="poly-decay", verdict=INCONCLUSIVE, payload=payload,
-                           witness=_point_repr(x))
+                           witness=point_to_json(x))
     c, d = cert
     for n, v in enumerate(values, start=1):
         cap = c * Fraction(n) ** d if isinstance(c, Fraction) else float(c) * n ** d
         if v > cap:
             payload = {"constant": _num(c), "degree": d, "value": _num(v), "n": n}
             return Certificate(prop="poly-decay", verdict=FAILS, payload=payload,
-                               witness=_point_repr(x))
+                               witness=point_to_json(x))
     payload = {"constant": _num(c), "degree": d, "rigorous": True,
                "checked_up_to": n_max}
     return Certificate(prop="poly-decay", verdict=HOLDS, payload=payload,
@@ -287,8 +284,7 @@ def check_submultiplicative(w: WeightFn, window: Optional[Window] = None,
             payload = {
                 "lhs": _num(w.eval(w.point_add(s, t))),
                 "rhs": _num(w.eval(s) * w.eval(t)),
-                "pair": [_num(as_number(s)) if not isinstance(s, G.GroupPoint) else _point_repr(s),
-                         _num(as_number(t)) if not isinstance(t, G.GroupPoint) else _point_repr(t)],
+                "pair": [point_to_json(s), point_to_json(t)],
                 "exact_comparison": exact,
             }
             return Certificate(prop="submultiplicative", verdict=FAILS, payload=payload,
@@ -298,18 +294,24 @@ def check_submultiplicative(w: WeightFn, window: Optional[Window] = None,
 
 
 def weight_equivalence(w1: WeightFn, w2: WeightFn, window: Window) -> Certificate:
-    """Exact two-sided pinch C1 <= w1/w2 <= C2 over the window."""
+    """Exact two-sided pinch C1 <= w1/w2 <= C2 over the window.  Raises
+    ValueError where a float ratio is not finite (an overflow or a zero of w2)."""
     c1 = c2 = None
     arg1 = arg2 = None
     for x in window.points:
-        ratio = w1.eval(x) / w2.eval(x) if (w1.exact and w2.exact) \
-            else float(w1.eval(x)) / float(w2.eval(x))
+        try:
+            ratio = w1.eval(x) / w2.eval(x) if (w1.exact and w2.exact) \
+                else float(w1.eval(x)) / float(w2.eval(x))
+        except (OverflowError, ZeroDivisionError):
+            ratio = math.inf
+        if isinstance(ratio, float) and not math.isfinite(ratio):
+            raise ValueError(f"w1/w2 has no finite value at {point_to_json(x)}")
         if c1 is None or ratio < c1:
             c1, arg1 = ratio, x
         if c2 is None or ratio > c2:
             c2, arg2 = ratio, x
     payload = {"c1": _num(c1), "c2": _num(c2),
-               "argmin": _point_repr(arg1), "argmax": _point_repr(arg2)}
+               "argmin": point_to_json(arg1), "argmax": point_to_json(arg2)}
     return Certificate(prop="equivalence", verdict=HOLDS, payload=payload,
                        window=window_info(window))
 
@@ -325,7 +327,7 @@ def ess_inf_check(w: WeightFn, window: Window) -> Certificate:
         v = w.eval(x)
         if window_min is None or v < window_min:
             window_min, argmin = v, x
-    payload = {"window_min": _num(window_min), "argmin": _point_repr(argmin)}
+    payload = {"window_min": _num(window_min), "argmin": point_to_json(argmin)}
     if isinstance(w, AlgebraWeight):
         glb = w.global_lower_bound()
         if glb is not None and glb > 0:

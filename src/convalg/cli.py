@@ -3,9 +3,10 @@
 Subcommands: construct, verify, domar, beurling, countex, equivalence, report.
 Outputs are versioned JSON (weight provenance, certificate bundles) and CSV
 series tables.  Exit codes: 0 all certificates hold, 1 a certificate fails,
-2 invalid parameters, 3 inconclusive results.  All sampling is seeded and the
-seed is recorded; rerunning a command reproduces byte-identical files apart
-from the optional timestamp field (suppress it with --no-timestamp).
+2 invalid parameters, 3 inconclusive results, 4 an internal error.  All
+sampling is seeded and the seed is recorded; rerunning a command reproduces
+byte-identical files apart from the optional timestamp field (suppress it
+with --no-timestamp).
 
 The environment variable CONVALG_PRECISION (decimal digits, an integer from 1
 to 12, default 9) sets the quadrature tolerance of beurling and report.
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +41,13 @@ from .certify import (
 )
 from .domar import domar_classify, domar_partial
 from .formulas import BUILTIN_NAMES, builtin_weight
-from .quadrature import QuadratureSpec, beurling_integral, circle_conv_ratio, line_conv_ratio
+from .quadrature import (
+    QuadratureSpec,
+    beurling_integral,
+    beurling_panels,
+    circle_conv_ratio,
+    line_conv_ratio,
+)
 from .rational import format_rational, parse_rational
 from .sequences import (
     build_q_sequence,
@@ -72,6 +80,7 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _default_spec() -> QuadratureSpec:
@@ -345,6 +354,7 @@ def cmd_beurling(args) -> int:
     try:
         spec = _default_spec()
         w = _load_builtin(args.weight)
+        beurling_panels(args.T)  # the largest cutoff: refuse it before any integral
         for cutoff in (args.T / 4, args.T / 2, args.T):
             res = beurling_integral(w, cutoff=cutoff, spec=spec)
             rows.append({"cutoff": cutoff, "integral_lo": res.integral.lo,
@@ -403,10 +413,10 @@ def cmd_equivalence(args) -> int:
         w2 = _load_builtin(args.weight2)
         lo, hi, step = (parse_rational(v) for v in args.grid.split(":"))
         window = line_grid_window(lo, hi, step)
+        cert = weight_equivalence(w1, w2, window)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cert = weight_equivalence(w1, w2, window)
     print(f"window {window.name}: C1 = {cert.payload['c1']}, C2 = {cert.payload['c2']}")
     if args.out:
         _write_bundle(Path(args.out), None, [cert], timestamp=not args.no_timestamp)
@@ -547,7 +557,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # a fault of the program: exit 1 would read as a failed certificate
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

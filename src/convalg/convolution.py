@@ -221,10 +221,7 @@ def _rationals_partial(u: RationalsLayerWeight, q: Fraction, cutoff: int, ball: 
         den = t // math.gcd(num, t)
         n = layers.get(den)
         if n is None:
-            n = 1
-            while u.group.chain_value(n) % den != 0:
-                n += 1
-            layers[den] = n
+            n = layers[den] = u.group.denominator_layer(den)
         return n
 
     classes: Counter = Counter()

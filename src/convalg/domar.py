@@ -25,6 +25,7 @@ anything else is "inconclusive".
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import islice
 from typing import Union
@@ -34,6 +35,7 @@ from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE
 from .formulas import BUILTINS, FormulaWeight, as_number
 from .rational import LOG_SUM_OVER_SQUARES_UPPER, PI_SQUARED_UPPER
 from .sequences import harmonic_prefix_sums
+from .serialize import point_to_json
 from .weights import AlgebraWeight, WeightFn
 
 CONVERGENT = "convergent"
@@ -58,7 +60,17 @@ def _formula_partial(w: FormulaWeight, value, n_max: int) -> list:
     """domar_partial for a builtin weight at a number, per the module docstring."""
     if w.name == "exp-abs" and w.scale == 1.0 and not isinstance(value, float):
         size = abs(Fraction(value))
-        return [size * h for h in islice(harmonic_prefix_sums(n_max), 1, None)]
+        # 0 is no limit, as on Pythons before 3.10.7, which lack the call
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        cap = 10 ** limit if limit else None
+        partials = []
+        for n, h in enumerate(islice(harmonic_prefix_sums(n_max), 1, None), 1):
+            s = size * h
+            if cap is not None and max(s.numerator, s.denominator) >= cap:
+                raise ValueError(f"the exact partial sum S_{n} has more than {limit} digits, "
+                                 "the int-to-str limit")
+            partials.append(s)
+        return partials
     # w.log_eval(t) for a float t, with the record and the shift looked up once
     log, shift = BUILTINS[w.name].log, w.log_shift()
     circle = w.domain == "circle"
@@ -88,7 +100,10 @@ def domar_partial(w: WeightFn, x, n_max: int) -> list:
 
     Exact rationals when the weight has an exact log on the orbit; otherwise
     high-precision floats evaluated in log space (no overflow).  Raises
-    ValueError when log w is undefined at an orbit point.
+    ValueError when log w is undefined at an orbit point, and at the first
+    exact partial sum with a numerator or denominator of more digits than
+    the interpreter's int-to-str limit (sys.get_int_max_str_digits), which
+    could not be printed.
     """
     if not 1 <= n_max <= MAX_POINTS:
         raise ValueError(f"n_max must lie between 1 and 2^20, not {n_max}")
@@ -187,7 +202,6 @@ def _log_of(v) -> float:
 
 def _num_repr(x):
     if isinstance(x, G.GroupPoint):
-        from .serialize import point_to_json
         return point_to_json(x)
     v = as_number(x)
     return f"{Fraction(v).numerator}/{Fraction(v).denominator}" if isinstance(v, (Fraction, int)) else v

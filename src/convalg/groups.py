@@ -105,6 +105,13 @@ class RationalsGroup(GroupDescriptor):
     def chain_value(self, n: int) -> int:
         return math.factorial(n)
 
+    def denominator_layer(self, den: int) -> int:
+        """The first n with den | t_n: the layer of a point with reduced denominator den."""
+        n = 1
+        while self.chain_value(n) % den != 0:
+            n += 1
+        return n
+
     def identity(self) -> "RationalPoint":
         return RationalPoint(self, Fraction(0))
 
@@ -187,7 +194,13 @@ class ProductGroup(GroupDescriptor):
 # --------------------------------------------------------------------------
 
 class GroupPoint:
-    """Base class for group elements; concrete points are frozen dataclasses."""
+    """Base class for group elements; concrete points are frozen dataclasses.
+
+    Each point class carries its variant's group law: `_add` (the operand is
+    from the same group), `_nmul` (any integer n, negative included) and
+    `sort_key`; the chain variants also give `layer`.  Results are in
+    canonical form.  Call them through the module functions below.
+    """
 
     group: GroupDescriptor
 
@@ -196,6 +209,9 @@ class GroupPoint:
 
     def __neg__(self):
         return neg(self)
+
+    def layer(self) -> int:
+        raise LayerError(f"no subgroup chain declared for variant {self.group.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -226,10 +242,29 @@ class PrueferPoint(GroupPoint):
     def is_identity(self) -> bool:
         return self.num == 0
 
+    def _add(self, other: "PrueferPoint") -> "PrueferPoint":
+        p = self.group.p
+        n = max(self.exp, other.exp)
+        k = self.num * p ** (n - self.exp) + other.num * p ** (n - other.exp)
+        return PrueferPoint(self.group, k, n)
+
+    def _nmul(self, n: int) -> "PrueferPoint":
+        return PrueferPoint(self.group, n * self.num, self.exp)
+
+    def layer(self) -> int:
+        return max(self.exp, 1)
+
+    def sort_key(self):
+        # canonical form: num/p^exp is already reduced
+        return (self.num, self.group.p ** self.exp)
+
 
 @dataclass(frozen=True)
-class RationalPoint(GroupPoint):
-    group: RationalsGroup
+class _FractionPoint(GroupPoint):
+    """A point given by one Fraction, added as a number: the shared law of
+    the rationals and the circle."""
+
+    group: GroupDescriptor
     value: Fraction
 
     def __post_init__(self) -> None:
@@ -238,17 +273,30 @@ class RationalPoint(GroupPoint):
     def is_identity(self) -> bool:
         return self.value == 0
 
+    def _add(self, other: "_FractionPoint") -> "_FractionPoint":
+        return type(self)(self.group, self.value + other.value)
+
+    def _nmul(self, n: int) -> "_FractionPoint":
+        return type(self)(self.group, n * self.value)
+
+    def sort_key(self):
+        return (self.value.numerator, self.value.denominator)
+
 
 @dataclass(frozen=True)
-class CirclePoint(GroupPoint):
+class RationalPoint(_FractionPoint):
+    group: RationalsGroup
+
+    def layer(self) -> int:
+        return self.group.denominator_layer(self.value.denominator)
+
+
+@dataclass(frozen=True)
+class CirclePoint(_FractionPoint):
     group: CircleGroup
-    value: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", Fraction(self.value) % 1)
-
-    def is_identity(self) -> bool:
-        return self.value == 0
 
 
 @dataclass(frozen=True)
@@ -269,7 +317,7 @@ class SumPoint(GroupPoint):
             expected = self.group.summand(j)
             if pt.group != expected:
                 raise GroupMismatchError(f"coordinate {j} belongs to {pt.group}, expected {expected}")
-            if not _is_identity(pt):
+            if not pt.is_identity():
                 cleaned.append((j, pt))
         object.__setattr__(self, "coords", tuple(cleaned))
 
@@ -285,6 +333,18 @@ class SumPoint(GroupPoint):
     def is_identity(self) -> bool:
         return not self.coords
 
+    def _add(self, other: "SumPoint") -> "SumPoint":
+        merged = dict(self.coords)
+        for j, pt in other.coords:
+            merged[j] = add(merged[j], pt) if j in merged else pt
+        return SumPoint(self.group, tuple(merged.items()))
+
+    def _nmul(self, n: int) -> "SumPoint":
+        return SumPoint(self.group, tuple((j, nmul(n, pt)) for j, pt in self.coords))
+
+    def sort_key(self):
+        return tuple((j, sort_key(pt)) for j, pt in self.coords)
+
 
 @dataclass(frozen=True)
 class RealPoint(GroupPoint):
@@ -298,6 +358,15 @@ class RealPoint(GroupPoint):
 
     def is_identity(self) -> bool:
         return all(c == 0.0 for c in self.coords)
+
+    def _add(self, other: "RealPoint") -> "RealPoint":
+        return RealPoint(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def _nmul(self, n: int) -> "RealPoint":
+        return RealPoint(self.group, tuple(n * c for c in self.coords))
+
+    def sort_key(self):
+        return self.coords
 
 
 @dataclass(frozen=True)
@@ -313,63 +382,32 @@ class ProductPoint(GroupPoint):
             raise GroupMismatchError("discrete part from wrong group")
 
     def is_identity(self) -> bool:
-        return self.real_part.is_identity() and _is_identity(self.discrete_part)
+        return self.real_part.is_identity() and self.discrete_part.is_identity()
 
+    def _add(self, other: "ProductPoint") -> "ProductPoint":
+        return ProductPoint(self.group, add(self.real_part, other.real_part),
+                            add(self.discrete_part, other.discrete_part))
 
-def _is_identity(pt: GroupPoint) -> bool:
-    return pt.is_identity()  # type: ignore[attr-defined]
+    def _nmul(self, n: int) -> "ProductPoint":
+        return ProductPoint(self.group, nmul(n, self.real_part), nmul(n, self.discrete_part))
+
+    def sort_key(self):
+        return (sort_key(self.real_part), sort_key(self.discrete_part))
 
 
 # --------------------------------------------------------------------------
 # Group operations
 # --------------------------------------------------------------------------
 
-def _require_same_group(x: GroupPoint, y: GroupPoint) -> None:
+def add(x: GroupPoint, y: GroupPoint) -> GroupPoint:
+    """Group law of x's variant; results are in canonical form."""
     if x.group != y.group:
         raise GroupMismatchError(f"points from different groups: {x.group} vs {y.group}")
-
-
-def add(x: GroupPoint, y: GroupPoint) -> GroupPoint:
-    """Group law per variant; results are in canonical form."""
-    _require_same_group(x, y)
-    if isinstance(x, PrueferPoint):
-        p = x.group.p
-        n = max(x.exp, y.exp)
-        k = x.num * p ** (n - x.exp) + y.num * p ** (n - y.exp)
-        return PrueferPoint(x.group, k, n)
-    if isinstance(x, RationalPoint):
-        return RationalPoint(x.group, x.value + y.value)
-    if isinstance(x, CirclePoint):
-        return CirclePoint(x.group, x.value + y.value)
-    if isinstance(x, SumPoint):
-        merged = dict(x.coords)
-        for j, pt in y.coords:
-            if j in merged:
-                merged[j] = add(merged[j], pt)
-            else:
-                merged[j] = pt
-        return SumPoint(x.group, tuple(merged.items()))
-    if isinstance(x, RealPoint):
-        return RealPoint(x.group, tuple(a + b for a, b in zip(x.coords, y.coords)))
-    if isinstance(x, ProductPoint):
-        return ProductPoint(x.group, add(x.real_part, y.real_part), add(x.discrete_part, y.discrete_part))
-    raise TypeError(f"unsupported point type {type(x)}")
+    return x._add(y)
 
 
 def neg(x: GroupPoint) -> GroupPoint:
-    if isinstance(x, PrueferPoint):
-        return PrueferPoint(x.group, -x.num, x.exp)
-    if isinstance(x, RationalPoint):
-        return RationalPoint(x.group, -x.value)
-    if isinstance(x, CirclePoint):
-        return CirclePoint(x.group, -x.value)
-    if isinstance(x, SumPoint):
-        return SumPoint(x.group, tuple((j, neg(pt)) for j, pt in x.coords))
-    if isinstance(x, RealPoint):
-        return RealPoint(x.group, tuple(-c for c in x.coords))
-    if isinstance(x, ProductPoint):
-        return ProductPoint(x.group, neg(x.real_part), neg(x.discrete_part))
-    raise TypeError(f"unsupported point type {type(x)}")
+    return x._nmul(-1)
 
 
 def sub(x: GroupPoint, y: GroupPoint) -> GroupPoint:
@@ -378,48 +416,14 @@ def sub(x: GroupPoint, y: GroupPoint) -> GroupPoint:
 
 def nmul(n: int, x: GroupPoint) -> GroupPoint:
     """n-fold sum n.x; nmul(0, x) is the identity."""
-    if n < 0:
-        return neg(nmul(-n, x))
-    if isinstance(x, PrueferPoint):
-        return PrueferPoint(x.group, n * x.num, x.exp)
-    if isinstance(x, RationalPoint):
-        return RationalPoint(x.group, n * x.value)
-    if isinstance(x, CirclePoint):
-        return CirclePoint(x.group, n * x.value)
-    if isinstance(x, SumPoint):
-        return SumPoint(x.group, tuple((j, nmul(n, pt)) for j, pt in x.coords))
-    if isinstance(x, RealPoint):
-        return RealPoint(x.group, tuple(n * c for c in x.coords))
-    if isinstance(x, ProductPoint):
-        return ProductPoint(x.group, nmul(n, x.real_part), nmul(n, x.discrete_part))
-    raise TypeError(f"unsupported point type {type(x)}")
+    return x._nmul(n)
 
 
 def layer_of(x: GroupPoint) -> int:
     """Index of the first chain subgroup containing x (identity sits in layer 1)."""
-    if isinstance(x, PrueferPoint):
-        return max(x.exp, 1)
-    if isinstance(x, RationalPoint):
-        den = x.value.denominator
-        n = 1
-        while x.group.chain_value(n) % den != 0:
-            n += 1
-        return n
-    raise LayerError(f"no subgroup chain declared for variant {x.group.variant!r}")
+    return x.layer()
 
 
 def sort_key(x: GroupPoint):
     """Deterministic total order within one group, for reproducible windows."""
-    if isinstance(x, PrueferPoint):
-        v = x.value()
-        return (v.numerator, v.denominator)
-    if isinstance(x, (RationalPoint, CirclePoint)):
-        return (x.value.numerator, x.value.denominator)
-    if isinstance(x, SumPoint):
-        return tuple((j, sort_key(pt)) for j, pt in x.coords)
-    if isinstance(x, RealPoint):
-        return x.coords
-    if isinstance(x, ProductPoint):
-        return (sort_key(x.real_part), sort_key(x.discrete_part))
-    raise TypeError(f"unsupported point type {type(x)}")
-
+    return x.sort_key()

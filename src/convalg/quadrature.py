@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .certificates import Certificate, FAILS, HOLDS, INCONCLUSIVE
+from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE
 from .formulas import BUILTINS, FormulaWeight
 from .intervals import Interval
 
@@ -252,6 +252,19 @@ class BeurlingResult:
     certificate: Certificate
 
 
+def beurling_panels(cutoff: float) -> int:
+    """Panels per half-line of beurling_integral at this cutoff.  Raises
+    ValueError unless the cutoff is finite and > 0 and the panels hold at
+    most 2^20 nodes (a cutoff of at most 16384)."""
+    if not (math.isfinite(cutoff) and cutoff > 0):
+        raise ValueError(f"the cutoff must be finite and > 0, not {cutoff!r}")
+    panels = max(64, int(2 * cutoff))
+    if panels * len(GL_NODES) > MAX_POINTS:
+        raise ValueError(f"the cutoff {cutoff!r} needs {panels * len(GL_NODES)} quadrature "
+                         f"nodes per integral, more than 2^20")
+    return panels
+
+
 def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
                       spec: QuadratureSpec = QuadratureSpec()) -> BeurlingResult:
     """Enclosure of int_{-T}^{T} log+ w(t)/(1+t^2) dt plus a finite/infinite
@@ -263,8 +276,7 @@ def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
     """
     if not isinstance(w, FormulaWeight) or w.domain != "real":
         raise ValueError("a builtin line weight is required")
-    if not (math.isfinite(cutoff) and cutoff > 0):
-        raise ValueError(f"the cutoff must be finite and > 0, not {cutoff!r}")
+    panels = beurling_panels(cutoff)
 
     # w.log_eval(t) for a float t, with the record and the shift looked up once
     builtin = BUILTINS[w.name]
@@ -273,7 +285,6 @@ def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
     def f(t: float) -> float:
         return max(0.0, log(shift, t, abs(t))) / (1.0 + t * t)
 
-    panels = max(64, int(2 * cutoff))
     value = _mirrored_composite(f, cutoff, panels) if builtin.even else None
     if value is None:
         value = composite_integral(f, 0.0, cutoff, panels) \

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import convalg as ca
+from convalg import cli
 from convalg.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,8 +74,13 @@ def test_construct_algebra_zero_denominator_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("grid", ["0:1:0", "0:1:-1/2"])
-def test_equivalence_nonpositive_step_exit_2(grid):
+@pytest.mark.parametrize("grid", [
+    "0:1:0", "0:1:-1/2",  # no positive step
+    "0:100000000:1",      # more than 2^20 points
+    "5:1:1",              # no points
+    "700:720:1",          # e^t overflows past t = 709.78
+])
+def test_equivalence_bad_grid_exit_2(grid):
     # a subprocess with a timeout, so a grid loop that never ends fails the test
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -184,11 +191,14 @@ def test_domar_circle_builtin_orbit_through_zero_exit_2(capsys, name):
 
 @pytest.mark.parametrize("weight, n", [
     ("exp-abs", 10_000),    # H_N's exact digits pass the int-to-str limit
+    ("exp-abs", 100_000),   # refused at that first partial sum, not summed to N
     ("poly2", 2 ** 20 + 1),  # above the series bound, refused before any work
 ])
 def test_domar_unprintable_or_unbounded_series_exit_2(capsys, weight, n):
+    t0 = time.perf_counter()
     code, out, err = run(capsys, "domar", "--weight", f"builtin:{weight}", "--x", "1",
                          "--N", str(n))
+    assert time.perf_counter() - t0 < 3.0
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
@@ -218,7 +228,7 @@ def test_beurling_circle_builtin_exit_2(capsys, name):
     assert out == ""
 
 
-@pytest.mark.parametrize("cutoff", ["inf", "-5", "0", "nan"])
+@pytest.mark.parametrize("cutoff", ["inf", "-5", "0", "nan", "1e9", "1e5", "16385"])
 def test_beurling_bad_cutoff_exit_2(capsys, cutoff):
     code, out, err = run(capsys, "beurling", "--weight", "builtin:poly2", f"--T={cutoff}")
     assert code == 2
@@ -466,3 +476,21 @@ def test_report_with_timestamp_differs_only_in_timestamp(tmp_path, capsys):
     assert code == 0
     bundle = json.loads((out1 / "certificates.json").read_text())
     assert "generated_at" in bundle
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def fault(args):
+        raise RuntimeError("injected fault")
+    monkeypatch.setattr(cli, "cmd_countex", fault)
+    code, out, err = run(capsys, "countex")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err.splitlines()[0] == "error: internal error: RuntimeError: injected fault"
+    assert out == ""
+
+
+def test_interrupt_is_not_an_internal_error(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "cmd_countex", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["countex"])

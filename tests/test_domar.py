@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -155,3 +156,22 @@ def test_domar_partial_circle_error_text(name, x, message):
         ca.domar_partial(w, x, 1500)
     assert str(exc.value) == message
     assert _outcome(brute_domar_partial, w, x, 1500) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_exp_abs_partial_stops_at_first_unprintable_sum():
+    w, x = ca.builtin_weight("exp-abs"), F(-7, 3)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit, so H_N passes it early
+    try:
+        sums = brute_domar_partial(w, x, 2000)
+        first = next(n for n, s in enumerate(sums, 1)
+                     if max(s.numerator, s.denominator) >= 10 ** 640)
+        assert ca.domar_partial(w, x, first - 1) == sums[:first - 1]
+        assert [str(s) for s in sums[:first - 1]]
+        with pytest.raises(ValueError):
+            str(sums[first - 1])
+        with pytest.raises(ValueError, match=f"S_{first} has more than 640 digits"):
+            ca.domar_partial(w, x, 2000)
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -111,8 +112,14 @@ def _random_point(rng, group):
                 coords[j] = _random_point(rng, group.summand(j))
         return group.point(coords)
     if isinstance(group, G.RealGroup):
-        return group.element([rng.uniform(-4, 4) for _ in range(group.dim)])
+        return group.element([rng.choice(_SPECIAL_FLOATS) if rng.random() < 0.3
+                              else rng.uniform(-4, 4) for _ in range(group.dim)])
+    if isinstance(group, G.ProductGroup):
+        return group.point(_random_point(rng, group.real), _random_point(rng, group.discrete))
     raise AssertionError
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan)
 
 
 @pytest.mark.parametrize("group", [P2, P3, Q, CIRCLE, SUM23], ids=lambda g: g.variant + descriptor_to_json(g).get("chain", ""))
@@ -210,3 +217,146 @@ def test_subgroup_enumeration_sizes():
     assert len(ball) == 37
     values = [pt.value for pt in ball]
     assert values == sorted(values)
+
+
+# The isinstance dispatch the point classes replaced, kept as the oracle of
+# their group law.
+
+def brute_add(x, y):
+    if x.group != y.group:
+        raise G.GroupMismatchError(f"points from different groups: {x.group} vs {y.group}")
+    if isinstance(x, G.PrueferPoint):
+        p = x.group.p
+        n = max(x.exp, y.exp)
+        k = x.num * p ** (n - x.exp) + y.num * p ** (n - y.exp)
+        return G.PrueferPoint(x.group, k, n)
+    if isinstance(x, G.RationalPoint):
+        return G.RationalPoint(x.group, x.value + y.value)
+    if isinstance(x, G.CirclePoint):
+        return G.CirclePoint(x.group, x.value + y.value)
+    if isinstance(x, G.SumPoint):
+        merged = dict(x.coords)
+        for j, pt in y.coords:
+            if j in merged:
+                merged[j] = brute_add(merged[j], pt)
+            else:
+                merged[j] = pt
+        return G.SumPoint(x.group, tuple(merged.items()))
+    if isinstance(x, G.RealPoint):
+        return G.RealPoint(x.group, tuple(a + b for a, b in zip(x.coords, y.coords)))
+    if isinstance(x, G.ProductPoint):
+        return G.ProductPoint(x.group, brute_add(x.real_part, y.real_part),
+                              brute_add(x.discrete_part, y.discrete_part))
+    raise TypeError(f"unsupported point type {type(x)}")
+
+
+def brute_neg(x):
+    if isinstance(x, G.PrueferPoint):
+        return G.PrueferPoint(x.group, -x.num, x.exp)
+    if isinstance(x, G.RationalPoint):
+        return G.RationalPoint(x.group, -x.value)
+    if isinstance(x, G.CirclePoint):
+        return G.CirclePoint(x.group, -x.value)
+    if isinstance(x, G.SumPoint):
+        return G.SumPoint(x.group, tuple((j, brute_neg(pt)) for j, pt in x.coords))
+    if isinstance(x, G.RealPoint):
+        return G.RealPoint(x.group, tuple(-c for c in x.coords))
+    if isinstance(x, G.ProductPoint):
+        return G.ProductPoint(x.group, brute_neg(x.real_part), brute_neg(x.discrete_part))
+    raise TypeError(f"unsupported point type {type(x)}")
+
+
+def brute_nmul(n, x):
+    if n < 0:
+        return brute_neg(brute_nmul(-n, x))
+    if isinstance(x, G.PrueferPoint):
+        return G.PrueferPoint(x.group, n * x.num, x.exp)
+    if isinstance(x, G.RationalPoint):
+        return G.RationalPoint(x.group, n * x.value)
+    if isinstance(x, G.CirclePoint):
+        return G.CirclePoint(x.group, n * x.value)
+    if isinstance(x, G.SumPoint):
+        return G.SumPoint(x.group, tuple((j, brute_nmul(n, pt)) for j, pt in x.coords))
+    if isinstance(x, G.RealPoint):
+        return G.RealPoint(x.group, tuple(n * c for c in x.coords))
+    if isinstance(x, G.ProductPoint):
+        return G.ProductPoint(x.group, brute_nmul(n, x.real_part), brute_nmul(n, x.discrete_part))
+    raise TypeError(f"unsupported point type {type(x)}")
+
+
+def brute_layer_of(x):
+    if isinstance(x, G.PrueferPoint):
+        return max(x.exp, 1)
+    if isinstance(x, G.RationalPoint):
+        den = x.value.denominator
+        n = 1
+        while x.group.chain_value(n) % den != 0:
+            n += 1
+        return n
+    raise G.LayerError(f"no subgroup chain declared for variant {x.group.variant!r}")
+
+
+def brute_sort_key(x):
+    if isinstance(x, G.PrueferPoint):
+        v = x.value()
+        return (v.numerator, v.denominator)
+    if isinstance(x, (G.RationalPoint, G.CirclePoint)):
+        return (x.value.numerator, x.value.denominator)
+    if isinstance(x, G.SumPoint):
+        return tuple((j, brute_sort_key(pt)) for j, pt in x.coords)
+    if isinstance(x, G.RealPoint):
+        return x.coords
+    if isinstance(x, G.ProductPoint):
+        return (brute_sort_key(x.real_part), brute_sort_key(x.discrete_part))
+    raise TypeError(f"unsupported point type {type(x)}")
+
+
+def assert_same_point(a, b):
+    """Same type and canonical fields; real zeros compared with their sign,
+    NaN coordinates equal whatever their sign bit.  The oracle builds its
+    points with the same constructors, so the circle's canonical range is
+    checked on its own."""
+    assert type(a) is type(b) and a.group == b.group
+    if isinstance(a, G.CirclePoint):
+        assert 0 <= a.value < 1
+    if isinstance(a, G.RealPoint):
+        assert len(a.coords) == len(b.coords)
+        for c, d in zip(a.coords, b.coords):
+            if not (math.isnan(c) and math.isnan(d)):
+                assert c == d and math.copysign(1.0, c) == math.copysign(1.0, d), (a, b)
+    elif isinstance(a, G.SumPoint):
+        assert [j for j, _ in a.coords] == [j for j, _ in b.coords]
+        for (_, c), (_, d) in zip(a.coords, b.coords):
+            assert_same_point(c, d)
+    elif isinstance(a, G.ProductPoint):
+        assert_same_point(a.real_part, b.real_part)
+        assert_same_point(a.discrete_part, b.discrete_part)
+    else:
+        assert a == b and type(getattr(a, "value", None)) is type(getattr(b, "value", None))
+
+
+def _layer_outcome(fn, x):
+    try:
+        return fn(x)
+    except G.LayerError as exc:
+        return str(exc)
+
+
+ORACLE_GROUPS = (P2, P3, Q, CIRCLE, G.SumGroup((P2, Q, P3)), G.RealGroup(2),
+                 G.ProductGroup(G.RealGroup(1), Q))
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS,
+                         ids=["pruefer2", "pruefer3", "rationals", "circle", "sum", "real", "product"])
+def test_group_law_matches_isinstance_oracle(group):
+    rng = random.Random(2024)
+    for _ in range(400):
+        x, y = _random_point(rng, group), _random_point(rng, group)
+        assert_same_point(G.add(x, y), brute_add(x, y))
+        assert_same_point(G.sub(x, y), brute_add(x, brute_neg(y)))
+        assert_same_point(G.neg(x), brute_neg(x))
+        assert_same_point(G.neg(x), G.nmul(-1, x))
+        for n in range(-7, 8):
+            assert_same_point(G.nmul(n, x), brute_nmul(n, x))
+        assert _layer_outcome(G.layer_of, x) == _layer_outcome(brute_layer_of, x)
+        assert G.sort_key(x) == brute_sort_key(x)
