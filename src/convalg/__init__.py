@@ -79,11 +79,8 @@ from .sequences import (
 )
 from .serialize import (
     canonical_dumps,
-    certificate_from_json,
     certificate_to_json,
-    descriptor_from_json,
     descriptor_to_json,
-    point_from_json,
     point_to_json,
     weight_from_provenance,
     weight_to_provenance,

@@ -93,12 +93,17 @@ def sum_sample_window(group: G.SumGroup, size: int, seed: int = 0,
     count always lands exactly); an odd size additionally holds the identity.
     Pruefer coordinates are nonzero points of the layer_cap subgroup; rationals
     coordinates come from that subgroup's ball of radius _SAMPLE_RADIUS (a
-    zero coordinate just leaves the support).
+    zero coordinate just leaves the support).  A summand of any other group,
+    such as a nested direct sum, is refused.
     """
     if not 1 <= size <= MAX_POINTS:
         raise ValueError(f"a sampled window must hold between 1 and 2^20 points, not {size}")
     if layer_cap > MAX_LAYER:
         raise ValueError(f"a sampled window's layer cap {layer_cap} is above 2^10")
+    for j, summand in enumerate(group.summands, start=1):
+        if not isinstance(summand, (G.PrueferGroup, G.RationalsGroup)):
+            raise ValueError(f"a sampled window draws no coordinates on summand {j}, "
+                             f"a {summand.variant} group")
     rng = random.Random(seed)
     chosen: dict = {}
     if size % 2 == 1:
@@ -115,7 +120,7 @@ def sum_sample_window(group: G.SumGroup, size: int, seed: int = 0,
             if isinstance(summand, G.PrueferGroup):
                 k = rng.randrange(1, summand.p ** layer_cap)
                 coords[j] = summand.element(k, layer_cap)
-            else:
+            else:  # the rationals
                 # index the ball of radius R in (1/t)Z rather than list its 2Rt+1 points
                 t = summand.chain_value(layer_cap)
                 k = rng.randrange(2 * _SAMPLE_RADIUS * t + 1)
@@ -295,7 +300,8 @@ def check_submultiplicative(w: WeightFn, window: Optional[Window] = None,
 
 def weight_equivalence(w1: WeightFn, w2: WeightFn, window: Window) -> Certificate:
     """Exact two-sided pinch C1 <= w1/w2 <= C2 over the window.  Raises
-    ValueError where a float ratio is not finite (an overflow or a zero of w2)."""
+    ValueError where a ratio is not both finite and > 0: an overflow or a
+    zero of w2, an underflow or a zero of w1, so C1 > 0 whenever it holds."""
     c1 = c2 = None
     arg1 = arg2 = None
     for x in window.points:
@@ -304,8 +310,8 @@ def weight_equivalence(w1: WeightFn, w2: WeightFn, window: Window) -> Certificat
                 else float(w1.eval(x)) / float(w2.eval(x))
         except (OverflowError, ZeroDivisionError):
             ratio = math.inf
-        if isinstance(ratio, float) and not math.isfinite(ratio):
-            raise ValueError(f"w1/w2 has no finite value at {point_to_json(x)}")
+        if not 0 < ratio < math.inf:
+            raise ValueError(f"w1/w2 is not finite and > 0 at {point_to_json(x)}")
         if c1 is None or ratio < c1:
             c1, arg1 = ratio, x
         if c2 is None or ratio > c2:

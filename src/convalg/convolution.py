@@ -16,8 +16,8 @@ counts over shells rather than enumerations of group elements:
   + sum_{n<j<=N} |U_j| phi_j^2, in O(N) for any shell values.  Outside G_N
   both factors sit in the same shell, so the omitted mass is exactly
   sum_{j>N} |U_j| phi_j^2, which the geometric default families sum in
-  closed form (the enclosure's upper end is then the exact value, and
-  conv_exact is the same sum at N = n plus that tail);
+  closed form (the enclosure's upper end is then the exact value, which
+  conv_exact reads);
 * rationals: write each truncation point as m + j/t_N.  The layers of j/t_N
   and q - j/t_N, floor(q - j/t_N), whether q - j/t_N is an integer and
   whether j = 0 fix every factor up to the sigma kernel in m, so the j fall
@@ -72,25 +72,19 @@ _RANGE_SERIES_TERMS = 32
 
 
 def conv_exact(u: WeightFn, x) -> Optional[Fraction]:
-    """Closed-form value of (u*u)(x) where the provenance admits one."""
+    """Closed-form value of (u*u)(x) where every tail is exactly geometric:
+    the upper end of conv_at's enclosure is then the exact value."""
+    if not _tails_geometric(u):
+        return None
     if isinstance(u, LayerWeight):
-        if not u.tails_exact:
-            return None
-        n = G.layer_of(x)
-        return u.scale * u.scale * (_layer_partial(u, n, n) + u.sq_tail(n))
-    if isinstance(u, DirectSumWeight):
-        def exact_fn(j: int, uj: WeightFn, xj) -> Interval:
-            value = conv_exact(uj, xj)
-            if value is None:
-                raise TailUnavailableError("summand without a closed form")
-            return Interval.point(value)
+        return conv_at(u, x, TruncationSpec(layer=G.layer_of(x))).hi
+    return conv_at(u, x, TruncationSpec(per_summand=(1,) * len(u.summands))).hi
 
-        try:
-            iv = _conv_sum(u, x, TruncationSpec(), conv_fn=exact_fn)
-        except TailUnavailableError:
-            return None
-        return iv.lo
-    return None
+
+def _tails_geometric(u: WeightFn) -> bool:
+    if isinstance(u, LayerWeight):
+        return u.phi.geometric_tails
+    return isinstance(u, DirectSumWeight) and all(map(_tails_geometric, u.summands))
 
 
 def conv_at(u: WeightFn, x, trunc: TruncationSpec, *,
@@ -273,7 +267,7 @@ def _safe_layer(x) -> int:
         return 1
 
 
-def _conv_sum(u: DirectSumWeight, x, trunc: TruncationSpec, conv_fn=None) -> Interval:
+def _conv_sum(u: DirectSumWeight, x, trunc: TruncationSpec) -> Interval:
     """Exact pattern decomposition of the direct-sum self-convolution.
 
     Splitting x' by which coordinates vanish, equal x_j, or differ from both
@@ -287,10 +281,10 @@ def _conv_sum(u: DirectSumWeight, x, trunc: TruncationSpec, conv_fn=None) -> Int
     cutoffs = trunc.per_summand if trunc.per_summand is not None else (DEFAULT_LAYER_CUTOFF,) * count
     if len(cutoffs) != count:
         raise ValueError("per-summand cutoffs must match the summand count")
-    if conv_fn is None:
-        def conv_fn(j: int, uj: WeightFn, xj) -> Interval:
-            sub = TruncationSpec(layer=max(cutoffs[j - 1], _safe_layer(xj)))
-            return conv_at(uj, xj, sub)
+
+    def conv_fn(j: int, uj: WeightFn, xj) -> Interval:
+        sub = TruncationSpec(layer=max(cutoffs[j - 1], _safe_layer(xj)))
+        return conv_at(uj, xj, sub)
 
     support = sorted(x.support())
     comp = [j for j in range(1, count + 1) if j not in x.support()]

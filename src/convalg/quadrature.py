@@ -26,6 +26,12 @@ order: the same roundings as two composite_integral calls, with half the
 evaluations.  The edge test is made on every call, so an odd builtin or a
 cutoff whose edges do not mirror takes the two calls.
 
+Float sums: every sum of quadrature terms adds left to right from 0.0 (a
+plain loop in panel_integral, _sum elsewhere), never with the builtin sum():
+from Python 3.12 sum() of floats uses compensated summation, which rounds
+differently, so the integrals, certificates and printed digits would depend
+on the interpreter.  The loop is what sum() did up to 3.11, bit for bit.
+
 Error model: Gauss-Legendre on the analytic integrands used here converges
 geometrically; the declared tolerances (1e-9 absolute on [0,1]-type
 integrals, 1e-6 on ratio suprema) dominate the quadrature error by orders of
@@ -75,15 +81,26 @@ def _linspace(a: float, b: float, num: int) -> list[float]:
     return [i * step + a for i in range(num - 1)] + [b]
 
 
+def _sum(values) -> float:
+    """Left-to-right float sum from 0.0; see the module docstring."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def panel_integral(f: Callable[[float], float], a: float, b: float) -> float:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * sum(w * f(mid + half * x) for x, w in zip(GL_NODES, GL_WEIGHTS))
+    total = 0.0
+    for x, w in zip(GL_NODES, GL_WEIGHTS):
+        total += w * f(mid + half * x)
+    return half * total
 
 
 def composite_integral(f: Callable[[float], float], a: float, b: float, panels: int) -> float:
     edges = _linspace(a, b, panels + 1)
-    return sum(panel_integral(f, edges[i], edges[i + 1]) for i in range(panels))
+    return _sum(panel_integral(f, edges[i], edges[i + 1]) for i in range(panels))
 
 
 def _mirrored_composite(f: Callable[[float], float], cutoff: float,
@@ -99,9 +116,9 @@ def _mirrored_composite(f: Callable[[float], float], cutoff: float,
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         products = [w * f(mid + half * x) for x, w in zip(GL_NODES, GL_WEIGHTS)]
-        right.append(half * sum(products))
-        left.append(half * sum(reversed(products)))
-    return sum(right) + sum(reversed(left))
+        right.append(half * _sum(products))
+        left.append(half * _sum(reversed(products)))
+    return _sum(right) + _sum(reversed(left))
 
 
 # --------------------------------------------------------------------------

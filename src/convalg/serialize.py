@@ -1,7 +1,11 @@
-"""Versioned JSON wire formats: group points, descriptors, weight provenance,
-certificates.  Rationals travel as "num/den" strings; every document carries
-a "schema" field; serialization is deterministic (sorted keys) so repeated
-runs are byte-identical apart from optional timestamps.
+"""Versioned JSON wire formats.  Weight documents exist for the four
+constructions that `convalg construct` writes and `convalg verify` reads
+back: pruefer-layer, rationals-layer, direct-sum and algebra; the other
+weights are built in Python only.  Points and certificates are written, as
+witnesses and bundle entries, never read.  Rationals travel as "num/den"
+strings; every document carries a "schema" field; serialization is
+deterministic (sorted keys) so repeated runs are byte-identical apart from
+optional timestamps.
 """
 
 from __future__ import annotations
@@ -13,22 +17,17 @@ from typing import Any
 
 from . import groups as G
 from .certificates import Certificate
-from .formulas import FormulaWeight, builtin_weight
 from .rational import format_rational, parse_rational
 from .weights import (
     AlgebraWeight,
     DirectSumWeight,
-    EuclideanWeight,
     LayerWeight,
-    ProductWeight,
     RationalsLayerWeight,
     WeightFn,
     algebra_weight,
     broken_increasing_phi,
     direct_sum_weight,
-    euclidean_weight,
     nested_finite_weight,
-    product_weight,
     pruefer_weight,
     rationals_weight,
 )
@@ -51,15 +50,6 @@ def descriptor_to_json(desc: G.GroupDescriptor) -> dict:
         return {"variant": "pruefer", "p": desc.p}
     if isinstance(desc, G.RationalsGroup):
         return {"variant": "rationals", "chain": "factorial"}
-    if isinstance(desc, G.CircleGroup):
-        return {"variant": "circle"}
-    if isinstance(desc, G.SumGroup):
-        return {"variant": "sum", "summands": [descriptor_to_json(s) for s in desc.summands]}
-    if isinstance(desc, G.RealGroup):
-        return {"variant": "real", "dim": desc.dim}
-    if isinstance(desc, G.ProductGroup):
-        return {"variant": "product", "real": descriptor_to_json(desc.real),
-                "discrete": descriptor_to_json(desc.discrete)}
     raise TypeError(f"unsupported descriptor {type(desc).__name__}")
 
 
@@ -95,27 +85,6 @@ def _json_int(data: dict, key: str) -> int:
     return value
 
 
-def descriptor_from_json(data: dict) -> G.GroupDescriptor:
-    _require_object(data, "a group descriptor")
-    variant = data["variant"]
-    if variant == "pruefer":
-        return G.PrueferGroup(_json_int(data, "p"))
-    if variant == "rationals":
-        if data.get("chain") != "factorial":
-            raise ValueError("the rationals chain must be 'factorial'")
-        return G.RationalsGroup()
-    if variant == "circle":
-        return G.CircleGroup()
-    if variant == "sum":
-        return G.SumGroup(tuple(descriptor_from_json(s) for s in _json_list(data, "summands")))
-    if variant == "real":
-        return G.RealGroup(_json_int(data, "dim"))
-    if variant == "product":
-        return G.ProductGroup(descriptor_from_json(data["real"]),
-                              descriptor_from_json(data["discrete"]))
-    raise ValueError(f"unknown group variant {variant!r}")
-
-
 # --------------------------------------------------------------------------
 # Points
 # --------------------------------------------------------------------------
@@ -136,35 +105,6 @@ def point_to_json(x) -> Any:
     if isinstance(x, (int, float, str)) or x is None:
         return x
     raise TypeError(f"unsupported point {type(x).__name__}")
-
-
-def point_from_json(group: G.GroupDescriptor, data: Any) -> G.GroupPoint:
-    if isinstance(group, G.PrueferGroup):
-        value = parse_rational(data)
-        den = value.denominator
-        n = 0
-        while group.p ** n < den:
-            n += 1
-        if group.p ** n != den:
-            raise ValueError(f"{data} is not a p-power fraction for p={group.p}")
-        return G.PrueferPoint(group, value.numerator, n)
-    if isinstance(group, G.RationalsGroup):
-        return G.RationalPoint(group, parse_rational(data))
-    if isinstance(group, G.CircleGroup):
-        return G.CirclePoint(group, parse_rational(data))
-    if isinstance(group, G.SumGroup):
-        _require_object(data, "a direct-sum point")
-        coords = {int(j): point_from_json(group.summand(int(j)), pt) for j, pt in data.items()}
-        return group.point(coords)
-    if isinstance(group, G.RealGroup):
-        if not isinstance(data, list):
-            raise ValueError("a real point must be a list of numbers")
-        return G.RealPoint(group, tuple(_json_float(c) for c in data))
-    if isinstance(group, G.ProductGroup):
-        _require_object(data, "a product point")
-        return G.ProductPoint(group, point_from_json(group.real, data["real"]),
-                              point_from_json(group.discrete, data["discrete"]))
-    raise TypeError(f"unsupported descriptor {type(group).__name__}")
 
 
 # --------------------------------------------------------------------------
@@ -202,15 +142,8 @@ def weight_to_provenance(w: WeightFn) -> dict:
             "alpha_rule": w.alphas.rule,
             "eps1": format_rational(w.coeffs.eps1),
         }
-    elif isinstance(w, EuclideanWeight):
-        params = {"dim": w.group.dim}
-    elif isinstance(w, ProductWeight):
-        params = {"real": weight_to_provenance(w.real_factor),
-                  "discrete": weight_to_provenance(w.discrete_factor)}
     elif isinstance(w, AlgebraWeight):
         params = {"base": weight_to_provenance(w.base), "p": format_rational(w.p)}
-    elif isinstance(w, FormulaWeight):
-        params = {"name": w.name}
     else:
         raise TypeError(f"unsupported weight {type(w).__name__}")
     return {
@@ -228,28 +161,22 @@ def _rebuild(construction, params: dict) -> WeightFn:
     name it; every other field is derived, and checked by the caller."""
     broken = params.get("phi") == "broken-demo"
     if construction == "pruefer-layer":
-        group = descriptor_from_json(params["group"])
-        if not isinstance(group, G.PrueferGroup):
-            raise ValueError("a pruefer-layer weight lives on a pruefer group")
+        # the group's variant is checked with the derived fields
+        _require_object(params["group"], "a group descriptor")
+        p = _json_int(params["group"], "p")
         if broken:
-            return nested_finite_weight(group, broken_increasing_phi(), unchecked=True)
-        return pruefer_weight(group.p)
+            return nested_finite_weight(G.PrueferGroup(p), broken_increasing_phi(),
+                                        unchecked=True)
+        return pruefer_weight(p)
     if construction == "rationals-layer":
         return rationals_weight(broken_increasing_phi(), unchecked=True) if broken \
             else rationals_weight()
     if construction == "direct-sum":
         return direct_sum_weight([weight_from_provenance(s)
                                   for s in _json_list(params, "summands")])
-    if construction == "euclidean":
-        return euclidean_weight(_json_int(params, "dim"))
-    if construction == "product":
-        return product_weight(weight_from_provenance(params["real"]),
-                              weight_from_provenance(params["discrete"]))
     if construction == "algebra":
         return algebra_weight(weight_from_provenance(params["base"]),
                               parse_rational(params["p"]))
-    if construction == "formula":
-        return builtin_weight(params["name"])
     raise ValueError(f"unknown construction {construction!r}")
 
 
@@ -293,17 +220,3 @@ def certificate_to_json(cert: Certificate) -> dict:
         "payload": cert.payload,
         "witness": cert.witness,
     }
-
-
-def certificate_from_json(data: dict) -> Certificate:
-    if data.get("schema") != CERT_SCHEMA:
-        raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
-    return Certificate(
-        prop=data["property"],
-        verdict=data["verdict"],
-        payload=data.get("payload") or {},
-        window=data.get("window"),
-        truncation=data.get("truncation"),
-        witness=data.get("witness"),
-        cert_id=data.get("id"),
-    )

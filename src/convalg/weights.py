@@ -326,10 +326,6 @@ class LayerWeight(ShellWeight):
         except ValueError:
             return None
 
-    @property
-    def tails_exact(self) -> bool:
-        return self.phi.geometric_tails
-
     def decay_certificate(self, x) -> tuple[Fraction, int]:
         # the orbit {nx} stays inside the layer of x, where phi is smallest
         return (Fraction(1) / (self.scale * self.phi.term(G.layer_of(x))), 0)

@@ -74,18 +74,24 @@ def test_construct_algebra_zero_denominator_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("grid", [
-    "0:1:0", "0:1:-1/2",  # no positive step
-    "0:100000000:1",      # more than 2^20 points
-    "5:1:1",              # no points
-    "700:720:1",          # e^t overflows past t = 709.78
-])
-def test_equivalence_bad_grid_exit_2(grid):
+BAD_EQUIVALENCE = [
+    ("0:1:0", "poly2", "exp-abs"), ("0:1:-1/2", "poly2", "exp-abs"),  # no positive step
+    ("0:100000000:1", "poly2", "exp-abs"),   # more than 2^20 points
+    ("5:1:1", "poly2", "exp-abs"),           # no points
+    ("700:720:1", "poly2", "exp-abs"),       # e^t overflows past t = 709.78
+    ("-800:-790:1", "poly2-exp-signed", "poly2"),  # e^t underflows: C1 = C2 = 0
+    ("0:1:1/4", "circle-quarter", "const-one"),    # w1 vanishes at 0: C1 = 0
+]
+
+
+@pytest.mark.parametrize("grid, weight1, weight2", BAD_EQUIVALENCE,
+                         ids=[grid for grid, _, _ in BAD_EQUIVALENCE])
+def test_equivalence_bad_grid_exit_2(grid, weight1, weight2):
     # a subprocess with a timeout, so a grid loop that never ends fails the test
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "convalg.cli", "equivalence",
-                             "--weight1", "builtin:poly2", "--weight2", "builtin:exp-abs",
+                             "--weight1", f"builtin:{weight1}", "--weight2", f"builtin:{weight2}",
                              f"--grid={grid}"],
                             env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 2
@@ -383,6 +389,31 @@ def _edit_base(**changes):
     return edit
 
 
+def _nested_sum(inner_first):
+    # construct writes no nested direct sum: build one through the API
+    def edit(prov):
+        u2, u3 = (ca.scale_for_b(u, u.b_bound) for u in map(ca.pruefer_weight, (2, 3)))
+        inner = ca.direct_sum_weight((u3, u2))
+        summands = (inner, u2) if inner_first else (u2, inner)
+        return ca.weight_to_provenance(ca.direct_sum_weight(summands))
+    return edit
+
+
+# well-formed documents of weights that have no weight file (nothing writes them)
+EUCLIDEAN_DOC = {"schema": "convalg.weight/1", "construction": "euclidean",
+                 "params": {"dim": 2}, "scale": 1.0, "exact": False, "certificates": []}
+PRODUCT_DOC = {"schema": "convalg.weight/1", "construction": "product", "params": {
+    "real": {"schema": "convalg.weight/1", "construction": "euclidean", "params": {"dim": 1},
+             "scale": 0.15915494309189535, "exact": False, "certificates": []},
+    "discrete": {"schema": "convalg.weight/1", "construction": "pruefer-layer",
+                 "params": {"group": {"variant": "pruefer", "p": 2}, "phi": "geometric",
+                            "mass": "1/1"},
+                 "scale": "1/2", "exact": True, "certificates": []}},
+    "scale": 1.0, "exact": False, "certificates": []}
+FORMULA_DOC = {"schema": "convalg.weight/1", "construction": "formula",
+               "params": {"name": "poly2-exp"}, "scale": 1.0, "exact": False,
+               "certificates": []}
+
 P2_ARGS = ["--group", "pruefer:2"]
 RAT_ARGS = ["--group", "rationals"]
 SUM_ARGS = ["--group", "sum", "--summands", "pruefer:2,pruefer:3"]
@@ -424,6 +455,13 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
     (RAT_ARGS, None, ["--trunc", "N11,B12"]),
     (RAT_ARGS, None, ["--window", "Q9:3"]),
     (SUM_ARGS, None, ["--window", "sample:50:0:1"]),
+    (P2_ARGS, lambda prov: EUCLIDEAN_DOC, []),
+    (P2_ARGS, lambda prov: PRODUCT_DOC, []),
+    (P2_ARGS, lambda prov: FORMULA_DOC, []),
+    (SUM_ARGS, _nested_sum(inner_first=False), []),
+    (SUM_ARGS, _nested_sum(inner_first=True), []),
+    (SUM_ARGS, _nested_sum(inner_first=False), ["--window", "sample:20:1:3"]),
+    (SUM_ARGS, _nested_sum(inner_first=True), ["--window", "sample:20:1:3"]),
 ], ids=["bound-text", "bound-zero-den", "top-level-list", "scale-zero-den", "params-list",
         "scale-null", "group-list", "p-null", "p-list", "phi-list", "dim-null", "dim-list",
         "c2-edited", "c2-list", "chain-list", "phi-geometric-on-rationals",
@@ -431,7 +469,9 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
         "summands-number", "algebra-p-one", "algebra-p-half", "algebra-p-negative",
         "algebra-base-unscaled", "scale-infinite", "scale-zero", "scale-negative",
         "scale-float-on-exact", "p-mersenne-61", "pruefer37-default-window",
-        "rationals-trunc-N11", "rationals-window-Q9", "sum-sample-too-few-points"])
+        "rationals-trunc-N11", "rationals-window-Q9", "sum-sample-too-few-points",
+        "euclidean-doc", "product-doc", "formula-doc", "nested-sum-second",
+        "nested-sum-first", "nested-sum-second-sample", "nested-sum-first-sample"])
 def test_verify_malformed_input_exit_2(tmp_path, capsys, construct, edit, flags):
     wfile = tmp_path / "w.json"
     run(capsys, "construct", *construct, "--out", str(wfile))

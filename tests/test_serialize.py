@@ -1,7 +1,6 @@
 import functools
 import json
 import tempfile
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -21,32 +20,12 @@ def scaled(p):
 
 
 def test_descriptor_roundtrip():
-    descs = [
-        P2,
-        G.RationalsGroup(),
-        G.CircleGroup(),
-        G.SumGroup((P2, P3)),
-        G.RealGroup(2),
-        G.ProductGroup(G.RealGroup(1), P2),
-    ]
-    for d in descs:
-        data = ca.descriptor_to_json(d)
-        assert data["variant"] == d.variant
-        assert ca.descriptor_from_json(json.loads(json.dumps(data))) == d
-
-
-def test_point_roundtrip():
-    sum_group = G.SumGroup((P2, P3))
-    cases = [
-        (P2, P2.element(3, 3)),
-        (G.RationalsGroup(), G.RationalsGroup().element(F(-7, 6))),
-        (G.CircleGroup(), G.CircleGroup().element(F(3, 10))),
-        (sum_group, sum_group.point({1: P2.element(1, 2), 2: P3.element(2, 1)})),
-        (G.RealGroup(2), G.RealGroup(2).element([0.5, -1.25])),
-    ]
-    for group, pt in cases:
-        data = ca.point_to_json(pt)
-        assert ca.point_from_json(group, json.loads(json.dumps(data))) == pt
+    # weight documents name only the two chain groups
+    assert ca.descriptor_to_json(P2) == {"variant": "pruefer", "p": 2}
+    assert ca.descriptor_to_json(G.RationalsGroup()) == {"variant": "rationals",
+                                                         "chain": "factorial"}
+    with pytest.raises(TypeError):
+        ca.descriptor_to_json(G.CircleGroup())
 
 
 def test_point_serialization_formats():
@@ -63,10 +42,7 @@ def test_weight_provenance_roundtrips():
         ca.pruefer_weight(3),
         ca.scale_for_b(uq, 2 * uq.sub_constant * uq.mass()),
         ca.direct_sum_weight((scaled(2), scaled(3), scaled(2))),
-        ca.euclidean_weight(2),
         ca.algebra_weight(scaled(2), 2),
-        ca.builtin_weight("poly2-exp"),
-        ca.product_weight(ca.euclidean_weight(1), scaled(2)),
     ]
     for w in weights:
         prov = ca.weight_to_provenance(w)
@@ -86,27 +62,9 @@ def test_broken_weight_provenance_roundtrip():
     assert rebuilt.eval(P2.identity()) == w.eval(P2.identity())
 
 
-def test_certificate_roundtrip_bit_exact():
-    u = ca.pruefer_weight(2)
-    w = ca.scale_for_b(u, 2)
-    certs = [
-        ca.check_b(w, ca.pruefer_ball_window(P2, 4), ca.TruncationSpec(layer=8)),
-        ca.check_positivity(w, ca.pruefer_ball_window(P2, 3)),
-        ca.check_poly_decay(u, P2.element(1, 1), 12),
-        ca.check_q_fractional_bound(ca.build_q_sequence(2), 1),
-    ]
-    for cert in certs:
-        data = ca.certificate_to_json(cert)
-        text = ca.canonical_dumps(data)
-        rebuilt = ca.certificate_from_json(json.loads(text))
-        assert ca.canonical_dumps(ca.certificate_to_json(rebuilt)) == text
-
-
 def test_unknown_schema_rejected():
     with pytest.raises(ValueError):
         ca.weight_from_provenance({"schema": "bogus/9"})
-    with pytest.raises(ValueError):
-        ca.certificate_from_json({"schema": "bogus/9"})
 
 
 # --------------------------------------------------------------------------
@@ -180,17 +138,3 @@ def test_loader_fuzz_fails_closed(data):
     except (ValueError, KeyError):
         return
     assert isinstance(w, ca.WeightFn)
-
-
-FUZZ_GROUPS = (P2, G.RationalsGroup(), G.CircleGroup(), G.SumGroup((P2, G.RationalsGroup())),
-               G.RealGroup(2), G.ProductGroup(G.RealGroup(1), P3))
-
-
-@FUZZ
-@given(group=st.sampled_from(FUZZ_GROUPS), value=JSON_VALUES)
-def test_point_fuzz_fails_closed(group, value):
-    try:
-        pt = ca.point_from_json(group, value)
-    except (ValueError, KeyError):
-        return
-    assert pt.group == group
