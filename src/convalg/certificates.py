@@ -54,6 +54,9 @@ class TruncationSpec:
     per_summand: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        for cutoff in (self.layer, self.ball, *(self.per_summand or ())):
+            if cutoff is not None and cutoff < 1:
+                raise ValueError(f"truncation cutoff {cutoff} is below 1")
         for cutoff in (self.layer, *(self.per_summand or ())):
             if cutoff is not None and cutoff > MAX_LAYER:
                 raise ValueError(f"truncation layer {cutoff} is above 2^10")

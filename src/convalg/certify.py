@@ -98,8 +98,8 @@ def sum_sample_window(group: G.SumGroup, size: int, seed: int = 0,
     """
     if not 1 <= size <= MAX_POINTS:
         raise ValueError(f"a sampled window must hold between 1 and 2^20 points, not {size}")
-    if layer_cap > MAX_LAYER:
-        raise ValueError(f"a sampled window's layer cap {layer_cap} is above 2^10")
+    if not 1 <= layer_cap <= MAX_LAYER:
+        raise ValueError(f"a sampled window's layer cap must lie in [1, 2^10], not {layer_cap}")
     for j, summand in enumerate(group.summands, start=1):
         if not isinstance(summand, (G.PrueferGroup, G.RationalsGroup)):
             raise ValueError(f"a sampled window draws no coordinates on summand {j}, "
@@ -152,13 +152,21 @@ def check_b(u: WeightFn, window: Window, trunc: TruncationSpec,
     """Certify (u*u)(x) <= bound * u(x) for every x in the window.
 
     Literal subconvolutivity is bound=1; the raw layer constructions are
-    checked against their provenance bound (2*mass, or 2*8*C2*mass).
+    checked against their provenance bound (2*mass, or 2*8*C2*mass), which
+    must be > 0.  Points with equal `u.shell_key` have equal values and
+    enclosures, so each shell class is evaluated once; every point is still
+    decided, in window order.
     """
+    if bound <= 0:
+        raise ValueError(f"the b-suite bound must be > 0, not {_num(bound)}")
     inconclusive = []
     max_ratio = None
+    shells: dict = {}
     for x in window.points:
-        iv = conv_at(u, x, trunc, require_tail=False)
-        rhs = bound * u.eval(x)
+        key = u.shell_key(x)
+        if key not in shells:
+            shells[key] = (conv_at(u, x, trunc, require_tail=False), bound * u.eval(x))
+        iv, rhs = shells[key]
         if iv.hi is not None and iv.hi <= rhs:
             ratio = iv.hi / rhs
             if max_ratio is None or ratio > max_ratio:

@@ -229,6 +229,12 @@ class WeightFn:
     def __call__(self, x) -> Scalar:
         return self.eval(x)
 
+    def shell_key(self, x):
+        """Hashable shell class of x, x itself by default.  Contract: points with
+        equal keys have equal `eval` values and equal `conv_at` enclosures,
+        exactly, at every truncation, so `check_b` evaluates one point per key."""
+        return x
+
     def raw_b_bound(self) -> Optional[Scalar]:
         return None
 
@@ -314,6 +320,10 @@ class LayerWeight(ShellWeight):
     def raw_eval(self, x) -> Fraction:
         return self.phi.term(G.layer_of(x))
 
+    def shell_key(self, x) -> int:
+        """The layer: the value, the shell-count partial sum and the tail read nothing else."""
+        return G.layer_of(x)
+
     def mass_weight(self, n: int) -> int:
         return self.group.layer_size(n)
 
@@ -345,6 +355,12 @@ class RationalsLayerWeight(ShellWeight):
 
     def raw_eval(self, x) -> Fraction:
         return self.phi.term(G.layer_of(x)) * sigma(even_floor(x.value))
+
+    def shell_key(self, x) -> Fraction:
+        """|q|: u is even (so are the layer and even_floor), and the partial sum
+        runs over the symmetric |k| <= B t_N, so k -> -k maps the sum at -q onto
+        the one at q; both tails read only even_floor(q) and the cutoffs."""
+        return abs(x.value)
 
     def mass_weight(self, n: int) -> int:
         return self.group.chain_value(n)
@@ -395,6 +411,11 @@ class DirectSumWeight(WeightFn):
         for j, pt in x.coords:
             value *= self.alphas.value(j) * self.summands[j - 1].eval(pt)
         return value
+
+    def shell_key(self, x) -> tuple:
+        """(j, key of x_j) over the support: _conv_sum reads a coordinate only
+        through u_j's value, enclosures and layer, which that key fixes."""
+        return tuple((j, self.summands[j - 1].shell_key(pt)) for j, pt in x.coords)
 
     def raw_b_bound(self) -> Fraction:
         # certified by the constructor checks on summands, alphas and coeffs

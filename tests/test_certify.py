@@ -5,8 +5,9 @@ import pytest
 
 import convalg as ca
 from convalg import groups as G
-from convalg.certificates import FAILS, HOLDS, INCONCLUSIVE
-from convalg.serialize import point_to_json
+from convalg.certificates import FAILS, HOLDS, INCONCLUSIVE, Certificate, window_info
+from convalg.certify import _num
+from convalg.serialize import canonical_dumps, certificate_to_json, point_to_json
 
 P2 = G.PrueferGroup(2)
 
@@ -181,6 +182,17 @@ def test_windows_and_truncations_refuse_unbounded_or_empty_work():
         ca.TruncationSpec(per_summand=(6, 2 ** 10 + 1))
     with too_deep:
         ca.sum_sample_window(G.SumGroup((P2,)), 20, layer_cap=2 ** 10 + 1)
+    # a cutoff below 1 is never the truncation the engines sum over
+    for spec in ({"layer": 0}, {"ball": 0}, {"per_summand": (6, 0)},
+                 {"per_summand": (-3, -3)}):
+        with pytest.raises(ValueError, match="below 1"):
+            ca.TruncationSpec(**spec)
+    with pytest.raises(ValueError, match="layer cap"):
+        ca.sum_sample_window(G.SumGroup((P2,)), 5, seed=1, layer_cap=0)
+    for bound in (0, -1, F(-1, 2)):
+        with pytest.raises(ValueError, match="bound"):
+            ca.check_b(scaled(2), ca.pruefer_ball_window(P2, 2), ca.TruncationSpec(layer=4),
+                       bound=bound)
     # an empty window would let every check hold vacuously
     for make in (lambda: ca.pruefer_ball_window(P2, -1),
                  lambda: ca.rationals_ball_window(G.RationalsGroup(), 3, 0),
@@ -288,3 +300,154 @@ def test_sum_sample_window_with_rationals_summand():
     assert window.points == ca.sum_sample_window(ws.group, 21, seed=1).points
     cert = ca.check_b(ws, window, ca.TruncationSpec(per_summand=(6, 6)))
     assert cert.verdict == HOLDS
+
+
+# --------------------------------------------------------------------------
+# check_b evaluates one point per shell class: the per-point loop as oracle
+# --------------------------------------------------------------------------
+
+def brute_check_b(u, window, trunc, bound=F(1)):
+    """check_b as a per-point loop: one conv_at and one eval per window point."""
+    inconclusive = []
+    max_ratio = None
+    for x in window.points:
+        iv = ca.conv_at(u, x, trunc, require_tail=False)
+        rhs = bound * u.eval(x)
+        if iv.hi is not None and iv.hi <= rhs:
+            ratio = iv.hi / rhs
+            if max_ratio is None or ratio > max_ratio:
+                max_ratio = ratio
+            continue
+        if iv.lo > rhs:
+            payload = {
+                "bound": _num(bound),
+                "conv_lower": _num(iv.lo),
+                "conv_upper": _num(iv.hi) if iv.hi is not None else None,
+                "rhs": _num(rhs),
+            }
+            return Certificate(prop="subconvolutive", verdict=FAILS, payload=payload,
+                               window=window_info(window), truncation=trunc.describe(),
+                               witness=point_to_json(x))
+        inconclusive.append(x)
+    if inconclusive:
+        payload = {
+            "bound": _num(bound),
+            "undecided_points": [point_to_json(x) for x in inconclusive[:8]],
+            "undecided_count": len(inconclusive),
+            "note": "tail bound too coarse at the listed points; refine the truncation",
+        }
+        return Certificate(prop="subconvolutive", verdict=INCONCLUSIVE, payload=payload,
+                           window=window_info(window), truncation=trunc.describe())
+    payload = {"bound": _num(bound), "max_ratio": _num(max_ratio)}
+    return Certificate(prop="subconvolutive", verdict=HOLDS, payload=payload,
+                       window=window_info(window), truncation=trunc.describe())
+
+
+def _straddle(u, window, trunc):
+    """A bound between the largest lower ratio conv_lo/u and the largest upper
+    ratio: no point fails, and the point of the largest upper ratio is undecided."""
+    ratios = []
+    for x in window.points:
+        iv = ca.conv_at(u, x, trunc)
+        ratios.append((iv.lo / u.eval(x), iv.hi / u.eval(x)))
+    lo, hi = max(r[0] for r in ratios), max(r[1] for r in ratios)
+    assert lo < hi
+    return (lo + hi) / 2
+
+
+def _rationals_scaled():
+    uq = ca.rationals_weight()
+    return ca.scale_for_b(uq, uq.b_bound)
+
+
+def _sum_232():
+    return ca.direct_sum_weight((scaled(2), scaled(3), scaled(2)))
+
+
+def _sum_2q():
+    return ca.direct_sum_weight((scaled(2), _rationals_scaled()))
+
+
+def _pruefer_case(p, n, raw):
+    u = ca.pruefer_weight(p) if raw else scaled(p)
+    return u, ca.pruefer_ball_window(u.group, n), ca.TruncationSpec(layer=8), F(1)
+
+
+def _broken_case(bound):
+    u = ca.nested_finite_weight(P2, ca.broken_increasing_phi(), unchecked=True)
+    return u, ca.pruefer_ball_window(P2, 3), ca.TruncationSpec(layer=4), bound
+
+
+def _rationals_case(layer, ball, bound):
+    u = _rationals_scaled()
+    window = ca.rationals_ball_window(u.group, 3, 3)
+    trunc = ca.TruncationSpec(layer=layer, ball=ball)
+    return u, window, trunc, _straddle(u, window, trunc) if bound is None else bound
+
+
+def _sum_case(make, size, seed, cutoffs, bound):
+    u = make()
+    window = ca.sum_sample_window(u.group, size, seed=seed)
+    trunc = ca.TruncationSpec(per_summand=cutoffs)
+    return u, window, trunc, _straddle(u, window, trunc) if bound is None else bound
+
+
+# name -> (weight, window, truncation, bound); a bound of None straddles the
+# enclosures, so the case is inconclusive
+B_CASES = {
+    **{f"pruefer{p}-G{n}{'-raw' if raw else ''}": (lambda p=p, n=n, raw=raw: _pruefer_case(p, n, raw))
+       for p in (2, 3) for n in range(2, 6) for raw in (False, True)},
+    "broken-fails": lambda: _broken_case(F(1)),
+    "broken-no-tail": lambda: _broken_case(F(2 ** 20)),
+    **{f"rationals-Q3:3-N{n},B{b}-bound{bound}": (lambda n=n, b=b, bound=bound:
+                                                  _rationals_case(n, b, bound))
+       for n, b in ((3, 6), (5, 12)) for bound in (F(1), F(1, 100), None)},
+    **{f"sum232-L{c}-bound{bound}": (lambda c=c, bound=bound:
+                                     _sum_case(_sum_232, 200, 0, (c,) * 3, bound))
+       for c in (6, 1) for bound in (F(1), F(1, 1000), None)},
+    **{f"sum2q-L{c}-bound{bound}": (lambda c=c, bound=bound:
+                                    _sum_case(_sum_2q, 41, 1, (c,) * 2, bound))
+       for c in (6, 1) for bound in (F(1), F(1, 1000), None)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(B_CASES))
+def test_check_b_matches_per_point_oracle(name):
+    u, window, trunc, bound = B_CASES[name]()
+    fast = ca.check_b(u, window, trunc, bound=bound)
+    brute = brute_check_b(u, window, trunc, bound=bound)
+    assert canonical_dumps(certificate_to_json(fast)) == canonical_dumps(certificate_to_json(brute))
+
+
+def test_check_b_oracle_cases_reach_every_verdict():
+    verdicts = {ca.check_b(u, window, trunc, bound=bound).verdict
+                for u, window, trunc, bound in (make() for make in B_CASES.values())}
+    assert verdicts == {HOLDS, FAILS, INCONCLUSIVE}
+
+
+@pytest.mark.parametrize("name", sorted(B_CASES))
+def test_shell_key_contract(name):
+    # equal keys: equal values and equal enclosures.  Windows are closed under
+    # negation and x, -x share a key, so this includes conv_at(u, x) ==
+    # conv_at(u, -x) on the rationals, where the key is |q|.
+    u, window, trunc, _ = B_CASES[name]()
+    classes: dict = {}
+    for x in window.points:
+        assert u.shell_key(G.neg(x)) == u.shell_key(x)
+        iv = ca.conv_at(u, x, trunc, require_tail=False)
+        classes.setdefault(u.shell_key(x), set()).add((u.eval(x), iv.lo, iv.hi))
+    assert all(len(seen) == 1 for seen in classes.values())
+    assert len(classes) < len(window.points)
+
+
+def test_check_b_evaluates_one_point_per_shell_class(monkeypatch):
+    calls = []
+
+    def counting(u, x, trunc, **kw):
+        calls.append(x)
+        return ca.conv_at(u, x, trunc, **kw)
+
+    monkeypatch.setattr(ca.certify, "conv_at", counting)
+    cert = ca.check_b(scaled(2), ca.pruefer_ball_window(P2, 4), ca.TruncationSpec(layer=8))
+    assert cert.verdict == HOLDS
+    assert sorted(map(G.layer_of, calls)) == [1, 2, 3, 4]

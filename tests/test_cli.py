@@ -462,6 +462,11 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
     (SUM_ARGS, _nested_sum(inner_first=True), []),
     (SUM_ARGS, _nested_sum(inner_first=False), ["--window", "sample:20:1:3"]),
     (SUM_ARGS, _nested_sum(inner_first=True), ["--window", "sample:20:1:3"]),
+    (SUM_ARGS, None, ["--suite", "b", "--trunc", "L0/0"]),
+    (SUM_ARGS, None, ["--suite", "b", "--trunc", "L-3/-3"]),
+    (SUM_ARGS, None, ["--window", "sample:5:1:0"]),
+    (P2_ARGS, None, ["--bound", "0"]),
+    (P2_ARGS, None, ["--bound", "-1"]),
 ], ids=["bound-text", "bound-zero-den", "top-level-list", "scale-zero-den", "params-list",
         "scale-null", "group-list", "p-null", "p-list", "phi-list", "dim-null", "dim-list",
         "c2-edited", "c2-list", "chain-list", "phi-geometric-on-rationals",
@@ -471,7 +476,9 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
         "scale-float-on-exact", "p-mersenne-61", "pruefer37-default-window",
         "rationals-trunc-N11", "rationals-window-Q9", "sum-sample-too-few-points",
         "euclidean-doc", "product-doc", "formula-doc", "nested-sum-second",
-        "nested-sum-first", "nested-sum-second-sample", "nested-sum-first-sample"])
+        "nested-sum-first", "nested-sum-second-sample", "nested-sum-first-sample",
+        "sum-trunc-L0", "sum-trunc-negative", "sum-sample-cap-0", "bound-zero",
+        "bound-negative"])
 def test_verify_malformed_input_exit_2(tmp_path, capsys, construct, edit, flags):
     wfile = tmp_path / "w.json"
     run(capsys, "construct", *construct, "--out", str(wfile))
