@@ -287,7 +287,13 @@ def cmd_verify(args) -> int:
         if args.window:
             window = _parse_window(w, args.window)
         if args.trunc:
-            trunc = _parse_trunc(args.trunc)
+            parsed = _parse_trunc(args.trunc)
+            # a part the default leaves unset is one the weight never reads
+            unread = [k for k in parsed.describe() if k not in trunc.describe()]
+            if unread:
+                raise ValueError(f"a {w.construction} weight does not read the truncation "
+                                 f"part {', '.join(unread)} of {args.trunc!r}")
+            trunc = parsed
         bound = parse_rational(args.bound) if args.bound is not None else None
         certs = [cert.with_id(f"{letter}:{cert.prop}")
                  for letter, cert in _run_suites(w, letters, window, trunc, decay_x, bound)]

@@ -12,9 +12,8 @@ walked in integer arithmetic: the orbit point is t = (n a)/b on the line and
 ((n a) mod b)/b on the circle.  CPython's int/int true division is correctly
 rounded, so t is the same double as float(n x) (resp. float({n x})).  A
 float x keeps n * x on the line; on the circle it is the rational
-x.as_integer_ratio().  For e^|t| at scale 1 and rational x every term is
-|n x|/n^2 = |x|/n, so S_N = |x| H_N with H_N the exact harmonic prefix sum,
-the same reduced Fraction as the term-by-term sum.  Classification
+x.as_integer_ratio().  For e^|t| at scale 1 and rational x = a/b every term
+is |n x|/n^2 = |a|/(b n), summed exactly term by term.  Classification
 never extrapolates: "convergent" requires a polynomial-growth certificate
 log+ w(nx) <= a + d log n (then the series is capped by a pi^2/6 + d * sum
 log n / n^2), "divergent" requires a certified lower bound c n / rho(n) with
@@ -27,14 +26,12 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import islice
 from typing import Union
 
 from . import groups as G
 from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE
 from .formulas import BUILTINS, FormulaWeight, as_number
 from .rational import LOG_SUM_OVER_SQUARES_UPPER, PI_SQUARED_UPPER
-from .sequences import harmonic_prefix_sums
 from .serialize import point_to_json
 from .weights import AlgebraWeight, WeightFn
 
@@ -59,13 +56,14 @@ def _log_plus(w: WeightFn, point) -> Union[Fraction, float]:
 def _formula_partial(w: FormulaWeight, value, n_max: int) -> list:
     """domar_partial for a builtin weight at a number, per the module docstring."""
     if w.name == "exp-abs" and w.scale == 1.0 and not isinstance(value, float):
-        size = abs(Fraction(value))
+        a, b = abs(Fraction(value)).as_integer_ratio()
         # 0 is no limit, as on Pythons before 3.10.7, which lack the call
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         cap = 10 ** limit if limit else None
         partials = []
-        for n, h in enumerate(islice(harmonic_prefix_sums(n_max), 1, None), 1):
-            s = size * h
+        s = Fraction(0)
+        for n in range(1, n_max + 1):
+            s += Fraction(a, b * n)
             if cap is not None and max(s.numerator, s.denominator) >= cap:
                 raise ValueError(f"the exact partial sum S_{n} has more than {limit} digits, "
                                  "the int-to-str limit")
@@ -90,7 +88,7 @@ def _formula_partial(w: FormulaWeight, value, n_max: int) -> list:
             # the circle weights are zero or infinite at 0, which the orbit can reach
             point = Fraction(n * a, b) % 1 if circle else n * value
             raise ValueError(f"log w is undefined at the orbit point {n}x = {point}") from exc
-        total += max(0.0, term) / float(n * n)
+        total += (term if term > 0.0 else 0.0) / float(n * n)
         partials.append(total)
     return partials
 

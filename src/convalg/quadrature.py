@@ -20,11 +20,14 @@ of [0, T], the midpoint and half-width of panel P-1-k of the negative side
 are exactly the negated midpoint and the half-width of panel k, so its node i
 is exactly -t_(n-1-i).  For an even integrand (an even builtin; f(-t) == f(t)
 bit for bit) panel P-1-k then has the products w_i f(t_i) of panel k in
-reverse order.  beurling_integral evaluates f once per positive panel, sums
-the products forward and reversed, and sums the negative panels in their own
-order: the same roundings as two composite_integral calls, with half the
-evaluations.  The edge test is made on every call, so an odd builtin or a
-cutoff whose edges do not mirror takes the two calls.
+reverse order.  beurling_integral's own loop evaluates f once per positive
+panel node (where |t| = t), sums the products forward and reversed, and sums
+the negative panels in their own order: the same roundings as two
+composite_integral calls, with half the evaluations.  The edge test is made
+on every call, so an odd builtin or a cutoff whose edges do not mirror takes
+the two calls.  log+ v is taken as `v if v > 0.0 else 0.0`, the value
+max(0.0, v) returns (0.0 for -0.0 and NaN, which compare false) without a
+builtin call.
 
 Float sums: every sum of quadrature terms adds left to right from 0.0 (a
 plain loop in panel_integral, _sum elsewhere), never with the builtin sum():
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE
 from .formulas import BUILTINS, FormulaWeight
@@ -101,24 +104,6 @@ def panel_integral(f: Callable[[float], float], a: float, b: float) -> float:
 def composite_integral(f: Callable[[float], float], a: float, b: float, panels: int) -> float:
     edges = _linspace(a, b, panels + 1)
     return _sum(panel_integral(f, edges[i], edges[i + 1]) for i in range(panels))
-
-
-def _mirrored_composite(f: Callable[[float], float], cutoff: float,
-                        panels: int) -> Optional[float]:
-    """composite_integral of an even f over [0, T] plus over [-T, 0], with f
-    evaluated once per mirrored node pair, or None when the edges of the two
-    sides do not mirror exactly (see the module docstring)."""
-    edges = _linspace(0.0, cutoff, panels + 1)
-    if _linspace(-cutoff, 0.0, panels + 1) != [-e for e in reversed(edges)]:
-        return None
-    right, left = [], []
-    for a, b in zip(edges, edges[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        products = [w * f(mid + half * x) for x, w in zip(GL_NODES, GL_WEIGHTS)]
-        right.append(half * _sum(products))
-        left.append(half * _sum(reversed(products)))
-    return _sum(right) + _sum(reversed(left))
 
 
 # --------------------------------------------------------------------------
@@ -299,11 +284,26 @@ def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
     builtin = BUILTINS[w.name]
     log, shift = builtin.log, w.log_shift()
 
-    def f(t: float) -> float:
-        return max(0.0, log(shift, t, abs(t))) / (1.0 + t * t)
+    edges = _linspace(0.0, cutoff, panels + 1)
+    if builtin.even and _linspace(-cutoff, 0.0, panels + 1) == [-e for e in reversed(edges)]:
+        # log w once per mirrored node pair; every node here is >= 0, so |t| = t
+        right, left = [], []
+        for a, b in zip(edges, edges[1:]):
+            mid = 0.5 * (a + b)
+            half = 0.5 * (b - a)
+            products = []
+            for x, g in zip(GL_NODES, GL_WEIGHTS):
+                t = mid + half * x
+                v = log(shift, t, t)
+                products.append(g * ((v if v > 0.0 else 0.0) / (1.0 + t * t)))
+            right.append(half * _sum(products))
+            left.append(half * _sum(reversed(products)))
+        value = _sum(right) + _sum(reversed(left))
+    else:
+        def f(t: float) -> float:
+            v = log(shift, t, abs(t))
+            return (v if v > 0.0 else 0.0) / (1.0 + t * t)
 
-    value = _mirrored_composite(f, cutoff, panels) if builtin.even else None
-    if value is None:
         value = composite_integral(f, 0.0, cutoff, panels) \
             + composite_integral(f, -cutoff, 0.0, panels)
     enclosure = Interval(value - spec.tol, value + spec.tol)

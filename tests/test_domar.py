@@ -131,7 +131,8 @@ def _outcome(fn, w, x, n_max):
         return str(exc)
 
 
-ORBIT_GENERATORS = (F(1), F(-7, 3), F(5, 2), F(22, 7), F(3, 1501), F(0), 3, -2, 0.1, -2.75, 1e-3)
+ORBIT_GENERATORS = (F(1), F(-7, 3), F(5, 2), F(22, 7), F(3, 1501), F(720, 7), F(-1000003, 999983),
+                    F(0), 3, -2, 0.1, -2.75, 1e-3)
 
 
 @pytest.mark.parametrize("scale", [F(1), F(1, 2)])

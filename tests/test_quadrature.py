@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -16,6 +17,7 @@ from convalg.quadrature import (
     GL_WEIGHTS,
     QuadratureSpec,
     _linspace,
+    beurling_panels,
     beta_segment_quadrature,
     circle_conv_ratio_value,
     circle_conv_value,
@@ -181,6 +183,27 @@ def test_beurling_partial_integral_bit_for_bit(name, scale):
     for cutoff in MIRRORED_CUTOFFS + UNMIRRORED_CUTOFFS:
         value = ca.beurling_integral(w, cutoff, spec).certificate.payload["partial_integral"]
         assert value.hex() == _two_sided(w, cutoff).hex(), cutoff
+
+
+@pytest.mark.parametrize("name", LINE_BUILTINS)
+def test_beurling_evaluates_log_once_per_mirrored_node_pair(monkeypatch, name):
+    calls = []
+    record = BUILTINS[name]
+
+    def log(s, t, a):
+        calls.append(t)
+        return record.log(s, t, a)
+
+    monkeypatch.setitem(BUILTINS, name, dataclasses.replace(record, log=log))
+    w = ca.builtin_weight(name)
+    for cutoff in MIRRORED_CUTOFFS + UNMIRRORED_CUTOFFS:
+        calls.clear()
+        ca.beurling_integral(w, cutoff)
+        # one call per node of [0, T] when the sides mirror, else one per node of both
+        mirrored = record.even and cutoff in MIRRORED_CUTOFFS
+        nodes = len(GL_NODES) * beurling_panels(cutoff)
+        assert len(calls) == (nodes if mirrored else 2 * nodes), cutoff
+        assert min(calls) >= 0.0 if mirrored else min(calls) < 0.0
 
 
 # --------------------------------------------------------------------------
