@@ -183,8 +183,9 @@ def cmd_construct(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 
-def _suite_defaults(w, seed: int = 0) -> tuple[Window, TruncationSpec, object]:
-    """Default window, truncation and decay point of each construction.
+def _suite_defaults(w, seed: int = 0) -> tuple[Window, object]:
+    """Default window and decay point of each construction (its truncation is
+    `w.trunc_default()`).
 
     An algebra weight takes its base weight's; a direct sum takes its decay
     point from summand 1's, placed in coordinate 1.
@@ -192,14 +193,12 @@ def _suite_defaults(w, seed: int = 0) -> tuple[Window, TruncationSpec, object]:
     if isinstance(w, AlgebraWeight):
         return _suite_defaults(w.base, seed)
     if isinstance(w, LayerWeight):
-        return pruefer_ball_window(w.group, 4), TruncationSpec(layer=8), w.group.element(1, 1)
+        return pruefer_ball_window(w.group, 4), w.group.element(1, 1)
     if isinstance(w, RationalsLayerWeight):
-        return (rationals_ball_window(w.group, 3, 3), TruncationSpec(layer=5, ball=12),
-                w.group.element(Fraction(1, 2)))
+        return rationals_ball_window(w.group, 3, 3), w.group.element(Fraction(1, 2))
     if isinstance(w, DirectSumWeight):
-        _, _, first = _suite_defaults(w.summands[0])
-        return (sum_sample_window(w.group, 200, seed=seed),
-                TruncationSpec(per_summand=(6,) * len(w.summands)), w.group.point({1: first}))
+        _, first = _suite_defaults(w.summands[0])
+        return sum_sample_window(w.group, 200, seed=seed), w.group.point({1: first})
     raise ValueError("verify supports the layer, rationals, direct-sum and "
                      "algebra constructions")
 
@@ -283,16 +282,17 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     letters = "abcd" if args.suite == "all" else args.suite.split(",")
     try:
-        window, trunc, decay_x = _suite_defaults(w)
+        window, decay_x = _suite_defaults(w)
+        trunc = w.trunc_default()
         if args.window:
             window = _parse_window(w, args.window)
         if args.trunc:
             parsed = _parse_trunc(args.trunc)
-            # a part the default leaves unset is one the weight never reads
+            # the default sets exactly the parts the weight reads
             unread = [k for k in parsed.describe() if k not in trunc.describe()]
             if unread:
-                raise ValueError(f"a {w.construction} weight does not read the truncation "
-                                 f"part {', '.join(unread)} of {args.trunc!r}")
+                raise ValueError(f"{w.construction} weights do not read {', '.join(unread)} "
+                                 f"of the truncation {args.trunc!r}")
             trunc = parsed
         bound = parse_rational(args.bound) if args.bound is not None else None
         certs = [cert.with_id(f"{letter}:{cert.prop}")
@@ -450,7 +450,8 @@ def cmd_report(args) -> int:
         ("sum", direct_sum_weight(summands), "abc"),
     )
     for name, w, letters in suites:
-        for letter, cert in _run_suites(w, letters, *_suite_defaults(w, args.seed)):
+        window, decay_x = _suite_defaults(w, args.seed)
+        for letter, cert in _run_suites(w, letters, window, w.trunc_default(), decay_x):
             suffix = "essinf" if cert.prop == "ess-inf" else letter
             certs.append(cert.with_id(f"{name}:{suffix}"))
 

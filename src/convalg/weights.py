@@ -13,6 +13,8 @@ algebra weight is w = u^(-1/q) with 1/p + 1/q = 1.  Four families are built:
 * the rational-decay weight 1/((1+x_1^2)...(1+x_d^2)) on R^d and its product
   with a discrete factor.
 
+Each family also owns its truncated self-convolution (`_conv`, called
+through `convolution.conv_at`) and the cutoffs it reads (`trunc_default`).
 Exact constructions evaluate to rationals; the Euclidean family is float.
 Weights are immutable; evaluation is pure and safe to run concurrently.
 """
@@ -22,17 +24,25 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from . import groups as G
+from .certificates import MAX_POINTS, TruncationSpec
+from .intervals import Interval
 from .rational import even_floor, exp_enclosure, sigma
 from .sequences import sigma_subconvolutive_constant
 
 Scalar = Union[Fraction, float]
 
 TWO_PI = 2.0 * math.pi
+_RANGE_SERIES_TERMS = 32
+
+
+class TailUnavailableError(ValueError):
+    """No closed-form tail is available for this weight's provenance."""
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +268,17 @@ class WeightFn:
         """(C, d) with 1/u(nx) <= C n^d for all n >= 1, from provenance."""
         return None
 
+    def trunc_default(self) -> TruncationSpec:
+        """The cutoffs `_conv` uses for unset fields: its fields are exactly the
+        ones the construction reads, so none here."""
+        return TruncationSpec()
+
+    def _conv(self, x, trunc: TruncationSpec) -> Interval:
+        """Enclosure of (u*u)(x): an exact partial sum plus a tail bound read off
+        the construction's closed form, or [partial, None] where none is certified."""
+        raise TailUnavailableError(
+            f"self-convolution needs a discrete exact or Euclidean weight, got {type(self).__name__}")
+
     def point_add(self, s, t):
         return G.add(s, t)
 
@@ -336,9 +357,84 @@ class LayerWeight(ShellWeight):
         except ValueError:
             return None
 
+    def trunc_default(self) -> TruncationSpec:
+        return TruncationSpec(layer=8)
+
+    def _partial(self, n: int, cutoff: int) -> Fraction:
+        """sum_{y in G_cutoff} phi(layer y) phi(layer(x-y)) for x in shell n <= cutoff.
+
+        y in a lower shell j puts x-y in shell n, and so does x-y for y in shell
+        n with x-y in G_{n-1}: twice |U_j| phi_j phi_n.  The other y in shell n
+        leave x-y in shell n; y in a higher shell puts x-y in the same shell.
+        """
+        group, term = self.group, self.phi.term
+        phi_n = term(n)
+        total = Fraction(0)
+        for j in range(1, n):
+            total += 2 * group.shell_size(j) * term(j) * phi_n
+        prev = 0 if n == 1 else group.layer_size(n - 1)
+        total += (group.shell_size(n) - prev) * phi_n ** 2
+        for j in range(n + 1, cutoff + 1):
+            total += self.sq_term(j)
+        return total
+
+    def _conv(self, x, trunc: TruncationSpec) -> Interval:
+        """For x in shell n <= N the sum over the cutoff subgroup G_N is
+        sum_{j<n} 2 |U_j| phi_j phi_n + (|U_n| - |G_{n-1}|) phi_n^2
+        + sum_{n<j<=N} |U_j| phi_j^2, in O(N) for any shell values.  Outside G_N
+        both factors sit in the same shell, so the omitted mass is exactly
+        sum_{j>N} |U_j| phi_j^2, which the geometric default families sum in
+        closed form (the enclosure's upper end is then the exact value, which
+        conv_exact reads).
+        """
+        cutoff = trunc.layer or self.trunc_default().layer
+        n = G.layer_of(x)
+        if n > cutoff:
+            raise ValueError("truncation cutoff must reach the layer of x")
+        scale_sq = self.scale * self.scale
+        partial = scale_sq * self._partial(n, cutoff)
+        try:
+            tail = scale_sq * self.sq_tail(cutoff)
+        except ValueError:
+            return Interval(partial, None)
+        return Interval(partial, partial + tail)
+
     def decay_certificate(self, x) -> tuple[Fraction, int]:
         # the orbit {nx} stays inside the layer of x, where phi is smallest
         return (Fraction(1) / (self.scale * self.phi.term(G.layer_of(x))), 0)
+
+
+def _sigma_range_series(ball: int, shift: int) -> Fraction:
+    """Upper bound on sum_{k >= ball} sigma(k) sigma(max(1, k - shift))."""
+    total = Fraction(0)
+    for k in range(ball, ball + _RANGE_SERIES_TERMS):
+        total += sigma(k) * sigma(max(1, k - shift))
+    edge = ball + _RANGE_SERIES_TERMS - shift - 1
+    if edge < 1:
+        raise ValueError("range cutoff too small for the tail comparison")
+    total += Fraction(1, 3 * edge ** 3)
+    return total
+
+
+def _sigma_pair_sum(floor_s: int, integral: bool, origin: bool, ball: int) -> Fraction:
+    """sum_m sigma(floor|m + j/t|) sigma(floor|s - m|) over the truncation's m.
+
+    The sum sees j/t in [0, 1) only through origin (j = 0) and s = q - j/t
+    only through floor_s = floor(s) and whether s is an integer.  m runs
+    over [-ball, ball), plus m = ball at the origin (k = ball * t).
+    """
+    total = Fraction(0)
+    for m in range(-ball, ball + 1 if origin else ball):
+        if m >= 0:
+            floor_r = m
+        else:
+            floor_r = -m if origin else -m - 1
+        if m <= floor_s:
+            floor_d = floor_s - m
+        else:
+            floor_d = m - floor_s if integral else m - floor_s - 1
+        total += sigma(floor_r) * sigma(floor_d)
+    return total
 
 
 @dataclass(frozen=True)
@@ -388,10 +484,77 @@ class RationalsLayerWeight(ShellWeight):
             prev = t
         return total
 
+    def trunc_default(self) -> TruncationSpec:
+        return TruncationSpec(layer=5, ball=12)
+
+    def _partial(self, q: Fraction, cutoff: int, ball: int) -> Fraction:
+        """sum_{|k| <= ball t} u(k/t) u(q - k/t) with t = t_cutoff, by classes of k mod t."""
+        # t_10 = 10! already exceeds the bound, so no huge factorial is formed
+        if self.group.chain_value(min(cutoff, 10)) > MAX_POINTS or 2 * ball + 1 > MAX_POINTS:
+            raise ValueError(f"truncation N{cutoff},B{ball} loops over more than 2^20 "
+                             "residues or unit intervals")
+        t = self.group.chain_value(cutoff)
+        q_num = (q * t).numerator  # q lies in (1/t)Z
+        layers: dict[int, int] = {}
+
+        def layer(num: int) -> int:
+            # layer of num/t: the first chain value its reduced denominator divides
+            den = t // math.gcd(num, t)
+            n = layers.get(den)
+            if n is None:
+                n = layers[den] = self.group.denominator_layer(den)
+            return n
+
+        classes: Counter = Counter()
+        for j in range(t):
+            s_num = q_num - j  # t * (q - j/t)
+            classes[(layer(j), layer(s_num), s_num // t, s_num % t == 0, j == 0)] += 1
+        sums: dict[tuple, Fraction] = {}
+        total = Fraction(0)
+        for (layer_r, layer_s, floor_s, integral, origin), count in classes.items():
+            key = (floor_s, integral, origin)
+            if key not in sums:
+                sums[key] = _sigma_pair_sum(floor_s, integral, origin, ball)
+            total += count * self.phi.term(layer_r) * self.phi.term(layer_s) * sums[key]
+        return self.scale * self.scale * total
+
+    def _conv(self, x, trunc: TruncationSpec) -> Interval:
+        """Write each truncation point as m + j/t_N.  The layers of j/t_N and
+        q - j/t_N, floor(q - j/t_N), whether q - j/t_N is an integer and whether
+        j = 0 fix every factor up to the sigma kernel in m, so the j fall into a
+        few classes, each summing sigma(floor|r|) sigma(floor|q-r|) over m once.
+        Tails: a layer tail 8 C2 sigma(floor|q|) sum_{j>N} t_j phi_j^2 plus a
+        range tail from grouping the remote points into unit intervals, each
+        carrying at most the full per-interval mass, with an integral-comparison
+        cap on the remaining sigma series.
+        """
+        default = self.trunc_default()
+        cutoff = trunc.layer or default.layer
+        ball = trunc.ball or default.ball
+        q = x.value
+        reach = even_floor(q) + 1
+        if G.layer_of(x) > cutoff or ball < reach + 2:
+            raise ValueError("truncation cutoffs must reach the window point")
+        partial = self._partial(q, cutoff, ball)
+        if not self.phi.certified:
+            return Interval(partial, None)
+        scale_sq = self.scale * self.scale
+        layer_tail = scale_sq * self.sub_constant * sigma(even_floor(q)) * self.sq_tail(cutoff)
+        range_tail = (2 * scale_sq * self.mass_up_to(cutoff) * self.phi.term(1)
+                      * _sigma_range_series(ball, reach))
+        return Interval(partial, partial + layer_tail + range_tail)
+
     def decay_certificate(self, x) -> tuple[Fraction, int]:
         m = G.layer_of(x)
         mx = max(Fraction(1), abs(x.value))
         return (mx * mx / (self.scale * self.phi.term(m)), 2)
+
+
+def _safe_layer(x) -> int:
+    try:
+        return G.layer_of(x)
+    except G.LayerError:
+        return 1
 
 
 @dataclass(frozen=True)
@@ -413,13 +576,69 @@ class DirectSumWeight(WeightFn):
         return value
 
     def shell_key(self, x) -> tuple:
-        """(j, key of x_j) over the support: _conv_sum reads a coordinate only
+        """(j, key of x_j) over the support: _conv reads a coordinate only
         through u_j's value, enclosures and layer, which that key fixes."""
         return tuple((j, self.summands[j - 1].shell_key(pt)) for j, pt in x.coords)
 
     def raw_b_bound(self) -> Fraction:
         # certified by the constructor checks on summands, alphas and coeffs
         return Fraction(1)
+
+    def trunc_default(self) -> TruncationSpec:
+        return TruncationSpec(per_summand=(6,) * len(self.summands))
+
+    def _conv(self, x, trunc: TruncationSpec) -> Interval:
+        """Exact pattern decomposition of the direct-sum self-convolution.
+
+        Splitting x' by which coordinates vanish, equal x_j, or differ from both
+        reduces the sum to finitely many patterns weighted by subset coefficients;
+        each pattern multiplies per-summand quantities: point values, the pinned
+        self-convolutions S_j = (u_j*u_j)(x_j) - 2 u_j(0) u_j(x_j), and the
+        off-support loop sums Z_j = (u_j*u_j)(0) - u_j(0)^2, each evaluated by
+        conv_at with its own tail.  Patterns are grouped by the pinned set C of
+        the support and the loop set E of the complement; the two point-term
+        patterns on P = support \\ C share one product and differ only in the
+        subset coefficients, which add up to
+        K(P, C u E) = sum_{A subset P} a_{C u E u A} a_{C u E u (P \\ A)}
+        (`SubsetCoeffs.pair_sum`), so a point takes 2^|support| 2^|complement|
+        terms instead of 3^|support| 2^|complement|.
+        """
+        from .convolution import conv_at  # at call time: convolution imports this module
+
+        cutoffs = trunc.per_summand if trunc.per_summand is not None else self.trunc_default().per_summand
+        if len(cutoffs) != len(self.summands):
+            raise ValueError("per-summand cutoffs must match the summand count")
+        support = sorted(x.support())
+        comp = [j for j in range(1, len(self.summands) + 1) if j not in x.support()]
+
+        # S_j on the support and Z_j on the complement: disjoint keys, one dict
+        point_term: dict[int, Fraction] = {}
+        factor: dict[int, Interval] = {}
+        for j, uj in enumerate(self.summands, start=1):
+            xj = x.coord(j)  # the identity off the support
+            u0 = uj.eval(uj.descriptor.identity())
+            conv = conv_at(uj, xj, TruncationSpec(layer=max(cutoffs[j - 1], _safe_layer(xj))))
+            if j in support:
+                ux = uj.eval(xj)
+                point_term[j] = self.alphas.value(j) * ux
+                cut = 2 * u0 * ux
+            else:
+                cut = u0 * u0
+            factor[j] = Interval(max(conv.lo - cut, Fraction(0)), conv.hi - cut
+                                 ).scale_nonneg(self.alphas.value(j) ** 2)
+
+        total = Interval.point(Fraction(0))
+        for c_mask in range(2 ** len(support)):
+            pinned = frozenset(support[i] for i in range(len(support)) if c_mask >> i & 1)
+            points = frozenset(support) - pinned
+            point_product = math.prod(point_term[j] for j in points)
+            for mask in range(2 ** len(comp)):
+                base = pinned | frozenset(comp[i] for i in range(len(comp)) if mask >> i & 1)
+                term = Interval.point(self.coeffs.pair_sum(points, base) * point_product)
+                for j in base:
+                    term = term.mul_nonneg(factor[j])
+                total = total.add(term)
+        return total.scale_nonneg(self.scale * self.scale)
 
     def max_value(self) -> Fraction:
         bound = self.coeffs.eps1
@@ -466,6 +685,13 @@ class EuclideanWeight(WeightFn):
     def raw_b_bound(self) -> float:
         return TWO_PI ** self.group.dim
 
+    def _conv(self, x, trunc: TruncationSpec) -> Interval:
+        """The closed form (u*u)(x) = prod_i 2 pi / (4 + x_i^2), scaled."""
+        value = 1.0
+        for c in x.coords:
+            value *= TWO_PI / (4.0 + c * c)
+        return Interval.point(self.scale * self.scale * value)
+
     def max_value(self) -> float:
         return self.scale
 
@@ -490,6 +716,18 @@ class ProductWeight(WeightFn):
 
     def raw_eval(self, x) -> float:
         return float(self.real_factor.eval(x.real_part)) * float(self.discrete_factor.eval(x.discrete_part))
+
+    def trunc_default(self) -> TruncationSpec:
+        return self.discrete_factor.trunc_default()
+
+    def _conv(self, x, trunc: TruncationSpec) -> Interval:
+        """(u*u)(r, h) = (u_R*u_R)(r) (u_H*u_H)(h), scaled: each factor convolves
+        on its own group, and the discrete one reads the truncation."""
+        from .convolution import conv_at  # at call time: convolution imports this module
+
+        left = conv_at(self.real_factor, x.real_part, trunc)
+        right = conv_at(self.discrete_factor, x.discrete_part, trunc, require_tail=False)
+        return left.mul_nonneg(right).scale_nonneg(self.scale * self.scale)
 
     def raw_b_bound(self) -> Optional[float]:
         br = self.real_factor.b_bound

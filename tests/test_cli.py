@@ -472,6 +472,8 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
     (SUM_ARGS, None, ["--suite", "b", "--trunc", "N1"]),
     (RAT_ARGS, None, ["--suite", "b", "--trunc", "N5,B12,L6"]),
     (ALG_ARGS, None, ["--trunc", "N8,B12"]),
+    (ALG_ARGS, None, ["--trunc", "N8"]),
+    (SUM_ARGS + ["--p", "2"], None, ["--trunc", "L6/6"]),
 ], ids=["bound-text", "bound-zero-den", "top-level-list", "scale-zero-den", "params-list",
         "scale-null", "group-list", "p-null", "p-list", "phi-list", "dim-null", "dim-list",
         "c2-edited", "c2-list", "chain-list", "phi-geometric-on-rationals",
@@ -484,7 +486,8 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
         "nested-sum-first", "nested-sum-second-sample", "nested-sum-first-sample",
         "sum-trunc-L0", "sum-trunc-negative", "sum-sample-cap-0", "bound-zero",
         "bound-negative", "pruefer-trunc-L-unread", "pruefer-trunc-B-unread",
-        "sum-trunc-N-unread", "rationals-trunc-L-unread", "algebra-trunc-B-unread"])
+        "sum-trunc-N-unread", "rationals-trunc-L-unread", "algebra-trunc-B-unread",
+        "algebra-trunc-N-unread", "algebra-sum-trunc-L-unread"])
 def test_verify_malformed_input_exit_2(tmp_path, capsys, construct, edit, flags):
     wfile = tmp_path / "w.json"
     run(capsys, "construct", *construct, "--out", str(wfile))

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -290,8 +291,10 @@ def test_sum_conv_with_rationals_summand_equals_pattern_loop():
     w = ca.direct_sum_weight((scaled(2), ca.scale_for_b(uq, uq.b_bound)))
     window = ca.sum_sample_window(w.group, 24, seed=0)
     trunc = ca.TruncationSpec(per_summand=(6, 5))
+    half = w.rescaled(F(1, 2))  # direct_sum_weight builds scale 1 only
     for x in window.points:
         assert ca.conv_at(w, x, trunc) == brute_sum_conv(w, x, truncated_summands((6, 5)))
+        assert ca.conv_at(half, x, trunc) == brute_sum_conv(half, x, truncated_summands((6, 5)))
     assert ca.conv_exact(w, window.points[0]) is None
 
 
@@ -320,3 +323,55 @@ def test_conv_concurrent_calls_are_deterministic():
     with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
         concurrent_r = list(pool.map(lambda x: ca.conv_at(u, x, trunc), window))
     assert sequential == concurrent_r
+
+
+def contract_cases():
+    """One weight and a few window points per construction that convolves."""
+    R1, g = G.RealGroup(1), ca.rationals_weight().group
+    sum_w = ca.direct_sum_weight((scaled(2), scaled(3)))
+    product = ca.product_weight(ca.euclidean_weight(1), scaled(2))
+    return {
+        "pruefer": (scaled(2), ca.pruefer_ball_window(P2, 4).points),
+        "rationals": (scaled_rationals(), [g.element(v) for v in (F(0), F(1, 2), F(-5, 6), F(5, 2))]),
+        "sum": (sum_w, ca.sum_sample_window(sum_w.group, 20, seed=0).points),
+        "product": (product, [product.group.point(R1.element([r]), h)
+                              for r in (0.0, 1.5) for h in P2.subgroup_elements(2)]),
+        "euclidean": (ca.euclidean_weight(1), [R1.element([r]) for r in (-1.0, 0.0, 2.5)]),
+    }
+
+
+# each differs from every default, so a construction that read it would move
+UNREAD_VALUES = {"layer": 6, "ball": 9, "per_summand": (7, 7)}
+
+
+@pytest.mark.parametrize("name", ["pruefer", "rationals", "sum", "product", "euclidean"])
+def test_trunc_default_names_exactly_the_fields_conv_at_reads(name):
+    w, points = contract_cases()[name]
+    default = w.trunc_default()
+    read = {k: tuple(v) if isinstance(v, list) else v for k, v in default.describe().items()}
+    base = [ca.conv_at(w, x, default) for x in points]
+    # an unset field falls back to the default
+    assert [ca.conv_at(w, x, ca.TruncationSpec()) for x in points] == base
+    # a field outside the default is never read (verify refuses it for this reason)
+    for field, value in UNREAD_VALUES.items():
+        if field not in read:
+            spec = dataclasses.replace(default, **{field: value})
+            assert [ca.conv_at(w, x, spec) for x in points] == base, field
+    # every field inside it is read: raising it moves the enclosure somewhere
+    for field, value in read.items():
+        if field == "per_summand":
+            raised = [value[:k] + (value[k] + 1,) + value[k + 1:] for k in range(len(value))]
+        else:
+            raised = [value + 1]
+        for v in raised:
+            spec = dataclasses.replace(default, **{field: v})
+            assert [ca.conv_at(w, x, spec) for x in points] != base, (field, v)
+
+
+def test_trunc_default_of_weights_without_a_convolution_is_empty():
+    # the algebra suites b and d (submultiplicativity, ess-inf) read no truncation
+    alg = ca.algebra_weight(scaled(2), 2)
+    for w in (alg, ca.builtin_weight("poly2"), ca.euclidean_weight(2)):
+        assert w.trunc_default().describe() == {}
+    with pytest.raises(TailUnavailableError):
+        ca.conv_at(alg, P2.identity(), ca.TruncationSpec(), require_tail=False)

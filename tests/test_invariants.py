@@ -2,7 +2,10 @@
 product-weight certificates, verify-bundle determinism."""
 
 import json
+import math
 from fractions import Fraction as F
+
+import pytest
 
 import convalg as ca
 from convalg import groups as G
@@ -60,19 +63,35 @@ def test_submult_poly2_exp_pairwise_exact():
     assert cert.verdict == "fails"
 
 
+def product_grid(w):
+    R1 = G.RealGroup(1)
+    return [w.group.point(R1.element([r]), h)
+            for r in (-2.0, -1.0, 0.0, 1.0, 2.0) for h in P2.subgroup_elements(2)]
+
+
 def test_product_weight_check_b_and_parity():
     uh = scaled(2)
     w = ca.product_weight(ca.euclidean_weight(1), uh)
-    R1 = G.RealGroup(1)
-    pts = []
-    for r in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        for h in P2.subgroup_elements(2):
-            pts.append(w.group.point(R1.element([r]), h))
-    window = ca.Window("product-grid", tuple(pts))
+    window = ca.Window("product-grid", tuple(product_grid(w)))
     assert ca.check_positivity(w, window).verdict == "holds"
     assert ca.check_evenness(w, window).verdict == "holds"
     cert = ca.check_b(w, window, ca.TruncationSpec(layer=8))
     assert cert.verdict == "holds"
+
+
+def test_product_conv_is_the_scaled_product_of_the_factors():
+    # oracle: the Euclidean closed form times the discrete factor's enclosure,
+    # times scale^2 of the product (rescaled, so a lost scale shows)
+    uh = scaled(2)
+    w = ca.product_weight(ca.euclidean_weight(1), uh).rescaled(0.5)
+    trunc = ca.TruncationSpec(layer=8)
+    for x in product_grid(w):
+        (r,) = x.real_part.coords
+        real = w.real_factor.scale ** 2 * 2 * math.pi / (4 + r * r)
+        discrete = ca.conv_at(uh, x.discrete_part, trunc)
+        iv = ca.conv_at(w, x, trunc)
+        assert iv.lo == pytest.approx(0.25 * real * float(discrete.lo), rel=1e-12)
+        assert iv.hi == pytest.approx(0.25 * real * float(discrete.hi), rel=1e-12)
 
 
 def test_domar_partial_exact_weights_bounded_by_zero():

@@ -8,7 +8,7 @@ import pytest
 
 import convalg as ca
 from convalg import groups as G
-from convalg.convolution import _sigma_range_series
+from convalg.weights import _sigma_range_series
 from convalg.rational import even_floor, sigma
 
 P2 = G.PrueferGroup(2)
@@ -52,6 +52,16 @@ def test_rationals_layer_tail_dominates_omitted_shells(uq):
                 omitted += uq.eval(r) * uq.eval(G.sub(q, r))
         claimed = uq.sub_constant * sigma(even_floor(q.value)) * uq.sq_tail(cutoff)
         assert omitted <= claimed
+
+
+def test_rationals_enclosure_contains_deeper_shells(uq):
+    """conv_at end to end where the omitted shells outweigh the range tail:
+    the partial sum over two more shells lies inside the N3 enclosure."""
+    for value in (F(0), F(1, 2), F(5, 2)):
+        q = uq.group.element(value)
+        iv = ca.conv_at(uq, q, ca.TruncationSpec(layer=3, ball=20))
+        deeper = sum(uq.eval(r) * uq.eval(G.sub(q, r)) for r in _ball(uq, 5, 20))
+        assert iv.lo <= deeper <= iv.hi
 
 
 def test_sigma_shell_estimate_direct(uq):
