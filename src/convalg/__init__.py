@@ -33,8 +33,6 @@ from .convolution import conv_at, conv_exact, euclidean_conv_value, TailUnavaila
 from .domar import CONVERGENT, DIVERGENT, domar_classify, domar_partial
 from .formulas import BUILTIN_NAMES, FormulaWeight, builtin_weight
 from .groups import (
-    CircleGroup,
-    CirclePoint,
     GroupMismatchError,
     LayerError,
     PrueferGroup,

@@ -88,10 +88,6 @@ class Certificate:
         if self.verdict not in (HOLDS, FAILS, INCONCLUSIVE):
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict == HOLDS
-
     def with_id(self, cert_id: str) -> "Certificate":
         return Certificate(self.prop, self.verdict, self.payload, self.window,
                            self.truncation, self.witness, cert_id)

@@ -31,7 +31,7 @@ from .certificates import (
     window_info,
 )
 from .convolution import conv_at
-from .formulas import FormulaWeight, as_number
+from .formulas import FormulaWeight
 from .rational import format_rational
 from .serialize import point_to_json
 from .weights import AlgebraWeight, DirectSumWeight, LayerWeight, RationalsLayerWeight, WeightFn
@@ -208,7 +208,7 @@ def check_positivity(u: WeightFn, window: Window) -> Certificate:
             continue
         if u.eval(x) <= 0:
             payload["value"] = _num(u.eval(x))
-            if isinstance(u, FormulaWeight) and as_number(x) in u.zero_points():
+            if isinstance(u, FormulaWeight) and x in u.zero_points():
                 payload["ae_exclusion_available"] = True
             return Certificate(prop="positivity", verdict=FAILS, payload=payload,
                                window=window_info(window), witness=point_to_json(x))

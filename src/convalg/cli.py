@@ -64,9 +64,6 @@ from .serialize import (
 )
 from .weights import (
     AlgebraWeight,
-    DirectSumWeight,
-    LayerWeight,
-    RationalsLayerWeight,
     algebra_weight,
     broken_increasing_phi,
     direct_sum_weight,
@@ -183,24 +180,28 @@ def cmd_construct(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 
-def _suite_defaults(w, seed: int = 0) -> tuple[Window, object]:
-    """Default window and decay point of each construction (its truncation is
-    `w.trunc_default()`).
+# the default --window of each group variant
+_DEFAULT_WINDOWS = {"pruefer": "G4", "rationals": "Q3:3", "sum": "sample:200:{seed}"}
 
-    An algebra weight takes its base weight's; a direct sum takes its decay
-    point from summand 1's, placed in coordinate 1.
-    """
-    if isinstance(w, AlgebraWeight):
-        return _suite_defaults(w.base, seed)
-    if isinstance(w, LayerWeight):
-        return pruefer_ball_window(w.group, 4), w.group.element(1, 1)
-    if isinstance(w, RationalsLayerWeight):
-        return rationals_ball_window(w.group, 3, 3), w.group.element(Fraction(1, 2))
-    if isinstance(w, DirectSumWeight):
-        _, first = _suite_defaults(w.summands[0])
-        return sum_sample_window(w.group, 200, seed=seed), w.group.point({1: first})
-    raise ValueError("verify supports the layer, rationals, direct-sum and "
-                     "algebra constructions")
+
+def _decay_point(group: G.GroupDescriptor):
+    """The decay point of the d suite: 1/p on a Pruefer group, 1/2 on the
+    rationals, and on a direct sum summand 1's decay point in coordinate 1."""
+    if isinstance(group, G.SumGroup):
+        return group.point({1: _decay_point(group.summand(1))})
+    if isinstance(group, G.PrueferGroup):
+        return group.element(1, 1)
+    return group.element(Fraction(1, 2))
+
+
+def _suite_defaults(w, seed: int = 0) -> tuple[Window, object]:
+    """Default window and decay point of the weight's group (its truncation is
+    `w.trunc_default()`); an algebra weight lives on its base weight's group."""
+    spec = _DEFAULT_WINDOWS.get(getattr(w.descriptor, "variant", None))
+    if spec is None:
+        raise ValueError("verify supports the layer, rationals, direct-sum and "
+                         "algebra constructions")
+    return _parse_window(w, spec.format(seed=seed)), _decay_point(w.descriptor)
 
 
 def _run_suites(w, letters, window: Window, trunc: TruncationSpec, decay_x,

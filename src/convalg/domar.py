@@ -30,9 +30,8 @@ from typing import Union
 
 from . import groups as G
 from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE
-from .formulas import BUILTINS, FormulaWeight, as_number
-from .rational import LOG_SUM_OVER_SQUARES_UPPER, PI_SQUARED_UPPER
-from .serialize import point_to_json
+from .formulas import BUILTINS, FormulaWeight
+from .rational import LOG_SUM_OVER_SQUARES_UPPER, PI_SQUARED_UPPER, format_rational
 from .weights import AlgebraWeight, WeightFn
 
 CONVERGENT = "convergent"
@@ -94,7 +93,8 @@ def _formula_partial(w: FormulaWeight, value, n_max: int) -> list:
 
 
 def domar_partial(w: WeightFn, x, n_max: int) -> list:
-    """Partial sums S_N = sum_{n<=N} log+ w(nx)/n^2 for N = 1..n_max.
+    """Partial sums S_N = sum_{n<=N} log+ w(nx)/n^2 for N = 1..n_max; x is a
+    number for a formula weight and a group point for any other weight.
 
     Exact rationals when the weight has an exact log on the orbit; otherwise
     high-precision floats evaluated in log space (no overflow).  Raises
@@ -106,11 +106,11 @@ def domar_partial(w: WeightFn, x, n_max: int) -> list:
     if not 1 <= n_max <= MAX_POINTS:
         raise ValueError(f"n_max must lie between 1 and 2^20, not {n_max}")
     if isinstance(w, FormulaWeight):
-        return _formula_partial(w, as_number(x), n_max)
+        return _formula_partial(w, x, n_max)
     partials = []
     total: Union[Fraction, float] = Fraction(0)
     for n in range(1, n_max + 1):
-        point = G.nmul(n, x) if isinstance(x, G.GroupPoint) else n * as_number(x)
+        point = G.nmul(n, x)
         try:
             term = _log_plus(w, point)
         except (ZeroDivisionError, ValueError) as exc:
@@ -132,18 +132,19 @@ def _convergent_cert(a: float, d: float, x_size: float) -> dict:
 
 
 def domar_classify(w: WeightFn, x) -> tuple[str, Certificate]:
-    """Classify the series at x with a growth certificate, never by sampling."""
+    """Classify the series at x (a number or a group point, as in
+    domar_partial) with a growth certificate, never by sampling."""
+    formula = isinstance(w, FormulaWeight)
     # a fixed orbit point contributes a constant term scaled by 1/n^2
-    if (isinstance(x, G.GroupPoint) and x.is_identity()) or \
-            (not isinstance(x, G.GroupPoint) and as_number(x) == 0):
+    if (x == 0) if formula else x.is_identity():
         w0 = float(w.eval(x))
         payload = _convergent_cert(max(0.0, math.log(w0)) if w0 > 0 else 0.0, 0.0, 1.0)
         payload["note"] = "orbit of the identity"
         return CONVERGENT, Certificate(prop="domar", verdict=HOLDS, payload=payload,
                                        witness=None)
-    xs = abs(float(as_number(x))) if not isinstance(x, G.GroupPoint) else None
 
-    if isinstance(w, FormulaWeight):
+    if formula:
+        xs = abs(float(x))
         info = w.growth()
         if info.kind == "const":
             payload = _convergent_cert(info.log_const, 0.0, 1.0)
@@ -151,7 +152,7 @@ def domar_classify(w: WeightFn, x) -> tuple[str, Certificate]:
         if info.kind == "poly":
             payload = _convergent_cert(info.log_const, info.degree, xs or 1.0)
             return CONVERGENT, Certificate(prop="domar", verdict=HOLDS, payload=payload)
-        if info.kind == "exp" or (info.kind == "exp-signed" and xs is not None and float(as_number(x)) > 0):
+        if info.kind == "exp" or (info.kind == "exp-signed" and float(x) > 0):
             rate = info.rate * (xs or 1.0)
             if info.log_damped:
                 payload = {"growth": "exponential/log-damped",
@@ -161,8 +162,9 @@ def domar_classify(w: WeightFn, x) -> tuple[str, Certificate]:
                 payload = {"growth": "exponential",
                            "term_lower": f"{rate:.6g}/n",
                            "comparison": "harmonic series diverges"}
+            witness = x if isinstance(x, float) else format_rational(x)
             return DIVERGENT, Certificate(prop="domar", verdict=FAILS, payload=payload,
-                                          witness=_num_repr(x))
+                                          witness=witness)
         if info.kind == "exp-signed":
             # negative ray: log+ w(nx) <= log+(1+(nx)^2) + max(0, nx) = poly side
             payload = _convergent_cert(info.log_const, info.degree, xs or 1.0)
@@ -196,10 +198,3 @@ def _log_of(v) -> float:
     if isinstance(v, Fraction):
         return math.log(v.numerator) - math.log(v.denominator)
     return math.log(float(v))
-
-
-def _num_repr(x):
-    if isinstance(x, G.GroupPoint):
-        return point_to_json(x)
-    v = as_number(x)
-    return f"{Fraction(v).numerator}/{Fraction(v).denominator}" if isinstance(v, (Fraction, int)) else v

@@ -1,7 +1,9 @@
 """Builtin formula weights on the real line and the circle.
 
 These are the named weights the classifiers handle rigorously: growth
-certificates are attached per family, never inferred from samples.  Builtins:
+certificates are attached per family, never inferred from samples.  A
+formula weight's points are numbers (Fraction, int or float; a circle point
+is read mod 1), never group points.  Builtins:
 
     poly2            w(t) = 1 + t^2                   (line, even)
     exp-abs          w(t) = e^|t|                     (line, even)
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from . import groups as G
 from .weights import WeightFn
 
 Number = Union[Fraction, float, int]
@@ -134,21 +135,18 @@ class FormulaWeight(WeightFn):
     def domain(self) -> str:
         return BUILTINS[self.name].domain
 
-    @property
-    def descriptor(self) -> G.GroupDescriptor:
-        return G.CircleGroup() if self.domain == "circle" else G.RealGroup(1)
+    # the points are numbers, not elements of a group descriptor
+    descriptor = None
 
-    def raw_eval(self, t) -> float:
+    def raw_eval(self, t: Number) -> float:
         b = BUILTINS[self.name]
-        x = as_number(t)
-        x = float(x) if b.domain == "real" else _mod1(x)
+        x = float(t) if b.domain == "real" else _mod1(t)
         return b.raw(x, abs(x))
 
-    def log_eval(self, t) -> float:
+    def log_eval(self, t: Number) -> float:
         """log w(t), evaluated in log space (no overflow for the exp families)."""
         b = BUILTINS[self.name]
-        x = as_number(t)
-        x = float(x) if b.domain == "real" else _mod1(x)
+        x = float(t) if b.domain == "real" else _mod1(t)
         return b.log(self.log_shift(), x, abs(x))
 
     def log_shift(self) -> float:
@@ -158,7 +156,7 @@ class FormulaWeight(WeightFn):
     def growth(self) -> GrowthInfo:
         return BUILTINS[self.name].growth
 
-    def submult_exact(self, s, t) -> Optional[bool]:
+    def submult_exact(self, s: Number, t: Number) -> Optional[bool]:
         """Exact verdict of w(s+t) <= w(s) w(t) where the family allows it.
 
         exp-abs holds identically (triangle inequality).  poly2 reduces to the
@@ -169,10 +167,9 @@ class FormulaWeight(WeightFn):
         """
         if self.name == "exp-abs":
             return True
-        a, b = as_number(s), as_number(t)
-        if not isinstance(a, (Fraction, int)) or not isinstance(b, (Fraction, int)):
+        if not isinstance(s, (Fraction, int)) or not isinstance(t, (Fraction, int)):
             return None
-        a, b = Fraction(a), Fraction(b)
+        a, b = Fraction(s), Fraction(t)
         if self.name == "poly2":
             return 1 + (a + b) ** 2 <= (1 + a * a) * (1 + b * b)
         if self.name == "poly2-exp":
@@ -205,32 +202,17 @@ class FormulaWeight(WeightFn):
             return (Fraction(0),)
         return ()
 
-    def point_add(self, s, t):
-        a, b = as_number(s), as_number(t)
+    def point_add(self, s: Number, t: Number) -> Number:
         if self.domain == "circle":
-            return (Fraction(a) + Fraction(b)) % 1
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a + b
-        return float(a) + float(b)
+            return (Fraction(s) + Fraction(t)) % 1
+        if isinstance(s, Fraction) and isinstance(t, Fraction):
+            return s + t
+        return float(s) + float(t)
 
-    def point_neg(self, s):
-        a = as_number(s)
+    def point_neg(self, s: Number) -> Number:
         if self.domain == "circle":
-            return (-Fraction(a)) % 1
-        return -a
-
-
-def as_number(t) -> Number:
-    """Accept raw numbers or single-coordinate group points."""
-    if isinstance(t, (Fraction, float, int)):
-        return t
-    if isinstance(t, (G.CirclePoint, G.RationalPoint)):
-        return t.value
-    if isinstance(t, G.RealPoint) and len(t.coords) == 1:
-        return t.coords[0]
-    if isinstance(t, G.PrueferPoint):
-        return t.value()
-    raise TypeError(f"cannot interpret {type(t).__name__} as a number")
+            return (-Fraction(s)) % 1
+        return -s
 
 
 def builtin_weight(name: str) -> FormulaWeight:

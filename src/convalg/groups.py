@@ -2,8 +2,9 @@
 
 Variants: the p-power torsion circles Z(p^infinity) given as fractions k/p^n
 mod 1, the additive rationals exhausted by the subgroups (1/n!)Z,
-finite-support direct sums, the unit circle [0,1) under fractional addition,
-real coordinate vectors, and real x discrete product pairs.
+finite-support direct sums, real coordinate vectors, and real x discrete
+product pairs.  These are the groups the constructed weights live on; the
+builtin formula weights of formulas.py take plain numbers instead.
 
 Discrete variants are exact (arbitrary-precision rationals, canonical form
 enforced at construction); real coordinates are floats.  All points are
@@ -14,7 +15,7 @@ as cache keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -125,19 +126,6 @@ class RationalsGroup(GroupDescriptor):
 
 
 @dataclass(frozen=True)
-class CircleGroup(GroupDescriptor):
-    """The unit circle with parameter in [0,1); addition is the fractional part."""
-
-    variant = "circle"
-
-    def identity(self) -> "CirclePoint":
-        return CirclePoint(self, Fraction(0))
-
-    def element(self, value) -> "CirclePoint":
-        return CirclePoint(self, Fraction(value))
-
-
-@dataclass(frozen=True)
 class SumGroup(GroupDescriptor):
     """Finite-support direct sum of the listed summand groups (1-based index)."""
 
@@ -204,12 +192,6 @@ class GroupPoint:
 
     group: GroupDescriptor
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def layer(self) -> int:
         raise LayerError(f"no subgroup chain declared for variant {self.group.variant!r}")
 
@@ -260,11 +242,10 @@ class PrueferPoint(GroupPoint):
 
 
 @dataclass(frozen=True)
-class _FractionPoint(GroupPoint):
-    """A point given by one Fraction, added as a number: the shared law of
-    the rationals and the circle."""
+class RationalPoint(GroupPoint):
+    """A rational number, added as a number."""
 
-    group: GroupDescriptor
+    group: RationalsGroup
     value: Fraction
 
     def __post_init__(self) -> None:
@@ -273,30 +254,17 @@ class _FractionPoint(GroupPoint):
     def is_identity(self) -> bool:
         return self.value == 0
 
-    def _add(self, other: "_FractionPoint") -> "_FractionPoint":
-        return type(self)(self.group, self.value + other.value)
+    def _add(self, other: "RationalPoint") -> "RationalPoint":
+        return RationalPoint(self.group, self.value + other.value)
 
-    def _nmul(self, n: int) -> "_FractionPoint":
-        return type(self)(self.group, n * self.value)
-
-    def sort_key(self):
-        return (self.value.numerator, self.value.denominator)
-
-
-@dataclass(frozen=True)
-class RationalPoint(_FractionPoint):
-    group: RationalsGroup
+    def _nmul(self, n: int) -> "RationalPoint":
+        return RationalPoint(self.group, n * self.value)
 
     def layer(self) -> int:
         return self.group.denominator_layer(self.value.denominator)
 
-
-@dataclass(frozen=True)
-class CirclePoint(_FractionPoint):
-    group: CircleGroup
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value) % 1)
+    def sort_key(self):
+        return (self.value.numerator, self.value.denominator)
 
 
 @dataclass(frozen=True)

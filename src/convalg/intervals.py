@@ -25,10 +25,6 @@ class Interval:
         return cls(value, value)
 
     @property
-    def bounded(self) -> bool:
-        return self.hi is not None
-
-    @property
     def width(self) -> Optional[Scalar]:
         return None if self.hi is None else self.hi - self.lo
 

@@ -92,7 +92,7 @@ def _json_int(data: dict, key: str) -> int:
 def point_to_json(x) -> Any:
     if isinstance(x, G.PrueferPoint):
         return format_rational(x.value())
-    if isinstance(x, (G.RationalPoint, G.CirclePoint)):
+    if isinstance(x, G.RationalPoint):
         return format_rational(x.value)
     if isinstance(x, G.SumPoint):
         return {str(j): point_to_json(pt) for j, pt in x.coords}

@@ -236,9 +236,6 @@ class WeightFn:
     def eval(self, x) -> Scalar:
         return self.scale * self.raw_eval(x)
 
-    def __call__(self, x) -> Scalar:
-        return self.eval(x)
-
     def shell_key(self, x):
         """Hashable shell class of x, x itself by default.  Contract: points with
         equal keys have equal `eval` values and equal `conv_at` enclosures,

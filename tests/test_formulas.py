@@ -89,3 +89,14 @@ def test_builtin_evaluators_pinned(name, scale):
     # the raw formula ignores the scale
     assert _values(w.raw_eval) == RAW[name]
     assert _values(w.log_eval) == LOG[scale, name]
+
+
+def test_builtin_evaluators_refuse_group_points():
+    # a formula weight's points are numbers; group points belong to the
+    # constructed weights
+    for w in map(ca.builtin_weight, ca.BUILTIN_NAMES):
+        for x in (ca.RealGroup(1).element([F(1, 3)]), ca.RationalsGroup().element(F(1, 3))):
+            with pytest.raises(TypeError):
+                w.raw_eval(x)
+            with pytest.raises(TypeError):
+                w.log_eval(x)

@@ -12,7 +12,6 @@ from convalg import groups as G
 P2 = G.PrueferGroup(2)
 P3 = G.PrueferGroup(3)
 Q = G.RationalsGroup()
-CIRCLE = G.CircleGroup()
 SUM23 = G.SumGroup((P2, P3))
 
 
@@ -32,7 +31,6 @@ def test_sum_coordinate_cancellation():
 def test_nmul_examples():
     assert G.nmul(2, P2.element(1, 2)).value() == F(1, 2)
     assert G.nmul(3, Q.element(F(5, 2))).value == F(15, 2)
-    assert G.nmul(5, CIRCLE.element(F(3, 10))).value == F(1, 2)
     assert G.nmul(0, P2.element(1, 3)) == P2.identity()
     assert G.nmul(-1, Q.element(F(1, 3))).value == F(-1, 3)
 
@@ -46,7 +44,7 @@ def test_layer_of_examples():
 
 def test_layer_of_requires_chain():
     with pytest.raises(G.LayerError):
-        G.layer_of(CIRCLE.element(F(1, 3)))
+        G.layer_of(G.RealGroup(1).element([1.0]))
     with pytest.raises(G.LayerError):
         G.layer_of(SUM23.identity())
 
@@ -102,8 +100,6 @@ def _random_point(rng, group):
         return group.element(rng.randrange(0, group.p ** n) if n else 0, n)
     if isinstance(group, G.RationalsGroup):
         return group.element(F(rng.randrange(-300, 300), rng.randrange(1, 48)))
-    if isinstance(group, G.CircleGroup):
-        return group.element(F(rng.randrange(0, 120), 120))
     if isinstance(group, G.SumGroup):
         coords = {}
         for j in range(1, len(group.summands) + 1):
@@ -121,7 +117,7 @@ def _random_point(rng, group):
 _SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan)
 
 
-@pytest.mark.parametrize("group", [P2, P3, Q, CIRCLE, SUM23], ids=lambda g: g.variant)
+@pytest.mark.parametrize("group", [P2, P3, Q, SUM23], ids=lambda g: g.variant)
 def test_group_laws_random_triples(group):
     rng = random.Random(1234)
     identity = group.identity()
@@ -133,7 +129,7 @@ def test_group_laws_random_triples(group):
         assert G.add(x, identity) == x
 
 
-@pytest.mark.parametrize("group", [P2, Q, CIRCLE])
+@pytest.mark.parametrize("group", [P2, Q])
 def test_nmul_additivity(group):
     rng = random.Random(99)
     for _ in range(500):
@@ -231,8 +227,6 @@ def brute_add(x, y):
         return G.PrueferPoint(x.group, k, n)
     if isinstance(x, G.RationalPoint):
         return G.RationalPoint(x.group, x.value + y.value)
-    if isinstance(x, G.CirclePoint):
-        return G.CirclePoint(x.group, x.value + y.value)
     if isinstance(x, G.SumPoint):
         merged = dict(x.coords)
         for j, pt in y.coords:
@@ -254,8 +248,6 @@ def brute_neg(x):
         return G.PrueferPoint(x.group, -x.num, x.exp)
     if isinstance(x, G.RationalPoint):
         return G.RationalPoint(x.group, -x.value)
-    if isinstance(x, G.CirclePoint):
-        return G.CirclePoint(x.group, -x.value)
     if isinstance(x, G.SumPoint):
         return G.SumPoint(x.group, tuple((j, brute_neg(pt)) for j, pt in x.coords))
     if isinstance(x, G.RealPoint):
@@ -272,8 +264,6 @@ def brute_nmul(n, x):
         return G.PrueferPoint(x.group, n * x.num, x.exp)
     if isinstance(x, G.RationalPoint):
         return G.RationalPoint(x.group, n * x.value)
-    if isinstance(x, G.CirclePoint):
-        return G.CirclePoint(x.group, n * x.value)
     if isinstance(x, G.SumPoint):
         return G.SumPoint(x.group, tuple((j, brute_nmul(n, pt)) for j, pt in x.coords))
     if isinstance(x, G.RealPoint):
@@ -299,7 +289,7 @@ def brute_sort_key(x):
     if isinstance(x, G.PrueferPoint):
         v = x.value()
         return (v.numerator, v.denominator)
-    if isinstance(x, (G.RationalPoint, G.CirclePoint)):
+    if isinstance(x, G.RationalPoint):
         return (x.value.numerator, x.value.denominator)
     if isinstance(x, G.SumPoint):
         return tuple((j, brute_sort_key(pt)) for j, pt in x.coords)
@@ -312,12 +302,8 @@ def brute_sort_key(x):
 
 def assert_same_point(a, b):
     """Same type and canonical fields; real zeros compared with their sign,
-    NaN coordinates equal whatever their sign bit.  The oracle builds its
-    points with the same constructors, so the circle's canonical range is
-    checked on its own."""
+    NaN coordinates equal whatever their sign bit."""
     assert type(a) is type(b) and a.group == b.group
-    if isinstance(a, G.CirclePoint):
-        assert 0 <= a.value < 1
     if isinstance(a, G.RealPoint):
         assert len(a.coords) == len(b.coords)
         for c, d in zip(a.coords, b.coords):
@@ -341,12 +327,12 @@ def _layer_outcome(fn, x):
         return str(exc)
 
 
-ORACLE_GROUPS = (P2, P3, Q, CIRCLE, G.SumGroup((P2, Q, P3)), G.RealGroup(2),
+ORACLE_GROUPS = (P2, P3, Q, G.SumGroup((P2, Q, P3)), G.RealGroup(2),
                  G.ProductGroup(G.RealGroup(1), Q))
 
 
 @pytest.mark.parametrize("group", ORACLE_GROUPS,
-                         ids=["pruefer2", "pruefer3", "rationals", "circle", "sum", "real", "product"])
+                         ids=["pruefer2", "pruefer3", "rationals", "sum", "real", "product"])
 def test_group_law_matches_isinstance_oracle(group):
     rng = random.Random(2024)
     for _ in range(400):

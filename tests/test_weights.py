@@ -180,6 +180,18 @@ def test_product_weight_eval_and_bound():
         ca.product_weight(ur, ca.pruefer_weight(2))  # no (b) certificate
 
 
+# a formula weight takes numbers and has no group descriptor, so it is
+# neither a summand nor a factor
+@pytest.mark.parametrize("build", [
+    lambda: ca.direct_sum_weight([ca.builtin_weight("poly2")]),
+    lambda: ca.product_weight(ca.builtin_weight("poly2"), scaled_pruefer(2)),
+    lambda: ca.product_weight(ca.euclidean_weight(1), ca.builtin_weight("circle-quarter")),
+], ids=["sum-summand", "product-real-factor", "product-discrete-factor"])
+def test_formula_weights_are_refused_by_the_group_builders(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_algebra_weight():
     u = scaled_pruefer(2)
     w = ca.algebra_weight(u, 2)
