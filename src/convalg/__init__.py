@@ -29,7 +29,7 @@ from .certify import (
     sum_sample_window,
     weight_equivalence,
 )
-from .convolution import conv_at, conv_exact, euclidean_conv_value, TailUnavailableError
+from .convolution import conv_at, conv_exact, TailUnavailableError
 from .domar import CONVERGENT, DIVERGENT, domar_classify, domar_partial
 from .formulas import BUILTIN_NAMES, FormulaWeight, builtin_weight
 from .groups import (

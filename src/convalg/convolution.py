@@ -26,7 +26,7 @@ from typing import Optional
 from . import groups as G
 from .certificates import TruncationSpec
 from .intervals import Interval
-from .weights import DirectSumWeight, EuclideanWeight, LayerWeight, TailUnavailableError, WeightFn
+from .weights import DirectSumWeight, LayerWeight, TailUnavailableError, WeightFn
 
 
 def conv_exact(u: WeightFn, x) -> Optional[Fraction]:
@@ -57,8 +57,3 @@ def conv_at(u: WeightFn, x, trunc: TruncationSpec, *,
     if require_tail and iv.hi is None:
         raise TailUnavailableError("no closed-form tail available for this provenance")
     return iv
-
-
-def euclidean_conv_value(u: EuclideanWeight, x) -> float:
-    """(u*u)(x) = prod_i 2 pi / (4 + x_i^2), scaled."""
-    return u._conv(x, TruncationSpec()).lo

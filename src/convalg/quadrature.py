@@ -50,8 +50,8 @@ from typing import Callable
 from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE
 from .formulas import BUILTINS, FormulaWeight
 from .intervals import Interval
+from .weights import TWO_PI, line_conv_closed_form
 
-TWO_PI = 2.0 * math.pi
 CIRCLE_GRID = 128     # the circle ratio grid k/128, 0 < k < 128
 LINE_CUTOFF = 150.0   # line_conv_quadrature integrates over [-150, 150]
 RATIO_TOL = 1e-6      # largest quadrature error line_conv_ratio accepts
@@ -181,11 +181,6 @@ def circle_conv_ratio(spec: QuadratureSpec = QuadratureSpec()) -> RatioResult:
 # --------------------------------------------------------------------------
 # Euclidean weight on the line
 # --------------------------------------------------------------------------
-
-def line_conv_closed_form(t: float) -> float:
-    """Self-convolution of 1/(1+s^2): 2 pi / (4 + t^2)."""
-    return TWO_PI / (4.0 + t * t)
-
 
 def line_conv_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()) -> Interval:
     """Enclosure of int 1/(1+s^2) 1/(1+(t-s)^2) ds over the line.

@@ -21,8 +21,8 @@ from .rational import format_rational, parse_rational
 from .weights import (
     AlgebraWeight,
     DirectSumWeight,
-    LayerWeight,
     RationalsLayerWeight,
+    ShellWeight,
     WeightFn,
     algebra_weight,
     broken_increasing_phi,
@@ -126,14 +126,11 @@ def _scale_from_json(data) -> Any:
 
 
 def weight_to_provenance(w: WeightFn) -> dict:
-    if isinstance(w, LayerWeight):
+    if isinstance(w, ShellWeight):
         params = {"group": descriptor_to_json(w.group), "phi": w.phi.name}
-        if w.phi.certified:
-            params["mass"] = format_rational(w.mass())
-    elif isinstance(w, RationalsLayerWeight):
-        params = {"group": descriptor_to_json(w.group), "phi": w.phi.name,
-                  "c2": format_rational(w.c2)}
-        if w.phi.certified:
+        if isinstance(w, RationalsLayerWeight):
+            params["c2"] = format_rational(w.c2)
+        if w.phi.exact_mass is not None:
             params["mass"] = format_rational(w.mass())
     elif isinstance(w, DirectSumWeight):
         params = {

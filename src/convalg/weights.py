@@ -41,6 +41,11 @@ TWO_PI = 2.0 * math.pi
 _RANGE_SERIES_TERMS = 32
 
 
+def line_conv_closed_form(t: float) -> float:
+    """Self-convolution of 1/(1+s^2): 2 pi / (4 + t^2)."""
+    return TWO_PI / (4.0 + t * t)
+
+
 class TailUnavailableError(ValueError):
     """No closed-form tail is available for this weight's provenance."""
 
@@ -53,21 +58,20 @@ class TailUnavailableError(ValueError):
 class PhiSequence:
     """Closed-form positive nonincreasing shell values phi_n (1-based).
 
-    mass_ratio certifies (phi_{n+1} w_{n+1}) <= mass_ratio * (phi_n w_n) for
-    the declared chain weights w_n (subgroup sizes, or t_n on the rationals),
-    so the total mass has a geometric tail.  sq_ratio certifies the same for
-    the shell-weighted squares driving convolution tails.  geometric_tails
-    marks families whose sq tails are exactly geometric from the second shell
-    on, making truncation tails exact rather than upper bounds.
+    exact_mass is the total mass sum phi_n w_n against the chain weights w_n
+    (subgroup sizes, or t_n on the rationals); None marks a sequence with no
+    certified mass, which carries no bounds.  sq_ratio bounds the ratio of
+    consecutive shell-weighted squares driving convolution tails, and
+    geometric_tails marks families where that ratio is exact from the second
+    shell on, making truncation tails exact rather than upper bounds.  The
+    constructors check sq_ratio against the weight's own shells.
     """
 
     name: str
     term_fn: Callable[[int], Fraction]
-    mass_ratio: Fraction
     sq_ratio: Fraction
     exact_mass: Optional[Fraction]
     geometric_tails: bool
-    certified: bool = True
 
     def term(self, n: int) -> Fraction:
         if n < 1:
@@ -81,7 +85,6 @@ def pruefer_default_phi(p: int) -> PhiSequence:
     return PhiSequence(
         name="geometric",
         term_fn=lambda n: Fraction(1, (2 * p) ** n),
-        mass_ratio=Fraction(1, 2),
         sq_ratio=Fraction(1, 4 * p),
         exact_mass=Fraction(1),
         geometric_tails=True,
@@ -94,7 +97,6 @@ def rationals_default_phi() -> PhiSequence:
     return PhiSequence(
         name="factorial",
         term_fn=lambda n: Fraction(1, math.factorial(n) * 2 ** n),
-        mass_ratio=Fraction(1, 2),
         sq_ratio=Fraction(1, 8),
         exact_mass=Fraction(1),
         geometric_tails=False,
@@ -103,15 +105,13 @@ def rationals_default_phi() -> PhiSequence:
 
 def broken_increasing_phi() -> PhiSequence:
     """Deliberately invalid shell values (increasing, infinite mass); used as
-    the negative control. Marked uncertified: tails are unavailable."""
+    the negative control. No mass is certified, so tails are unavailable."""
     return PhiSequence(
         name="broken-demo",
         term_fn=lambda n: Fraction(2 ** n),
-        mass_ratio=Fraction(4),
         sq_ratio=Fraction(16),
         exact_mass=None,
         geometric_tails=False,
-        certified=False,
     )
 
 
@@ -285,30 +285,20 @@ class WeightFn:
 
 class ShellWeight(WeightFn):
     """u = phi_n on the n-th shell of a subgroup chain, up to a shell-wise
-    factor.  The mass sums phi_n against mass_weight(n), the convolution
-    squares phi_n^2 against sq_weight(n); subclasses name these chain weights.
+    factor.  The convolution squares phi_n^2 against sq_weight(n), which
+    subclasses name; the mass is the sequence's exact_mass.
     """
 
     phi: PhiSequence
-
-    def mass_weight(self, n: int) -> int:
-        raise NotImplementedError
 
     def sq_weight(self, n: int) -> int:
         raise NotImplementedError
 
     def mass(self) -> Fraction:
-        """Total (or certified upper bound) of sum phi_n mass_weight(n)."""
-        if self.phi.exact_mass is not None:
-            return self.phi.exact_mass
-        if not self.phi.certified or self.phi.mass_ratio >= 1:
+        """The exact total mass the shell sequence certifies."""
+        if self.phi.exact_mass is None:
             raise ValueError("mass bound not certifiable from the closed form")
-        partial = Fraction(0)
-        k = 8
-        for n in range(1, k + 1):
-            partial += self.phi.term(n) * self.mass_weight(n)
-        last = self.phi.term(k) * self.mass_weight(k)
-        return partial + last * self.phi.mass_ratio / (1 - self.phi.mass_ratio)
+        return self.phi.exact_mass
 
     def sq_term(self, n: int) -> Fraction:
         """sq_weight(n) phi_n^2, the shell factor of the self-convolution."""
@@ -316,7 +306,7 @@ class ShellWeight(WeightFn):
 
     def sq_tail(self, cutoff: int) -> Fraction:
         """sum_{j > cutoff} sq_term(j) -- exact for geometric families."""
-        if not self.phi.certified or self.phi.sq_ratio >= 1:
+        if self.phi.exact_mass is None or self.phi.sq_ratio >= 1:
             raise ValueError("no closed-form tail available for this shell sequence")
         return self.sq_term(cutoff + 1) / (1 - self.phi.sq_ratio)
 
@@ -341,9 +331,6 @@ class LayerWeight(ShellWeight):
     def shell_key(self, x) -> int:
         """The layer: the value, the shell-count partial sum and the tail read nothing else."""
         return G.layer_of(x)
-
-    def mass_weight(self, n: int) -> int:
-        return self.group.layer_size(n)
 
     def sq_weight(self, n: int) -> int:
         return self.group.shell_size(n)
@@ -434,6 +421,11 @@ def _sigma_pair_sum(floor_s: int, integral: bool, origin: bool, ball: int) -> Fr
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_c2() -> Fraction:
+    return Fraction(sigma_subconvolutive_constant().hi)
+
+
 @dataclass(frozen=True)
 class RationalsLayerWeight(ShellWeight):
     """u(q) = phi_n sigma(floor|q|) on the n-th shell of the rationals chain;
@@ -441,7 +433,6 @@ class RationalsLayerWeight(ShellWeight):
 
     group: G.RationalsGroup
     phi: PhiSequence
-    c2: Fraction
     scale: Fraction = Fraction(1)
 
     construction = "rationals-layer"
@@ -455,10 +446,13 @@ class RationalsLayerWeight(ShellWeight):
         the one at q; both tails read only even_floor(q) and the cutoffs."""
         return abs(x.value)
 
-    def mass_weight(self, n: int) -> int:
+    def sq_weight(self, n: int) -> int:
         return self.group.chain_value(n)
 
-    sq_weight = mass_weight
+    @property
+    def c2(self) -> Fraction:
+        """The sigma kernel's C2: the upper end of `sigma_subconvolutive_constant()`."""
+        return _cached_c2()
 
     @property
     def sub_constant(self) -> Fraction:
@@ -533,7 +527,7 @@ class RationalsLayerWeight(ShellWeight):
         if G.layer_of(x) > cutoff or ball < reach + 2:
             raise ValueError("truncation cutoffs must reach the window point")
         partial = self._partial(q, cutoff, ball)
-        if not self.phi.certified:
+        if self.phi.exact_mass is None:
             return Interval(partial, None)
         scale_sq = self.scale * self.scale
         layer_tail = scale_sq * self.sub_constant * sigma(even_floor(q)) * self.sq_tail(cutoff)
@@ -686,7 +680,7 @@ class EuclideanWeight(WeightFn):
         """The closed form (u*u)(x) = prod_i 2 pi / (4 + x_i^2), scaled."""
         value = 1.0
         for c in x.coords:
-            value *= TWO_PI / (4.0 + c * c)
+            value *= line_conv_closed_form(c)
         return Interval.point(self.scale * self.scale * value)
 
     def max_value(self) -> float:
@@ -799,8 +793,12 @@ class AlgebraWeight(WeightFn):
 # Construction operations
 # --------------------------------------------------------------------------
 
-def _validate_phi(phi: PhiSequence, first: int = 10) -> None:
-    """Positive nonincreasing shell values whose mass has a certified tail."""
+def _validate_phi(w: ShellWeight, first: int = 10) -> None:
+    """Positive nonincreasing shell values with a certified mass, whose
+    declared sq_ratio holds on this weight's own shells (with equality where
+    the tails are declared geometric): a sequence made for another chain is
+    refused."""
+    phi = w.phi
     prev = None
     for n in range(1, first + 1):
         t = phi.term(n)
@@ -809,24 +807,27 @@ def _validate_phi(phi: PhiSequence, first: int = 10) -> None:
         if prev is not None and t > prev:
             raise ValueError("shell values must be nonincreasing")
         prev = t
-    if not phi.certified or phi.mass_ratio >= 1:
-        raise ValueError("mass bound not certifiable from the closed form")
+    sq = [w.sq_term(n) for n in range(2, first + 2)]
+    for n, cur, nxt in zip(range(2, first + 1), sq, sq[1:]):
+        bound = phi.sq_ratio * cur
+        if nxt > bound or (phi.geometric_tails and nxt != bound):
+            raise ValueError(f"shell values {phi.name!r} do not fit this chain: "
+                             f"sq_ratio fails at shell {n}")
+    w.mass()
 
 
 def nested_finite_weight(group: G.PrueferGroup, phi: PhiSequence, *,
                          unchecked: bool = False) -> LayerWeight:
     """Layer weight on a nested-finite-subgroup chain.
 
-    Validates positivity/monotonicity of the shell values and that the mass
-    sum phi_n |G_n| has a certified geometric tail.  `unchecked=True` skips
-    validation (negative-control weights only); such weights carry no tail
-    bounds and can never certify "holds".
+    Validates positivity/monotonicity of the shell values, their declared
+    sq_ratio on this chain and that the mass phi_n |G_n| is certified.
+    `unchecked=True` skips validation (negative-control weights only); such
+    weights carry no tail bounds and can never certify "holds".
     """
-    if unchecked:
-        return LayerWeight(group=group, phi=phi)
-    _validate_phi(phi)
     w = LayerWeight(group=group, phi=phi)
-    w.mass()
+    if not unchecked:
+        _validate_phi(w)
     return w
 
 
@@ -836,23 +837,16 @@ def pruefer_weight(p: int) -> LayerWeight:
     return nested_finite_weight(G.PrueferGroup(p), pruefer_default_phi(p))
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_c2() -> Fraction:
-    return Fraction(sigma_subconvolutive_constant().hi)
-
-
 def rationals_weight(phi: PhiSequence | None = None, *,
                      unchecked: bool = False) -> RationalsLayerWeight:
     """Weight on the additive rationals: u(q) = phi_n sigma(floor|q|) on shell n.
 
-    Records the subconvolutivity constant C2 of the sigma kernel, which enters
-    the certified bound u*u <= 2*(8*C2)*mass * u.
+    The subconvolutivity constant C2 of the sigma kernel enters the
+    certified bound u*u <= 2*(8*C2)*mass * u.
     """
-    phi = phi or rationals_default_phi()
-    w = RationalsLayerWeight(group=G.RationalsGroup(), phi=phi, c2=_cached_c2())
+    w = RationalsLayerWeight(group=G.RationalsGroup(), phi=phi or rationals_default_phi())
     if not unchecked:
-        _validate_phi(phi)
-        w.mass()
+        _validate_phi(w)
     return w
 
 

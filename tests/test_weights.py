@@ -42,15 +42,34 @@ def test_layer_weight_even_and_positive_exhaustive():
 
 
 def test_custom_phi_validation():
-    bad = ca.PhiSequence(name="bad", term_fn=lambda n: F(-1), mass_ratio=F(1, 2),
-                         sq_ratio=F(1, 2), exact_mass=None, geometric_tails=False)
+    bad = ca.PhiSequence(name="bad", term_fn=lambda n: F(-1), sq_ratio=F(1, 2),
+                         exact_mass=None, geometric_tails=False)
     with pytest.raises(ValueError):
         ca.nested_finite_weight(P2, bad)
     with pytest.raises(ValueError):
         ca.nested_finite_weight(P2, ca.broken_increasing_phi())
+    with pytest.raises(ValueError, match="do not fit this chain"):
+        ca.rationals_weight(ca.pruefer_default_phi(2))
     # the negative-control escape hatch constructs, but carries no bounds
     w = ca.nested_finite_weight(P2, ca.broken_increasing_phi(), unchecked=True)
     assert w.b_bound is None
+
+
+@pytest.mark.parametrize("group_p, phi_p", [(3, 2), (2, 3), (5, 3), (2, 2), (7, 7)])
+def test_phi_must_be_made_for_the_group_prime(group_p, phi_p):
+    group, phi = G.PrueferGroup(group_p), ca.pruefer_default_phi(phi_p)
+    if group_p == phi_p:
+        assert ca.nested_finite_weight(group, phi).mass() == 1
+        return
+    # (3, 2): the mass terms 4^-n 3^n sum to 3, not the declared 1, and the
+    # certified tails undercut the exact partial sums
+    with pytest.raises(ValueError, match="do not fit this chain"):
+        ca.nested_finite_weight(group, phi)
+
+
+def test_rationals_c2_is_the_kernel_constant():
+    u = ca.RationalsLayerWeight(group=G.RationalsGroup(), phi=ca.rationals_default_phi())
+    assert u.c2 == F(ca.sigma_subconvolutive_constant().hi)
 
 
 def test_rationals_weight_values():
