@@ -15,19 +15,17 @@ results are numpy's without importing it.
 
 Mirrored panels: the negative half of the table is built as the exact mirror
 of its nonnegative half, so x_i = -x_(n-1-i) and w_i = w_(n-1-i) hold
-exactly.  When the edges of [-T, 0] are exactly the negated, reversed edges
-of [0, T], the midpoint and half-width of panel P-1-k of the negative side
-are exactly the negated midpoint and the half-width of panel k, so its node i
-is exactly -t_(n-1-i).  For an even integrand (an even builtin; f(-t) == f(t)
-bit for bit) panel P-1-k then has the products w_i f(t_i) of panel k in
-reverse order.  beurling_integral's own loop evaluates f once per positive
-panel node (where |t| = t), sums the products forward and reversed, and sums
-the negative panels in their own order: the same roundings as two
-composite_integral calls, with half the evaluations.  The edge test is made
-on every call, so an odd builtin or a cutoff whose edges do not mirror takes
-the two calls.  log+ v is taken as `v if v > 0.0 else 0.0`, the value
-max(0.0, v) returns (0.0 for -0.0 and NaN, which compare false) without a
-builtin call.
+exactly.  When edges E' are the negated, reversed edges E, panel P-1-k of E'
+has exactly the negated midpoint and the half-width of panel k of E, so its
+node i is exactly -t_(n-1-i).  If g(-s) == f(s) bit for bit, g on that panel
+has the products w_i f(t_i) in reverse order.  _mirrored_composite evaluates
+each panel's products once and sums them forward and reversed: the same
+roundings as composite_integral of f over E and of g over E', with half the
+evaluations.  beurling_integral takes g = f, an even builtin, on [0, T] and
+[-T, 0] when their edges mirror (|t| = t at every node), else it makes the
+two calls; the line convolution takes f_t and f_-t on [-S, S], its own
+mirror, since -t - (-s) is exactly -(t - s).  log+ v is taken as
+`v if v > 0.0 else 0.0`, max(0.0, v) (0.0 for -0.0 and NaN) with no call.
 
 Float sums: every sum of quadrature terms adds left to right from 0.0 (a
 plain loop in panel_integral, _sum elsewhere), never with the builtin sum():
@@ -54,6 +52,7 @@ from .weights import TWO_PI, line_conv_closed_form
 
 CIRCLE_GRID = 128     # the circle ratio grid k/128, 0 < k < 128
 LINE_CUTOFF = 150.0   # line_conv_quadrature integrates over [-150, 150]
+LINE_PANELS = 150     # in panels of width 2, whose edges mirror exactly
 RATIO_TOL = 1e-6      # largest quadrature error line_conv_ratio accepts
 
 # The nonnegative half of leggauss(32) as node, weight pairs, nodes ascending.
@@ -104,6 +103,18 @@ def panel_integral(f: Callable[[float], float], a: float, b: float) -> float:
 def composite_integral(f: Callable[[float], float], a: float, b: float, panels: int) -> float:
     edges = _linspace(a, b, panels + 1)
     return _sum(panel_integral(f, edges[i], edges[i + 1]) for i in range(panels))
+
+
+def _mirrored_composite(edges: list[float], products_at: Callable) -> tuple[float, float]:
+    """composite_integral of f over edges and of g over them mirrored (see Mirrored
+    panels); products_at(mid, half) returns a panel's products w_i f(mid + half x_i)."""
+    right, left = [], []
+    for a, b in zip(edges, edges[1:]):
+        half = 0.5 * (b - a)
+        products = products_at(0.5 * (a + b), half)
+        right.append(half * _sum(products))
+        left.append(half * _sum(reversed(products)))
+    return _sum(right), _sum(reversed(left))
 
 
 # --------------------------------------------------------------------------
@@ -182,26 +193,33 @@ def circle_conv_ratio(spec: QuadratureSpec = QuadratureSpec()) -> RatioResult:
 # Euclidean weight on the line
 # --------------------------------------------------------------------------
 
+def _line_conv_pair(t: float, spec: QuadratureSpec) -> tuple[Interval, Interval]:
+    """line_conv_quadrature at t and at -t, one integrand evaluation per node (Mirrored panels)."""
+    S = LINE_CUTOFF
+    if S <= 2 * abs(t) + 4:
+        raise ValueError("cutoff too small for the tail bound")
+
+    def products_at(mid: float, half: float) -> list[float]:
+        products = []
+        for x, g in zip(GL_NODES, GL_WEIGHTS):
+            s = mid + half * x
+            d = t - s
+            products.append(g * (1.0 / ((1.0 + s * s) * (1.0 + d * d))))
+        return products
+
+    ratio = S / (S - abs(t))
+    tail = 2.0 * ratio * ratio / (3.0 * S ** 3)
+    return tuple(Interval(value - tail - spec.tol, value + tail + spec.tol) for value
+                 in _mirrored_composite(_linspace(-S, S, LINE_PANELS + 1), products_at))
+
+
 def line_conv_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()) -> Interval:
     """Enclosure of int 1/(1+s^2) 1/(1+(t-s)^2) ds over the line.
 
     Composite panels on [-S, S], plus the two-sided tail bound
     2 * (S/(S-|t|))^2 * 1/(3 S^3) from 1/(1+(t-s)^2) <= (S/(S-|t|))^2 / s^2.
     """
-    S = LINE_CUTOFF
-    if S <= 2 * abs(t) + 4:
-        raise ValueError("cutoff too small for the tail bound")
-
-    def f(s: float) -> float:
-        d = t - s
-        return 1.0 / ((1.0 + s * s) * (1.0 + d * d))
-
-    panels = max(64, int(S))
-    value = composite_integral(f, -S, S, panels)
-    ratio = S / (S - abs(t))
-    tail = 2.0 * ratio * ratio / (3.0 * S ** 3)
-    pad = spec.tol
-    return Interval(value - tail - pad, value + tail + pad)
+    return _line_conv_pair(t, spec)[0]
 
 
 def line_conv_ratio(spec: QuadratureSpec = QuadratureSpec(), dim: int = 1) -> RatioResult:
@@ -213,11 +231,12 @@ def line_conv_ratio(spec: QuadratureSpec = QuadratureSpec(), dim: int = 1) -> Ra
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    pairs = [_line_conv_pair(float(k), spec) for k in range(11)]
     grid = [float(t) for t in range(-10, 11)]
     grid_max, argmax = 0.0, grid[0]
     max_quad_error = 0.0
     for t in grid:
-        iv = line_conv_quadrature(t, spec)
+        iv = pairs[int(abs(t))][t < 0]
         mid = 0.5 * (iv.lo + iv.hi)
         closed = line_conv_closed_form(t)
         max_quad_error = max(max_quad_error, abs(mid - closed))
@@ -281,19 +300,15 @@ def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
 
     edges = _linspace(0.0, cutoff, panels + 1)
     if builtin.even and _linspace(-cutoff, 0.0, panels + 1) == [-e for e in reversed(edges)]:
-        # log w once per mirrored node pair; every node here is >= 0, so |t| = t
-        right, left = [], []
-        for a, b in zip(edges, edges[1:]):
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
+        def products_at(mid: float, half: float) -> list[float]:
             products = []
             for x, g in zip(GL_NODES, GL_WEIGHTS):
                 t = mid + half * x
                 v = log(shift, t, t)
                 products.append(g * ((v if v > 0.0 else 0.0) / (1.0 + t * t)))
-            right.append(half * _sum(products))
-            left.append(half * _sum(reversed(products)))
-        value = _sum(right) + _sum(reversed(left))
+            return products
+
+        value = _sum(_mirrored_composite(edges, products_at))
     else:
         def f(t: float) -> float:
             v = log(shift, t, abs(t))

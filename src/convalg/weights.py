@@ -285,8 +285,8 @@ class WeightFn:
 
 class ShellWeight(WeightFn):
     """u = phi_n on the n-th shell of a subgroup chain, up to a shell-wise
-    factor.  The convolution squares phi_n^2 against sq_weight(n), which
-    subclasses name; the mass is the sequence's exact_mass.
+    factor.  The convolution squares phi_n^2 against sq_weight(n) and the mass
+    (the sequence's exact_mass) sums phi_n mass_weight(n); subclasses name both.
     """
 
     phi: PhiSequence
@@ -334,6 +334,9 @@ class LayerWeight(ShellWeight):
 
     def sq_weight(self, n: int) -> int:
         return self.group.shell_size(n)
+
+    def mass_weight(self, n: int) -> int:
+        return self.group.layer_size(n)
 
     def raw_b_bound(self) -> Optional[Fraction]:
         try:
@@ -388,6 +391,7 @@ class LayerWeight(ShellWeight):
         return (Fraction(1) / (self.scale * self.phi.term(G.layer_of(x))), 0)
 
 
+@functools.lru_cache(maxsize=None)
 def _sigma_range_series(ball: int, shift: int) -> Fraction:
     """Upper bound on sum_{k >= ball} sigma(k) sigma(max(1, k - shift))."""
     total = Fraction(0)
@@ -400,6 +404,7 @@ def _sigma_range_series(ball: int, shift: int) -> Fraction:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def _sigma_pair_sum(floor_s: int, integral: bool, origin: bool, ball: int) -> Fraction:
     """sum_m sigma(floor|m + j/t|) sigma(floor|s - m|) over the truncation's m.
 
@@ -448,6 +453,8 @@ class RationalsLayerWeight(ShellWeight):
 
     def sq_weight(self, n: int) -> int:
         return self.group.chain_value(n)
+
+    mass_weight = sq_weight
 
     @property
     def c2(self) -> Fraction:
@@ -500,13 +507,10 @@ class RationalsLayerWeight(ShellWeight):
         for j in range(t):
             s_num = q_num - j  # t * (q - j/t)
             classes[(layer(j), layer(s_num), s_num // t, s_num % t == 0, j == 0)] += 1
-        sums: dict[tuple, Fraction] = {}
         total = Fraction(0)
         for (layer_r, layer_s, floor_s, integral, origin), count in classes.items():
-            key = (floor_s, integral, origin)
-            if key not in sums:
-                sums[key] = _sigma_pair_sum(floor_s, integral, origin, ball)
-            total += count * self.phi.term(layer_r) * self.phi.term(layer_s) * sums[key]
+            total += (count * self.phi.term(layer_r) * self.phi.term(layer_s)
+                      * _sigma_pair_sum(floor_s, integral, origin, ball))
         return self.scale * self.scale * total
 
     def _conv(self, x, trunc: TruncationSpec) -> Interval:
@@ -796,8 +800,8 @@ class AlgebraWeight(WeightFn):
 def _validate_phi(w: ShellWeight, first: int = 10) -> None:
     """Positive nonincreasing shell values with a certified mass, whose
     declared sq_ratio holds on this weight's own shells (with equality where
-    the tails are declared geometric): a sequence made for another chain is
-    refused."""
+    the tails are declared geometric) and whose first partial mass sums stay
+    within the declared mass: a sequence made for another chain is refused."""
     phi = w.phi
     prev = None
     for n in range(1, first + 1):
@@ -813,7 +817,8 @@ def _validate_phi(w: ShellWeight, first: int = 10) -> None:
         if nxt > bound or (phi.geometric_tails and nxt != bound):
             raise ValueError(f"shell values {phi.name!r} do not fit this chain: "
                              f"sq_ratio fails at shell {n}")
-    w.mass()
+    if sum(phi.term(n) * w.mass_weight(n) for n in range(1, first + 1)) > w.mass():
+        raise ValueError(f"shell values {phi.name!r} exceed their declared mass on this chain")
 
 
 def nested_finite_weight(group: G.PrueferGroup, phi: PhiSequence, *,

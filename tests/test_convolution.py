@@ -7,6 +7,7 @@ import pytest
 
 import convalg as ca
 from convalg import groups as G
+from convalg import weights as W
 from convalg.convolution import TailUnavailableError
 
 P2 = G.PrueferGroup(2)
@@ -169,6 +170,39 @@ def test_rationals_partial_sum_equals_enumeration(value):
         trunc = ca.TruncationSpec(layer=cutoff, ball=ball)
         assert ca.conv_at(u, q, trunc).lo == brute_rationals_conv(u, q, cutoff, ball)
         assert ca.conv_at(w, q, trunc).lo == brute_rationals_conv(w, q, cutoff, ball)
+
+
+@pytest.mark.parametrize("ball", [6, 12, 40])
+def test_sigma_memos_equal_their_originals(ball):
+    pair_sum, range_series = W._sigma_pair_sum, W._sigma_range_series
+    for floor_s in range(-6, 7):
+        for integral in (False, True):
+            for origin in (False, True):
+                args = (floor_s, integral, origin, ball)
+                assert pair_sum(*args) == pair_sum.__wrapped__(*args)
+        shift = floor_s + 7  # the reach even_floor(q) + 1 of 0 <= even_floor(q) <= 12
+        assert range_series(ball, shift) == range_series.__wrapped__(ball, shift)
+
+
+def test_refused_sigma_range_series_is_not_cached():
+    edge_zero = 6 + W._RANGE_SERIES_TERMS - 1  # ball + terms - shift - 1 == 0
+    for _ in range(3):
+        with pytest.raises(ValueError, match="range cutoff too small"):
+            W._sigma_range_series(6, edge_zero)
+
+
+def test_rationals_enclosures_do_not_depend_on_the_memo_order():
+    u = ca.rationals_weight()
+    points = [u.group.element(v) for v in (F(0), F(-5, 6), F(1, 2), F(2), F(-3), F(7, 24))]
+    truncs = [ca.TruncationSpec(layer=n, ball=b) for n, b in ((3, 6), (5, 12), (4, 40))]
+
+    def enclosures(order):
+        W._sigma_pair_sum.cache_clear()
+        W._sigma_range_series.cache_clear()
+        return {(i, q): ca.conv_at(u, q, truncs[i])
+                for i in order for q in points if G.layer_of(q) <= truncs[i].layer}
+
+    assert enclosures([0, 1, 2]) == enclosures([2, 1, 0])
 
 
 def test_rationals_partial_sum_broken_weight_equals_enumeration():

@@ -12,10 +12,15 @@ import pytest
 
 import convalg as ca
 from convalg.formulas import BUILTINS
+from convalg.intervals import Interval
 from convalg.quadrature import (
     GL_NODES,
     GL_WEIGHTS,
+    LINE_CUTOFF,
+    LINE_PANELS,
+    RATIO_TOL,
     QuadratureSpec,
+    _line_conv_pair,
     _linspace,
     beurling_panels,
     beta_segment_quadrature,
@@ -24,6 +29,7 @@ from convalg.quadrature import (
     composite_integral,
     line_conv_closed_form,
     line_conv_quadrature,
+    line_conv_ratio,
     panel_integral,
     wrap_segment_closed,
 )
@@ -204,6 +210,83 @@ def test_beurling_evaluates_log_once_per_mirrored_node_pair(monkeypatch, name):
         nodes = len(GL_NODES) * beurling_panels(cutoff)
         assert len(calls) == (nodes if mirrored else 2 * nodes), cutoff
         assert min(calls) >= 0.0 if mirrored else min(calls) < 0.0
+
+
+# --------------------------------------------------------------------------
+# The line convolution: I(t) and I(-t) from one pass, against one sum per t
+# --------------------------------------------------------------------------
+
+def brute_line_conv_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()) -> Interval:
+    """Oracle: one composite_integral of a per-node closure for each t."""
+    S = LINE_CUTOFF
+    if S <= 2 * abs(t) + 4:
+        raise ValueError("cutoff too small for the tail bound")
+
+    def f(s: float) -> float:
+        d = t - s
+        return 1.0 / ((1.0 + s * s) * (1.0 + d * d))
+
+    value = composite_integral(f, -S, S, max(64, int(S)))
+    ratio = S / (S - abs(t))
+    tail = 2.0 * ratio * ratio / (3.0 * S ** 3)
+    return Interval(value - tail - spec.tol, value + tail + spec.tol)
+
+
+def brute_line_conv_ratio_payload(dim: int) -> dict:
+    """line_conv_ratio's payload, built from the oracle one t at a time."""
+    grid_max, argmax, max_quad_error = 0.0, -10.0, 0.0
+    for t in [float(k) for k in range(-10, 11)]:
+        iv = brute_line_conv_quadrature(t)
+        mid = 0.5 * (iv.lo + iv.hi)
+        max_quad_error = max(max_quad_error, abs(mid - line_conv_closed_form(t)))
+        if mid * (1.0 + t * t) > grid_max:
+            grid_max, argmax = mid * (1.0 + t * t), t
+    return {
+        "sup_lo": (grid_max * (1.0 - 1e-12)) ** dim,
+        "sup_hi": (2 * math.pi * (1.0 + 1e-12)) ** dim,
+        "argmax": argmax, "dim": dim,
+        "value_at_zero": line_conv_closed_form(0.0),
+        "max_quadrature_error": max_quad_error,
+        "tolerance": RATIO_TOL,
+    }
+
+
+LINE_POINTS = [float(k) for k in range(-10, 11)] + [0.5, -0.5, 3.25, -3.25, 36.0, -36.0, -0.0]
+
+
+def test_line_edges_are_their_own_mirror():
+    edges = _linspace(-LINE_CUTOFF, LINE_CUTOFF, LINE_PANELS + 1)
+    assert LINE_PANELS == max(64, int(LINE_CUTOFF))
+    assert edges == [-e for e in reversed(edges)]
+    # so panel P-1-k has the negated midpoint and the half-width of panel k
+    panels = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
+    assert panels == [(-mid, half) for mid, half in reversed(panels)]
+
+
+def _hex(iv: Interval) -> tuple[str, str]:
+    return iv.lo.hex(), iv.hi.hex()
+
+
+@pytest.mark.parametrize("t", LINE_POINTS)
+def test_line_conv_quadrature_bit_for_bit(t):
+    assert _hex(line_conv_quadrature(t)) == _hex(brute_line_conv_quadrature(t))
+    # the mirrored side of the same pass is the oracle at -t
+    plus, minus = _line_conv_pair(t, QuadratureSpec())
+    assert (_hex(plus), _hex(minus)) \
+        == (_hex(brute_line_conv_quadrature(t)), _hex(brute_line_conv_quadrature(-t)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_line_conv_ratio_payload_bit_for_bit(dim):
+    # repr tells every float bit pattern apart, -0.0 from 0.0 too
+    assert repr(line_conv_ratio(dim=dim).certificate.payload) \
+        == repr(brute_line_conv_ratio_payload(dim))
+
+
+@pytest.mark.parametrize("t", [73.0, -73.0, 74.5, -1e3, math.inf])
+def test_line_conv_quadrature_guard(t):
+    with pytest.raises(ValueError, match="cutoff too small"):
+        line_conv_quadrature(t)
 
 
 # --------------------------------------------------------------------------

@@ -67,6 +67,18 @@ def test_phi_must_be_made_for_the_group_prime(group_p, phi_p):
         ca.nested_finite_weight(group, phi)
 
 
+def test_declared_mass_must_cover_the_first_mass_terms():
+    # phi_n = 1/(n! 2^n) against |G_n| = 2^n: the mass terms 1/n! reach
+    # 6235301/3628800 > 1 by n = 10, though the sequence declares mass 1
+    with pytest.raises(ValueError, match="exceed their declared mass"):
+        ca.nested_finite_weight(P2, ca.rationals_default_phi())
+    for w in [ca.pruefer_weight(p) for p in (2, 3, 5, 7)] + [ca.rationals_weight()]:
+        partial = sum(w.phi.term(n) * w.mass_weight(n) for n in range(1, 11))
+        assert partial == F(1023, 1024) and w.mass() == 1
+    w = ca.nested_finite_weight(P2, ca.rationals_default_phi(), unchecked=True)
+    assert sum(w.phi.term(n) * w.mass_weight(n) for n in range(1, 11)) == F(6235301, 3628800)
+
+
 def test_rationals_c2_is_the_kernel_constant():
     u = ca.RationalsLayerWeight(group=G.RationalsGroup(), phi=ca.rationals_default_phi())
     assert u.c2 == F(ca.sigma_subconvolutive_constant().hi)
