@@ -1,10 +1,10 @@
 """Layer weights on the 2-power torsion circle, end to end.
 
 Builds the default shell weight u with u = phi_n on the n-th shell
-(phi_n = (2p)^-n, total mass exactly 1), evaluates its self-convolution both
-in closed form and through the truncated engine, rescales to the
-subconvolutive form, and runs the full certificate suite on the 16-point
-fourth subgroup.
+(phi_n = s^n/p^n = (2p)^-n with s = 1/2, total mass s/(1-s) = 1 exactly),
+evaluates its self-convolution both in closed form and through the truncated
+engine, rescales to the subconvolutive form, and runs the full certificate
+suite on the 16-point fourth subgroup.
 """
 
 from fractions import Fraction as F
@@ -18,7 +18,7 @@ u = ca.pruefer_weight(p)
 
 print("shell values phi_n = (2p)^-n:")
 for n in range(1, 5):
-    print(f"  phi_{n} = {u.phi.term(n)}   (shell size {group.shell_size(n)})")
+    print(f"  phi_{n} = {u.term(n)}   (shell size {group.shell_size(n)})")
 print(f"mass sum phi_n |G_n| = {u.mass()}  (exact)")
 
 print("\nself-convolution at a few points (closed form vs truncated engine):")

@@ -89,22 +89,18 @@ from .weights import (
     DirectSumWeight,
     EuclideanWeight,
     LayerWeight,
-    PhiSequence,
     ProductWeight,
     RationalsLayerWeight,
     SubsetCoeffs,
     WeightFn,
     algebra_weight,
-    broken_increasing_phi,
     default_alphas,
     default_coeffs,
     direct_sum_weight,
     euclidean_weight,
     nested_finite_weight,
     product_weight,
-    pruefer_default_phi,
     pruefer_weight,
-    rationals_default_phi,
     rationals_weight,
     scale_for_b,
 )

@@ -65,7 +65,6 @@ from .serialize import (
 from .weights import (
     AlgebraWeight,
     algebra_weight,
-    broken_increasing_phi,
     direct_sum_weight,
     nested_finite_weight,
     pruefer_weight,
@@ -134,7 +133,7 @@ def _build_weight(args) -> tuple:
     if spec.startswith("pruefer:"):
         p = int(spec.split(":", 1)[1])
         if args.phi == "broken":
-            w = nested_finite_weight(G.PrueferGroup(p), broken_increasing_phi(), unchecked=True)
+            w = nested_finite_weight(G.PrueferGroup(p), Fraction(2 * p))
             return w, "uncertified (negative control)"
         u = pruefer_weight(p)
     elif spec == "rationals":

@@ -10,8 +10,11 @@ off the construction's closed form.  Tails never come from extrapolation.
 Each construction sums its own shells in its `_conv` method (see
 `weights.py`): the weights are constant on the shells of a subgroup chain
 (and, on the rationals, on the unit intervals of floor|q|), so partial sums
-are counts over shells rather than enumerations of group elements.  Unset
-truncation fields fall back to the weight's `trunc_default`.
+are counts over shells rather than enumerations of group elements.  On the
+Prüfer chain the shell values phi_n = (s/p)^n make the partial sum a few
+geometric sums in closed form and the tail a geometric series of ratio
+s^2/p, both derived from s alone.  Unset truncation fields fall back to the
+weight's `trunc_default`.
 
 Every partial sum is the same exact rational the element-by-element sum
 gives.  The engine is pure and weights are immutable, so concurrent calls
@@ -31,7 +34,9 @@ from .weights import DirectSumWeight, LayerWeight, TailUnavailableError, WeightF
 
 def conv_exact(u: WeightFn, x) -> Optional[Fraction]:
     """Closed-form value of (u*u)(x) where every tail is exactly geometric:
-    the upper end of conv_at's enclosure is then the exact value."""
+    the upper end of conv_at's enclosure is then the exact value.  That holds
+    for a Prüfer layer weight with s < 1 (its omitted squares have ratio
+    exactly s^2/p) and for direct sums of such weights."""
     if not _tails_geometric(u):
         return None
     if isinstance(u, LayerWeight):
@@ -41,7 +46,7 @@ def conv_exact(u: WeightFn, x) -> Optional[Fraction]:
 
 def _tails_geometric(u: WeightFn) -> bool:
     if isinstance(u, LayerWeight):
-        return u.phi.geometric_tails
+        return u.mass() is not None
     return isinstance(u, DirectSumWeight) and all(map(_tails_geometric, u.summands))
 
 

@@ -195,6 +195,8 @@ def circle_conv_ratio(spec: QuadratureSpec = QuadratureSpec()) -> RatioResult:
 
 def _line_conv_pair(t: float, spec: QuadratureSpec) -> tuple[Interval, Interval]:
     """line_conv_quadrature at t and at -t, one integrand evaluation per node (Mirrored panels)."""
+    if math.isnan(t):  # the guard below refuses an infinite t, but no comparison holds for nan
+        raise ValueError("t must be a number, not nan")
     S = LINE_CUTOFF
     if S <= 2 * abs(t) + 4:
         raise ValueError("cutoff too small for the tail bound")

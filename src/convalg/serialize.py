@@ -25,10 +25,8 @@ from .weights import (
     ShellWeight,
     WeightFn,
     algebra_weight,
-    broken_increasing_phi,
     direct_sum_weight,
     nested_finite_weight,
-    pruefer_weight,
     rationals_weight,
 )
 
@@ -125,13 +123,33 @@ def _scale_from_json(data) -> Any:
     return scale
 
 
+def _shell_names(group: G.GroupDescriptor) -> dict:
+    """The wire name of the shell values phi_n = s^n/m_n on the group's chain,
+    by s; a shell weight with any other s is neither written nor read."""
+    if isinstance(group, G.PrueferGroup):
+        return {Fraction(1, 2): "geometric", Fraction(2 * group.p): "broken-demo"}
+    return {Fraction(1, 2): "factorial"}
+
+
+def _shell_s(group: G.GroupDescriptor, params: dict) -> Fraction:
+    """The s whose wire name params["phi"] is on the group's chain."""
+    for s, name in _shell_names(group).items():
+        if params.get("phi") == name:
+            return s
+    raise ValueError(f"unknown shell values {params.get('phi')!r} on the {group.variant} chain")
+
+
 def weight_to_provenance(w: WeightFn) -> dict:
     if isinstance(w, ShellWeight):
-        params = {"group": descriptor_to_json(w.group), "phi": w.phi.name}
+        name = _shell_names(w.group).get(w.s)
+        if name is None:
+            raise ValueError(f"shell values with s = {w.s} have no wire name")
+        params = {"group": descriptor_to_json(w.group), "phi": name}
         if isinstance(w, RationalsLayerWeight):
             params["c2"] = format_rational(w.c2)
-        if w.phi.exact_mass is not None:
-            params["mass"] = format_rational(w.mass())
+        mass = w.mass()
+        if mass is not None:
+            params["mass"] = format_rational(mass)
     elif isinstance(w, DirectSumWeight):
         params = {
             "summands": [weight_to_provenance(s) for s in w.summands],
@@ -156,18 +174,13 @@ def weight_to_provenance(w: WeightFn) -> dict:
 def _rebuild(construction, params: dict) -> WeightFn:
     """The weight that the named construction builds from the fields that
     name it; every other field is derived, and checked by the caller."""
-    broken = params.get("phi") == "broken-demo"
     if construction == "pruefer-layer":
         # the group's variant is checked with the derived fields
         _require_object(params["group"], "a group descriptor")
-        p = _json_int(params["group"], "p")
-        if broken:
-            return nested_finite_weight(G.PrueferGroup(p), broken_increasing_phi(),
-                                        unchecked=True)
-        return pruefer_weight(p)
+        group = G.PrueferGroup(_json_int(params["group"], "p"))
+        return nested_finite_weight(group, _shell_s(group, params))
     if construction == "rationals-layer":
-        return rationals_weight(broken_increasing_phi(), unchecked=True) if broken \
-            else rationals_weight()
+        return rationals_weight(_shell_s(G.RationalsGroup(), params))
     if construction == "direct-sum":
         return direct_sum_weight([weight_from_provenance(s)
                                   for s in _json_list(params, "summands")])

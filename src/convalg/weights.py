@@ -5,14 +5,16 @@ All constructions produce an auxiliary weight u that is positive, even, and
 algebra weight is w = u^(-1/q) with 1/p + 1/q = 1.  Four families are built:
 
 * layer weights on groups exhausted by nested finite subgroups (the p-power
-  torsion circles): constant value phi_n on the n-th shell;
-* weights on the additive rationals: phi_n modulated by the reciprocal-square
-  kernel sigma of the even integer part;
+  torsion circles): constant value phi_n = s^n/p^n on the n-th shell;
+* weights on the additive rationals: phi_n = s^n/n! modulated by the
+  reciprocal-square kernel sigma of the even integer part;
 * weights on finite-support direct sums, assembled from per-summand weights
   through small coefficients alpha_j and subset coefficients a_s;
 * the rational-decay weight 1/((1+x_1^2)...(1+x_d^2)) on R^d and its product
   with a discrete factor.
 
+The two shell families are fixed by one positive rational s (1/2 by
+default); `ShellWeight` derives their mass, tails and monotonicity from it.
 Each family also owns its truncated self-convolution (`_conv`, called
 through `convolution.conv_at`) and the cutoffs it reads (`trunc_default`).
 Exact constructions evaluate to rationals; the Euclidean family is float.
@@ -27,13 +29,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from . import groups as G
 from .certificates import MAX_POINTS, TruncationSpec
 from .intervals import Interval
 from .rational import even_floor, exp_enclosure, sigma
-from .sequences import sigma_subconvolutive_constant
 
 Scalar = Union[Fraction, float]
 
@@ -48,71 +49,6 @@ def line_conv_closed_form(t: float) -> float:
 
 class TailUnavailableError(ValueError):
     """No closed-form tail is available for this weight's provenance."""
-
-
-# --------------------------------------------------------------------------
-# Shell-value sequences
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhiSequence:
-    """Closed-form positive nonincreasing shell values phi_n (1-based).
-
-    exact_mass is the total mass sum phi_n w_n against the chain weights w_n
-    (subgroup sizes, or t_n on the rationals); None marks a sequence with no
-    certified mass, which carries no bounds.  sq_ratio bounds the ratio of
-    consecutive shell-weighted squares driving convolution tails, and
-    geometric_tails marks families where that ratio is exact from the second
-    shell on, making truncation tails exact rather than upper bounds.  The
-    constructors check sq_ratio against the weight's own shells.
-    """
-
-    name: str
-    term_fn: Callable[[int], Fraction]
-    sq_ratio: Fraction
-    exact_mass: Optional[Fraction]
-    geometric_tails: bool
-
-    def term(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("shell indices are 1-based")
-        return Fraction(self.term_fn(n))
-
-
-def pruefer_default_phi(p: int) -> PhiSequence:
-    """phi_n = (2p)^-n: mass terms phi_n p^n = 2^-n sum to exactly 1, and the
-    shell-weighted squares are exactly geometric with ratio 1/(4p)."""
-    return PhiSequence(
-        name="geometric",
-        term_fn=lambda n: Fraction(1, (2 * p) ** n),
-        sq_ratio=Fraction(1, 4 * p),
-        exact_mass=Fraction(1),
-        geometric_tails=True,
-    )
-
-
-def rationals_default_phi() -> PhiSequence:
-    """phi_n = 1/(n! 2^n) against t_n = n!: mass terms are exactly 2^-n, and
-    t_n phi_n^2 = 1/(n! 4^n) contracts by 1/(4(n+1)) <= 1/8 per step."""
-    return PhiSequence(
-        name="factorial",
-        term_fn=lambda n: Fraction(1, math.factorial(n) * 2 ** n),
-        sq_ratio=Fraction(1, 8),
-        exact_mass=Fraction(1),
-        geometric_tails=False,
-    )
-
-
-def broken_increasing_phi() -> PhiSequence:
-    """Deliberately invalid shell values (increasing, infinite mass); used as
-    the negative control. No mass is certified, so tails are unavailable."""
-    return PhiSequence(
-        name="broken-demo",
-        term_fn=lambda n: Fraction(2 ** n),
-        sq_ratio=Fraction(16),
-        exact_mass=None,
-        geometric_tails=False,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -284,65 +220,116 @@ class WeightFn:
 
 
 class ShellWeight(WeightFn):
-    """u = phi_n on the n-th shell of a subgroup chain, up to a shell-wise
-    factor.  The convolution squares phi_n^2 against sq_weight(n) and the mass
-    (the sequence's exact_mass) sums phi_n mass_weight(n); subclasses name both.
+    """u = phi_n = s^n / m_n on the n-th shell of a subgroup chain, up to a
+    shell-wise factor, for one positive rational s.  m_n is the chain's mass
+    weight (chain_weight: |G_n| = p^n on the Prüfer chain, t_n = n! on the
+    rationals) and g = min_n m_{n+1}/m_n its growth (p, or t_2/t_1 = 2); the
+    ratio m_{n+1}/m_n never decreases on either chain.  Every fact the
+    certificates read follows from s and g:
+
+    * mass: sum_n phi_n m_n = sum_n s^n = s/(1-s) when s < 1.  For s >= 1 it
+      diverges, and the weight has no b-bound and no tail.
+    * squares: sq_term(n) = sq_weight(n) phi_n^2 = c s^(2n) / m_n from the
+      second shell on (c = (p-1)/p against the shells |U_n| = p^n - p^(n-1),
+      c = 1 against t_n), so consecutive squares have ratio s^2 m_n/m_{n+1}
+      <= s^2/g: exactly s^2/p on the Prüfer chain, at most s^2/2 on the
+      rationals.  For s < 1 that is below 1/2, and sq_tail sums the bounding
+      geometric series, exactly on the Prüfer chain.
+    * order: phi_{n+1}/phi_n = s m_n/m_{n+1} never increases, so phi is
+      nonincreasing exactly when s <= g, and on layers 1..m it is smallest at
+      an end: min(phi_1, phi_m).
     """
 
-    phi: PhiSequence
+    s: Fraction
+
+    def __post_init__(self) -> None:
+        if isinstance(self.s, bool) or not isinstance(self.s, (int, Fraction)) or self.s <= 0:
+            raise ValueError(f"s must be a positive rational, not {self.s!r}")
+        object.__setattr__(self, "s", Fraction(self.s))  # frozen: an int s becomes exact
+
+    def chain_weight(self, n: int) -> int:
+        raise NotImplementedError
 
     def sq_weight(self, n: int) -> int:
         raise NotImplementedError
 
-    def mass(self) -> Fraction:
-        """The exact total mass the shell sequence certifies."""
-        if self.phi.exact_mass is None:
-            raise ValueError("mass bound not certifiable from the closed form")
-        return self.phi.exact_mass
+    @property
+    def growth(self) -> int:
+        """g = min_n m_{n+1}/m_n."""
+        raise NotImplementedError
+
+    def term(self, n: int) -> Fraction:
+        """phi_n = s^n / m_n (shells are 1-based)."""
+        if n < 1:
+            raise ValueError("shell indices are 1-based")
+        s = self.s
+        return Fraction(s.numerator ** n, s.denominator ** n * self.chain_weight(n))
+
+    def mass(self) -> Optional[Fraction]:
+        """sum_n phi_n m_n = s/(1-s); None when s >= 1 (the sum diverges)."""
+        return self.s / (1 - self.s) if self.s < 1 else None
 
     def sq_term(self, n: int) -> Fraction:
         """sq_weight(n) phi_n^2, the shell factor of the self-convolution."""
-        return self.sq_weight(n) * self.phi.term(n) ** 2
+        return self.sq_weight(n) * self.term(n) ** 2
 
-    def sq_tail(self, cutoff: int) -> Fraction:
-        """sum_{j > cutoff} sq_term(j) -- exact for geometric families."""
-        if self.phi.exact_mass is None or self.phi.sq_ratio >= 1:
-            raise ValueError("no closed-form tail available for this shell sequence")
-        return self.sq_term(cutoff + 1) / (1 - self.phi.sq_ratio)
+    def sq_tail(self, cutoff: int) -> Optional[Fraction]:
+        """sum_{j > cutoff} sq_term(j) <= sq_term(cutoff + 1) / (1 - s^2/g),
+        with equality on the Prüfer chain; None when s >= 1."""
+        if self.mass() is None:
+            return None
+        return self.sq_term(cutoff + 1) / (1 - self.s * self.s / self.growth)
 
-    def max_value(self) -> Fraction:
-        return self.scale * self.phi.term(1)
+    def orbit_min(self, m: int) -> Fraction:
+        """min_{n <= m} phi_n = min(phi_1, phi_m)."""
+        return min(self.term(1), self.term(m))
+
+    def max_value(self) -> Optional[Fraction]:
+        """scale phi_1 when phi is nonincreasing (s <= g), else None."""
+        return self.scale * self.term(1) if self.s <= self.growth else None
+
+
+def _geometric_sum(z: Fraction, a: int, b: int) -> Fraction:
+    """sum_{j=a..b} z^j, which is 0 when b < a."""
+    if b < a:
+        return Fraction(0)
+    if z == 1:
+        return Fraction(b - a + 1)
+    return (z ** a - z ** (b + 1)) / (1 - z)
 
 
 @dataclass(frozen=True)
 class LayerWeight(ShellWeight):
-    """u = phi_n on the n-th shell of a nested-finite-subgroup chain; the mass
-    counts the subgroup sizes |G_n|, the squares the shell sizes |U_n|."""
+    """u = phi_n = (s/p)^n on the n-th shell of a nested-finite-subgroup
+    chain; the mass counts the subgroup sizes |G_n|, the squares the shell
+    sizes |U_n|."""
 
     group: G.PrueferGroup
-    phi: PhiSequence
+    s: Fraction
     scale: Fraction = Fraction(1)
 
     construction = "pruefer-layer"
 
     def raw_eval(self, x) -> Fraction:
-        return self.phi.term(G.layer_of(x))
+        return self.term(G.layer_of(x))
 
     def shell_key(self, x) -> int:
         """The layer: the value, the shell-count partial sum and the tail read nothing else."""
         return G.layer_of(x)
 
+    def chain_weight(self, n: int) -> int:
+        return self.group.layer_size(n)
+
     def sq_weight(self, n: int) -> int:
         return self.group.shell_size(n)
 
-    def mass_weight(self, n: int) -> int:
-        return self.group.layer_size(n)
+    @property
+    def growth(self) -> int:
+        return self.group.p
 
     def raw_b_bound(self) -> Optional[Fraction]:
-        try:
-            return 2 * self.mass()
-        except ValueError:
-            return None
+        mass = self.mass()
+        return None if mass is None else 2 * mass
 
     def trunc_default(self) -> TruncationSpec:
         return TruncationSpec(layer=8)
@@ -353,26 +340,27 @@ class LayerWeight(ShellWeight):
         y in a lower shell j puts x-y in shell n, and so does x-y for y in shell
         n with x-y in G_{n-1}: twice |U_j| phi_j phi_n.  The other y in shell n
         leave x-y in shell n; y in a higher shell puts x-y in the same shell.
+        With r = s/p, phi_j = r^j, |U_1| = p and |U_j| = ((p-1)/p) p^j after,
+        the three parts are geometric sums in s = p r and s^2/p = p r^2:
+        2 r^n ([n > 1] s + ((p-1)/p) sum_{j=2}^{n-1} s^j),
+        (p if n = 1 else p^n - 2 p^(n-1)) r^(2n) and
+        ((p-1)/p) sum_{j=n+1}^{cutoff} (s^2/p)^j.
         """
-        group, term = self.group, self.phi.term
-        phi_n = term(n)
-        total = Fraction(0)
-        for j in range(1, n):
-            total += 2 * group.shell_size(j) * term(j) * phi_n
-        prev = 0 if n == 1 else group.layer_size(n - 1)
-        total += (group.shell_size(n) - prev) * phi_n ** 2
-        for j in range(n + 1, cutoff + 1):
-            total += self.sq_term(j)
-        return total
+        p, s = self.group.p, self.s
+        r_n = self.term(n)
+        below = (s if n > 1 else 0) + Fraction(p - 1, p) * _geometric_sum(s, 2, n - 1)
+        pinned = p if n == 1 else p ** n - 2 * p ** (n - 1)
+        above = Fraction(p - 1, p) * _geometric_sum(s * s / p, n + 1, cutoff)
+        return 2 * r_n * below + pinned * r_n * r_n + above
 
     def _conv(self, x, trunc: TruncationSpec) -> Interval:
         """For x in shell n <= N the sum over the cutoff subgroup G_N is
         sum_{j<n} 2 |U_j| phi_j phi_n + (|U_n| - |G_{n-1}|) phi_n^2
-        + sum_{n<j<=N} |U_j| phi_j^2, in O(N) for any shell values.  Outside G_N
+        + sum_{n<j<=N} |U_j| phi_j^2, in closed form (`_partial`).  Outside G_N
         both factors sit in the same shell, so the omitted mass is exactly
-        sum_{j>N} |U_j| phi_j^2, which the geometric default families sum in
-        closed form (the enclosure's upper end is then the exact value, which
-        conv_exact reads).
+        sum_{j>N} |U_j| phi_j^2, a geometric series of ratio s^2/p summed in
+        closed form for s < 1 (the enclosure's upper end is then the exact
+        value, which conv_exact reads).
         """
         cutoff = trunc.layer or self.trunc_default().layer
         n = G.layer_of(x)
@@ -380,15 +368,14 @@ class LayerWeight(ShellWeight):
             raise ValueError("truncation cutoff must reach the layer of x")
         scale_sq = self.scale * self.scale
         partial = scale_sq * self._partial(n, cutoff)
-        try:
-            tail = scale_sq * self.sq_tail(cutoff)
-        except ValueError:
+        tail = self.sq_tail(cutoff)
+        if tail is None:
             return Interval(partial, None)
-        return Interval(partial, partial + tail)
+        return Interval(partial, partial + scale_sq * tail)
 
     def decay_certificate(self, x) -> tuple[Fraction, int]:
-        # the orbit {nx} stays inside the layer of x, where phi is smallest
-        return (Fraction(1) / (self.scale * self.phi.term(G.layer_of(x))), 0)
+        # the orbit {nx} stays in the layers up to that of x
+        return (Fraction(1) / (self.scale * self.orbit_min(G.layer_of(x))), 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -426,24 +413,25 @@ def _sigma_pair_sum(floor_s: int, integral: bool, origin: bool, ball: int) -> Fr
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_c2() -> Fraction:
-    return Fraction(sigma_subconvolutive_constant().hi)
+# The sigma kernel's C2: the upper end of sequences.sigma_subconvolutive_constant(),
+# which the tests recompute.
+SIGMA_C2 = Fraction(72119579, 7625000)
 
 
 @dataclass(frozen=True)
 class RationalsLayerWeight(ShellWeight):
-    """u(q) = phi_n sigma(floor|q|) on the n-th shell of the rationals chain;
-    the mass and the squares both count the chain values t_n."""
+    """u(q) = phi_n sigma(floor|q|) with phi_n = s^n/n! on the n-th shell of
+    the rationals chain; the mass and the squares both count the chain values
+    t_n."""
 
     group: G.RationalsGroup
-    phi: PhiSequence
+    s: Fraction
     scale: Fraction = Fraction(1)
 
     construction = "rationals-layer"
 
     def raw_eval(self, x) -> Fraction:
-        return self.phi.term(G.layer_of(x)) * sigma(even_floor(x.value))
+        return self.term(G.layer_of(x)) * sigma(even_floor(x.value))
 
     def shell_key(self, x) -> Fraction:
         """|q|: u is even (so are the layer and even_floor), and the partial sum
@@ -451,15 +439,19 @@ class RationalsLayerWeight(ShellWeight):
         the one at q; both tails read only even_floor(q) and the cutoffs."""
         return abs(x.value)
 
-    def sq_weight(self, n: int) -> int:
+    def chain_weight(self, n: int) -> int:
         return self.group.chain_value(n)
 
-    mass_weight = sq_weight
+    sq_weight = chain_weight
+
+    @property
+    def growth(self) -> int:
+        return 2
 
     @property
     def c2(self) -> Fraction:
-        """The sigma kernel's C2: the upper end of `sigma_subconvolutive_constant()`."""
-        return _cached_c2()
+        """The sigma kernel's C2 (`SIGMA_C2`)."""
+        return SIGMA_C2
 
     @property
     def sub_constant(self) -> Fraction:
@@ -467,10 +459,8 @@ class RationalsLayerWeight(ShellWeight):
         return 8 * self.c2
 
     def raw_b_bound(self) -> Optional[Fraction]:
-        try:
-            return 2 * self.sub_constant * self.mass()
-        except ValueError:
-            return None
+        mass = self.mass()
+        return None if mass is None else 2 * self.sub_constant * mass
 
     def mass_up_to(self, cutoff: int) -> Fraction:
         """sum_{j <= cutoff} (t_j - t_{j-1}) phi_j, the per-unit-interval mass."""
@@ -478,7 +468,7 @@ class RationalsLayerWeight(ShellWeight):
         prev = 0
         for j in range(1, cutoff + 1):
             t = self.group.chain_value(j)
-            total += (t - prev) * self.phi.term(j)
+            total += (t - prev) * self.term(j)
             prev = t
         return total
 
@@ -509,7 +499,7 @@ class RationalsLayerWeight(ShellWeight):
             classes[(layer(j), layer(s_num), s_num // t, s_num % t == 0, j == 0)] += 1
         total = Fraction(0)
         for (layer_r, layer_s, floor_s, integral, origin), count in classes.items():
-            total += (count * self.phi.term(layer_r) * self.phi.term(layer_s)
+            total += (count * self.term(layer_r) * self.term(layer_s)
                       * _sigma_pair_sum(floor_s, integral, origin, ball))
         return self.scale * self.scale * total
 
@@ -531,18 +521,19 @@ class RationalsLayerWeight(ShellWeight):
         if G.layer_of(x) > cutoff or ball < reach + 2:
             raise ValueError("truncation cutoffs must reach the window point")
         partial = self._partial(q, cutoff, ball)
-        if self.phi.exact_mass is None:
+        sq_tail = self.sq_tail(cutoff)
+        if sq_tail is None:
             return Interval(partial, None)
         scale_sq = self.scale * self.scale
-        layer_tail = scale_sq * self.sub_constant * sigma(even_floor(q)) * self.sq_tail(cutoff)
-        range_tail = (2 * scale_sq * self.mass_up_to(cutoff) * self.phi.term(1)
+        layer_tail = scale_sq * self.sub_constant * sigma(even_floor(q)) * sq_tail
+        range_tail = (2 * scale_sq * self.mass_up_to(cutoff) * self.term(1)
                       * _sigma_range_series(ball, reach))
         return Interval(partial, partial + layer_tail + range_tail)
 
     def decay_certificate(self, x) -> tuple[Fraction, int]:
         m = G.layer_of(x)
         mx = max(Fraction(1), abs(x.value))
-        return (mx * mx / (self.scale * self.phi.term(m)), 2)
+        return (mx * mx / (self.scale * self.orbit_min(m)), 2)
 
 
 def _safe_layer(x) -> int:
@@ -797,62 +788,27 @@ class AlgebraWeight(WeightFn):
 # Construction operations
 # --------------------------------------------------------------------------
 
-def _validate_phi(w: ShellWeight, first: int = 10) -> None:
-    """Positive nonincreasing shell values with a certified mass, whose
-    declared sq_ratio holds on this weight's own shells (with equality where
-    the tails are declared geometric) and whose first partial mass sums stay
-    within the declared mass: a sequence made for another chain is refused."""
-    phi = w.phi
-    prev = None
-    for n in range(1, first + 1):
-        t = phi.term(n)
-        if t <= 0:
-            raise ValueError("shell values must be positive")
-        if prev is not None and t > prev:
-            raise ValueError("shell values must be nonincreasing")
-        prev = t
-    sq = [w.sq_term(n) for n in range(2, first + 2)]
-    for n, cur, nxt in zip(range(2, first + 1), sq, sq[1:]):
-        bound = phi.sq_ratio * cur
-        if nxt > bound or (phi.geometric_tails and nxt != bound):
-            raise ValueError(f"shell values {phi.name!r} do not fit this chain: "
-                             f"sq_ratio fails at shell {n}")
-    if sum(phi.term(n) * w.mass_weight(n) for n in range(1, first + 1)) > w.mass():
-        raise ValueError(f"shell values {phi.name!r} exceed their declared mass on this chain")
-
-
-def nested_finite_weight(group: G.PrueferGroup, phi: PhiSequence, *,
-                         unchecked: bool = False) -> LayerWeight:
-    """Layer weight on a nested-finite-subgroup chain.
-
-    Validates positivity/monotonicity of the shell values, their declared
-    sq_ratio on this chain and that the mass phi_n |G_n| is certified.
-    `unchecked=True` skips validation (negative-control weights only); such
-    weights carry no tail bounds and can never certify "holds".
-    """
-    w = LayerWeight(group=group, phi=phi)
-    if not unchecked:
-        _validate_phi(w)
-    return w
+def nested_finite_weight(group: G.PrueferGroup, s) -> LayerWeight:
+    """Layer weight phi_n = (s/p)^n on the chain of p-power subgroups, for a
+    positive rational s; `ShellWeight` derives its mass, tails and order."""
+    return LayerWeight(group=group, s=s)
 
 
 def pruefer_weight(p: int) -> LayerWeight:
-    """Default layer weight on the p-power torsion circle: phi_n = (2p)^-n,
-    so the mass is exactly 1 and u*u <= 2u after which u/2 is subconvolutive."""
-    return nested_finite_weight(G.PrueferGroup(p), pruefer_default_phi(p))
+    """Default layer weight on the p-power torsion circle: s = 1/2, so
+    phi_n = (2p)^-n, the mass is exactly 1 and u*u <= 2u, after which u/2 is
+    subconvolutive."""
+    return nested_finite_weight(G.PrueferGroup(p), Fraction(1, 2))
 
 
-def rationals_weight(phi: PhiSequence | None = None, *,
-                     unchecked: bool = False) -> RationalsLayerWeight:
-    """Weight on the additive rationals: u(q) = phi_n sigma(floor|q|) on shell n.
+def rationals_weight(s=Fraction(1, 2)) -> RationalsLayerWeight:
+    """Weight on the additive rationals: u(q) = phi_n sigma(floor|q|) on shell
+    n, with phi_n = s^n/n! (1/(n! 2^n) by default, mass 1).
 
     The subconvolutivity constant C2 of the sigma kernel enters the
     certified bound u*u <= 2*(8*C2)*mass * u.
     """
-    w = RationalsLayerWeight(group=G.RationalsGroup(), phi=phi or rationals_default_phi())
-    if not unchecked:
-        _validate_phi(w)
-    return w
+    return RationalsLayerWeight(group=G.RationalsGroup(), s=s)
 
 
 def direct_sum_weight(summands: tuple[WeightFn, ...] | list[WeightFn]) -> DirectSumWeight:

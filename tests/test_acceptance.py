@@ -23,7 +23,7 @@ def scaled(p):
 def test_acceptance_1_pruefer_suite():
     t0 = time.perf_counter()
     u = ca.pruefer_weight(2)
-    assert u.phi.term(1) == F(1, 4)  # phi_n = 4^-n
+    assert u.term(1) == F(1, 4)  # phi_n = 4^-n
     iv = ca.conv_at(u, P2.identity(), ca.TruncationSpec(layer=8))
     assert iv.hi == F(15, 112)
     assert ca.conv_exact(u, P2.identity()) == F(15, 112)
@@ -56,7 +56,7 @@ def test_acceptance_2_rationals_suite():
 
     u = ca.rationals_weight()
     assert u.c2 == F(c2_interval.hi)
-    assert u.phi.term(2) == F(1, 8)  # phi_n = 1/(n! 2^n)
+    assert u.term(2) == F(1, 8)  # phi_n = 1/(n! 2^n)
     bound = 2 * (8 * u.c2) * u.mass()
     window = ca.rationals_ball_window(u.group, 3, 3)
     assert len(window.points) == 37
@@ -155,7 +155,7 @@ def test_acceptance_7_euclidean_suite():
 
 
 def test_acceptance_8_negative_controls():
-    broken = ca.nested_finite_weight(P2, ca.broken_increasing_phi(), unchecked=True)
+    broken = ca.nested_finite_weight(P2, 4)
     cert = ca.check_b(broken, ca.pruefer_ball_window(P2, 3), ca.TruncationSpec(layer=4))
     assert cert.verdict == FAILS and cert.witness == "0/1"
 

@@ -43,7 +43,7 @@ def test_check_b_raw_bound_form():
 
 
 def test_check_b_broken_weight_fails_with_witness():
-    w = ca.nested_finite_weight(P2, ca.broken_increasing_phi(), unchecked=True)
+    w = ca.nested_finite_weight(P2, 4)
     cert = ca.check_b(w, ca.pruefer_ball_window(P2, 3), ca.TruncationSpec(layer=4))
     assert cert.verdict == FAILS
     assert cert.witness == "0/1"
@@ -122,6 +122,17 @@ def test_poly_decay_certificates():
     assert cert.payload["degree"] == 0
     with pytest.raises(ValueError):
         ca.check_poly_decay(u2, P2.element(1, 1), 5)
+
+
+def test_poly_decay_increasing_control_bounds_the_whole_orbit():
+    # phi_n = 2^n on the Prüfer-13 chain increases: 13 x drops x = 1/169 to
+    # layer 1, where 1/u = 1/2, so C comes from phi_1 = 2, not phi_2 = 4
+    g = G.PrueferGroup(13)
+    u = ca.nested_finite_weight(g, 26)
+    x = g.element(1, 2)
+    cert = ca.check_poly_decay(u, x, 13)
+    assert cert.verdict == HOLDS and cert.payload["constant"] == "1/2"
+    assert 1 / u.eval(G.nmul(13, x)) == F(1, 2) > 1 / u.eval(x)
 
 
 def test_poly_decay_without_provenance_is_inconclusive():
@@ -374,7 +385,7 @@ def _pruefer_case(p, n, raw):
 
 
 def _broken_case(bound):
-    u = ca.nested_finite_weight(P2, ca.broken_increasing_phi(), unchecked=True)
+    u = ca.nested_finite_weight(P2, 4)
     return u, ca.pruefer_ball_window(P2, 3), ca.TruncationSpec(layer=4), bound
 
 

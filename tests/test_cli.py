@@ -438,6 +438,7 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
     (RAT_ARGS, _edit_params(group={"variant": "rationals", "chain": ["factorial"]}), []),
     (RAT_ARGS, _edit_params(phi="geometric"), []),
     (P2_ARGS, _edit_params(phi="factorial"), []),
+    (RAT_ARGS, _edit_params(phi="broken-demo"), []),
     (P2_ARGS, _edit_params(mass="1/4"), []),
     (SUM_ARGS, _edit_params(eps1=None), []),
     (SUM_ARGS, _edit_params(alphas=3), []),
@@ -477,7 +478,7 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
 ], ids=["bound-text", "bound-zero-den", "top-level-list", "scale-zero-den", "params-list",
         "scale-null", "group-list", "p-null", "p-list", "phi-list", "dim-null", "dim-list",
         "c2-edited", "c2-list", "chain-list", "phi-geometric-on-rationals",
-        "phi-factorial-on-pruefer", "mass-edited", "eps1-null", "alphas-number",
+        "phi-factorial-on-pruefer", "phi-broken-demo-on-rationals", "mass-edited", "eps1-null", "alphas-number",
         "summands-number", "algebra-p-one", "algebra-p-half", "algebra-p-negative",
         "algebra-base-unscaled", "scale-infinite", "scale-zero", "scale-negative",
         "scale-float-on-exact", "p-mersenne-61", "pruefer37-default-window",

@@ -14,19 +14,35 @@ P2 = G.PrueferGroup(2)
 P3 = G.PrueferGroup(3)
 
 
-def brute_layer_conv(p, x, cutoff, phi=None):
-    """Independent oracle: exact sum over the cutoff subgroup plus the exact
-    geometric remainder (every omitted pair sits in a common shell j>cutoff,
-    contributing |U_j| phi_j^2 = ((p-1)/p)(4p)^-j, summed in closed form).
-    A custom phi replaces the default shell values in the sum (the remainder
-    is still the default family's)."""
+def brute_layer_conv(p, x, cutoff, s=F(1, 2)):
+    """Independent oracle: exact sum over the cutoff subgroup of the shell
+    values phi_n = (s/p)^n, plus the exact geometric remainder of the default
+    s = 1/2 (every omitted pair sits in a common shell j>cutoff, contributing
+    |U_j| phi_j^2 = ((p-1)/p)(4p)^-j, summed in closed form)."""
     g = G.PrueferGroup(p)
-    phi = phi or (lambda n: F(1, (2 * p) ** n))
+    phi = lambda n: (F(s) / p) ** n
     total = F(0)
     for y in g.subgroup_elements(cutoff):
         total += phi(G.layer_of(y)) * phi(G.layer_of(G.sub(x, y)))
     tail = F(p - 1, p) * F(1, (4 * p) ** (cutoff + 1)) / (1 - F(1, 4 * p))
     return total, tail
+
+
+def brute_layer_partial(group, s, n, cutoff):
+    """The shell loop over G_cutoff for x in shell n: twice |U_j| phi_j phi_n
+    from each lower shell j, (|U_n| - |G_{n-1}|) phi_n^2 from shell n and
+    |U_j| phi_j^2 from each higher shell, with phi_j = (s/p)^j."""
+    def phi(j):
+        return (F(s) / group.p) ** j
+
+    total = F(0)
+    for j in range(1, n):
+        total += 2 * group.shell_size(j) * phi(j) * phi(n)
+    prev = 0 if n == 1 else group.layer_size(n - 1)
+    total += (group.shell_size(n) - prev) * phi(n) ** 2
+    for j in range(n + 1, cutoff + 1):
+        total += group.shell_size(j) * phi(j) ** 2
+    return total
 
 
 def shell_points(g, cutoff):
@@ -51,13 +67,24 @@ def test_layer_partial_sum_equals_enumeration(p, cutoff):
         assert scaled_iv.lo == w.scale ** 2 * partial
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_layer_partial_closed_form_equals_shell_loop(p):
+    # 7440 cases; s = 1 sums the lower shells at ratio 1, and s = 2p is the
+    # increasing control
+    g = G.PrueferGroup(p)
+    for s in (F(1, 3), F(1, 2), F(1), F(2 * p)):
+        w = ca.nested_finite_weight(g, s)
+        for cutoff in range(1, 31):
+            for n in range(1, cutoff + 1):
+                assert w._partial(n, cutoff) == brute_layer_partial(g, s, n, cutoff), (s, n, cutoff)
+
+
 @pytest.mark.parametrize("p,cutoff", [(2, 6), (3, 4)])
 def test_layer_partial_sum_broken_weight_equals_enumeration(p, cutoff):
     g = G.PrueferGroup(p)
-    broken = ca.broken_increasing_phi()
-    w = ca.nested_finite_weight(g, broken, unchecked=True)
+    w = ca.nested_finite_weight(g, 2 * p)
     for x in shell_points(g, cutoff):
-        partial, _ = brute_layer_conv(p, x, cutoff, phi=broken.term)
+        partial, _ = brute_layer_conv(p, x, cutoff, s=2 * p)
         iv = ca.conv_at(w, x, ca.TruncationSpec(layer=cutoff), require_tail=False)
         assert iv.lo == partial
         assert iv.hi is None
@@ -126,7 +153,7 @@ def test_conv_requires_reachable_cutoff():
 
 
 def test_conv_tail_unavailable_for_broken_weight():
-    w = ca.nested_finite_weight(P2, ca.broken_increasing_phi(), unchecked=True)
+    w = ca.nested_finite_weight(P2, 4)
     with pytest.raises(TailUnavailableError):
         ca.conv_at(w, P2.identity(), ca.TruncationSpec(layer=4))
     iv = ca.conv_at(w, P2.identity(), ca.TruncationSpec(layer=4), require_tail=False)
@@ -206,7 +233,9 @@ def test_rationals_enclosures_do_not_depend_on_the_memo_order():
 
 
 def test_rationals_partial_sum_broken_weight_equals_enumeration():
-    b = ca.rationals_weight(phi=ca.broken_increasing_phi(), unchecked=True)
+    # s = 2: phi_n = 2^n/n!, infinite mass, so no tail
+    b = ca.rationals_weight(2)
+    assert b.mass() is None
     for value in (F(-5, 6), F(3), F(1, 2)):
         q = b.group.element(value)
         iv = ca.conv_at(b, q, ca.TruncationSpec(layer=3, ball=6), require_tail=False)

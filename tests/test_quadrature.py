@@ -289,6 +289,12 @@ def test_line_conv_quadrature_guard(t):
         line_conv_quadrature(t)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_line_conv_quadrature_refuses_non_finite_t(t):
+    with pytest.raises(ValueError):
+        line_conv_quadrature(t)
+
+
 # --------------------------------------------------------------------------
 # The pure-Python panel edges and the numpy-free runtime
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import json
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -56,10 +57,18 @@ def test_weight_provenance_roundtrips():
 
 
 def test_broken_weight_provenance_roundtrip():
-    w = ca.nested_finite_weight(P2, ca.broken_increasing_phi(), unchecked=True)
+    w = ca.nested_finite_weight(P2, 4)
     rebuilt = ca.weight_from_provenance(ca.weight_to_provenance(w))
     assert rebuilt.b_bound is None
     assert rebuilt.eval(P2.identity()) == w.eval(P2.identity())
+
+
+def test_shell_weights_without_a_wire_name_are_not_written():
+    # the wire names cover s = 1/2 on both chains and s = 2p on the Prüfer chain
+    for w in (ca.nested_finite_weight(P2, F(1, 3)), ca.nested_finite_weight(P2, 6),
+              ca.rationals_weight(2), ca.rationals_weight(F(1, 3))):
+        with pytest.raises(ValueError, match="no wire name"):
+            ca.weight_to_provenance(w)
 
 
 def test_unknown_schema_rejected():

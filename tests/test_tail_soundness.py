@@ -35,7 +35,7 @@ def test_rationals_range_tail_dominates_omitted_mass(uq):
             if abs(r.value) > ball:
                 omitted += uq.eval(r) * uq.eval(G.sub(q, r))
         reach = even_floor(q.value) + 1
-        claimed = 2 * uq.mass_up_to(layer) * uq.phi.term(1) * _sigma_range_series(ball, reach)
+        claimed = 2 * uq.mass_up_to(layer) * uq.term(1) * _sigma_range_series(ball, reach)
         assert omitted <= claimed
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import convalg as ca
 from convalg import groups as G
+from convalg import weights as W
 
 P2 = G.PrueferGroup(2)
 P3 = G.PrueferGroup(3)
@@ -41,47 +42,83 @@ def test_layer_weight_even_and_positive_exhaustive():
         assert u.eval(x) == u.eval(G.neg(x))
 
 
-def test_custom_phi_validation():
-    bad = ca.PhiSequence(name="bad", term_fn=lambda n: F(-1), sq_ratio=F(1, 2),
-                         exact_mass=None, geometric_tails=False)
-    with pytest.raises(ValueError):
-        ca.nested_finite_weight(P2, bad)
-    with pytest.raises(ValueError):
-        ca.nested_finite_weight(P2, ca.broken_increasing_phi())
-    with pytest.raises(ValueError, match="do not fit this chain"):
-        ca.rationals_weight(ca.pruefer_default_phi(2))
-    # the negative-control escape hatch constructs, but carries no bounds
-    w = ca.nested_finite_weight(P2, ca.broken_increasing_phi(), unchecked=True)
-    assert w.b_bound is None
+def shell_weights(s_values=(F(1, 3), F(1, 2), F(1), F(2), F(3), F(5))):
+    """Prüfer weights for p in {2, 3, 5, 7} and rationals weights, at each s
+    and at the Prüfer control s = 2p."""
+    for p in (2, 3, 5, 7):
+        for s in s_values + (F(2 * p),):
+            yield ca.nested_finite_weight(G.PrueferGroup(p), s), p
+    for s in s_values:
+        yield ca.rationals_weight(s), 2
+
+
+def test_shell_values_are_s_powers_over_the_chain():
+    for n in range(1, 12):
+        for p in (2, 3, 5, 7):
+            assert ca.pruefer_weight(p).term(n) == F(1, (2 * p) ** n)
+            assert ca.nested_finite_weight(G.PrueferGroup(p), 2 * p).term(n) == 2 ** n
+        assert ca.rationals_weight().term(n) == F(1, math.factorial(n) * 2 ** n)
+
+
+def test_first_mass_terms_are_powers_of_s():
+    # sum_{n <= 10} phi_n m_n = sum_{n <= 10} s^n on either chain
+    for w, _ in shell_weights():
+        partial = sum(w.term(n) * w.chain_weight(n) for n in range(1, 11))
+        assert partial == sum(w.s ** n for n in range(1, 11))
+    for w in [ca.pruefer_weight(p) for p in (2, 3, 5, 7)] + [ca.rationals_weight()]:
+        assert sum(w.term(n) * w.chain_weight(n) for n in range(1, 11)) == F(1023, 1024)
+        assert w.mass() == 1
+
+
+def test_shell_facts_derive_from_s():
+    for w, g in shell_weights():
+        s = w.s
+        if s < 1:
+            assert w.mass() == s / (1 - s)
+            assert w.b_bound is not None
+        else:
+            assert w.mass() is None and w.b_bound is None and w.sq_tail(4) is None
+        ratio = s * s / g
+        exact = isinstance(w, ca.LayerWeight)
+        for n in range(2, 16):
+            nxt = w.sq_term(n + 1)
+            assert nxt == ratio * w.sq_term(n) if exact else nxt <= ratio * w.sq_term(n)
+        if s < 1:
+            for cutoff in (1, 3, 6):
+                head = sum(w.sq_term(j) for j in range(cutoff + 1, cutoff + 41))
+                assert head <= w.sq_tail(cutoff)
+                if exact:
+                    assert w.sq_tail(cutoff) == head + w.sq_tail(cutoff + 40)
+        nonincreasing = all(w.term(n + 1) <= w.term(n) for n in range(1, 20))
+        assert nonincreasing == (s <= g)
+        assert (w.max_value() is None) == (not nonincreasing)
+        for m in range(1, 12):
+            assert w.orbit_min(m) == min(w.term(n) for n in range(1, m + 1))
+
+
+def test_shell_ratio_must_be_a_positive_rational():
+    for s in (0, -1, F(-1, 2), 0.5, "1/2", True, None):
+        with pytest.raises(ValueError):
+            ca.nested_finite_weight(P2, s)
+        with pytest.raises(ValueError):
+            ca.rationals_weight(s)
 
 
 @pytest.mark.parametrize("group_p, phi_p", [(3, 2), (2, 3), (5, 3), (2, 2), (7, 7)])
 def test_phi_must_be_made_for_the_group_prime(group_p, phi_p):
-    group, phi = G.PrueferGroup(group_p), ca.pruefer_default_phi(phi_p)
-    if group_p == phi_p:
-        assert ca.nested_finite_weight(group, phi).mass() == 1
-        return
-    # (3, 2): the mass terms 4^-n 3^n sum to 3, not the declared 1, and the
-    # certified tails undercut the exact partial sums
-    with pytest.raises(ValueError, match="do not fit this chain"):
-        ca.nested_finite_weight(group, phi)
-
-
-def test_declared_mass_must_cover_the_first_mass_terms():
-    # phi_n = 1/(n! 2^n) against |G_n| = 2^n: the mass terms 1/n! reach
-    # 6235301/3628800 > 1 by n = 10, though the sequence declares mass 1
-    with pytest.raises(ValueError, match="exceed their declared mass"):
-        ca.nested_finite_weight(P2, ca.rationals_default_phi())
-    for w in [ca.pruefer_weight(p) for p in (2, 3, 5, 7)] + [ca.rationals_weight()]:
-        partial = sum(w.phi.term(n) * w.mass_weight(n) for n in range(1, 11))
-        assert partial == F(1023, 1024) and w.mass() == 1
-    w = ca.nested_finite_weight(P2, ca.rationals_default_phi(), unchecked=True)
-    assert sum(w.phi.term(n) * w.mass_weight(n) for n in range(1, 11)) == F(6235301, 3628800)
+    # the values (2 phi_p)^-n on the group_p chain are s = group_p / (2 phi_p):
+    # their mass is derived, so it is 1 only when the primes agree ((3, 2):
+    # the mass terms 4^-n 3^n sum to 3, s = 3/4)
+    s = F(group_p, 2 * phi_p)
+    w = ca.nested_finite_weight(G.PrueferGroup(group_p), s)
+    assert all(w.term(n) == F(1, (2 * phi_p) ** n) for n in range(1, 12))
+    assert w.mass() == s / (1 - s)
+    assert (w.mass() == 1) == (group_p == phi_p)
+    assert sum(w.term(n) * group_p ** n for n in range(1, 40)) < w.mass()
 
 
 def test_rationals_c2_is_the_kernel_constant():
-    u = ca.RationalsLayerWeight(group=G.RationalsGroup(), phi=ca.rationals_default_phi())
-    assert u.c2 == F(ca.sigma_subconvolutive_constant().hi)
+    assert ca.rationals_weight().c2 == W.SIGMA_C2 == F(ca.sigma_subconvolutive_constant().hi)
 
 
 def test_rationals_weight_values():
@@ -261,6 +298,19 @@ def test_algebra_weight_power_identities():
     w3 = ca.AlgebraWeight(base=scaled_pruefer(2), p=F(3))
     assert w3.base.eval(x) == F(1, 8)
     assert w3.eval(x) == pytest.approx(4.0)
+
+
+def test_decay_certificates_bound_every_orbit():
+    for w, _ in shell_weights():
+        g = w.group
+        if isinstance(w, ca.LayerWeight):
+            points = [g.element(k, n) for n in range(1, 4) for k in (1, g.p ** n - 1)]
+        else:
+            points = [g.element(v) for v in (F(1, 2), F(-7, 6), F(5, 24), F(3))]
+        for x in points:
+            c, d = w.decay_certificate(x)
+            for n in range(1, 80):
+                assert 1 / w.eval(G.nmul(n, x)) <= c * n ** d
 
 
 def test_decay_certificates():
