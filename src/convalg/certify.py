@@ -34,7 +34,8 @@ from .convolution import conv_at
 from .formulas import FormulaWeight
 from .rational import format_rational
 from .serialize import point_to_json
-from .weights import AlgebraWeight, DirectSumWeight, LayerWeight, RationalsLayerWeight, WeightFn
+from .weights import (AlgebraWeight, DirectSumWeight, LayerWeight, RationalsLayerWeight, WeightFn,
+                      summand_tables)
 
 
 def _num(x):
@@ -162,27 +163,28 @@ def check_b(u: WeightFn, window: Window, trunc: TruncationSpec,
     inconclusive = []
     max_ratio = None
     shells: dict = {}
-    for x in window.points:
-        key = u.shell_key(x)
-        if key not in shells:
-            shells[key] = (conv_at(u, x, trunc, require_tail=False), bound * u.eval(x))
-        iv, rhs = shells[key]
-        if iv.hi is not None and iv.hi <= rhs:
-            ratio = iv.hi / rhs
-            if max_ratio is None or ratio > max_ratio:
-                max_ratio = ratio
-            continue
-        if iv.lo > rhs:
-            payload = {
-                "bound": _num(bound),
-                "conv_lower": _num(iv.lo),
-                "conv_upper": _num(iv.hi) if iv.hi is not None else None,
-                "rhs": _num(rhs),
-            }
-            return Certificate(prop="subconvolutive", verdict=FAILS, payload=payload,
-                               window=window_info(window), truncation=trunc.describe(),
-                               witness=point_to_json(x))
-        inconclusive.append(x)
+    with summand_tables(u):
+        for x in window.points:
+            key = u.shell_key(x)
+            if key not in shells:
+                shells[key] = (conv_at(u, x, trunc, require_tail=False), bound * u.eval(x))
+            iv, rhs = shells[key]
+            if iv.hi is not None and iv.hi <= rhs:
+                ratio = iv.hi / rhs
+                if max_ratio is None or ratio > max_ratio:
+                    max_ratio = ratio
+                continue
+            if iv.lo > rhs:
+                payload = {
+                    "bound": _num(bound),
+                    "conv_lower": _num(iv.lo),
+                    "conv_upper": _num(iv.hi) if iv.hi is not None else None,
+                    "rhs": _num(rhs),
+                }
+                return Certificate(prop="subconvolutive", verdict=FAILS, payload=payload,
+                                   window=window_info(window), truncation=trunc.describe(),
+                                   witness=point_to_json(x))
+            inconclusive.append(x)
     if inconclusive:
         payload = {
             "bound": _num(bound),
@@ -203,25 +205,27 @@ def check_positivity(u: WeightFn, window: Window) -> Certificate:
     if excluded:
         payload["ae_excluded"] = [_num(p) for p in window.ae_excluded]
         payload["note"] = "listed points excluded under almost-everywhere semantics"
-    for x in window.points:
-        if x in excluded:
-            continue
-        if u.eval(x) <= 0:
-            payload["value"] = _num(u.eval(x))
-            if isinstance(u, FormulaWeight) and x in u.zero_points():
-                payload["ae_exclusion_available"] = True
-            return Certificate(prop="positivity", verdict=FAILS, payload=payload,
-                               window=window_info(window), witness=point_to_json(x))
+    with summand_tables(u):
+        for x in window.points:
+            if x in excluded:
+                continue
+            if u.eval(x) <= 0:
+                payload["value"] = _num(u.eval(x))
+                if isinstance(u, FormulaWeight) and x in u.zero_points():
+                    payload["ae_exclusion_available"] = True
+                return Certificate(prop="positivity", verdict=FAILS, payload=payload,
+                                   window=window_info(window), witness=point_to_json(x))
     return Certificate(prop="positivity", verdict=HOLDS, payload=payload,
                        window=window_info(window))
 
 
 def check_evenness(u: WeightFn, window: Window) -> Certificate:
-    for x in window.points:
-        if u.eval(x) != u.eval(u.point_neg(x)):
-            payload = {"value": _num(u.eval(x)), "value_at_neg": _num(u.eval(u.point_neg(x)))}
-            return Certificate(prop="evenness", verdict=FAILS, payload=payload,
-                               window=window_info(window), witness=point_to_json(x))
+    with summand_tables(u):
+        for x in window.points:
+            if u.eval(x) != u.eval(u.point_neg(x)):
+                payload = {"value": _num(u.eval(x)), "value_at_neg": _num(u.eval(u.point_neg(x)))}
+                return Certificate(prop="evenness", verdict=FAILS, payload=payload,
+                                   window=window_info(window), witness=point_to_json(x))
     return Certificate(prop="evenness", verdict=HOLDS, payload={},
                        window=window_info(window))
 

@@ -244,6 +244,8 @@ def _parse_window(w, spec: str) -> Window:
     if spec.startswith("sample:"):
         _require_group(group, G.SumGroup, spec)
         parts = spec.split(":")
+        if len(parts) > 4:
+            raise ValueError(f"window {spec!r} has parts beyond sample:SIZE:SEED:CAP")
         size = int(parts[1])
         seed = int(parts[2]) if len(parts) > 2 else 0
         cap = int(parts[3]) if len(parts) > 3 else 4
@@ -257,19 +259,16 @@ def _require_group(group, kind: type, spec: str) -> None:
 
 
 def _parse_trunc(spec: str) -> TruncationSpec:
-    layer = ball = None
-    per = None
+    fields: dict = {}
     for part in spec.split(","):
         part = part.strip()
-        if part.startswith("N"):
-            layer = int(part[1:])
-        elif part.startswith("B"):
-            ball = int(part[1:])
-        elif part.startswith("L"):
-            per = tuple(int(v) for v in part[1:].split("/"))
-        else:
+        name = {"N": "layer", "B": "ball", "L": "per_summand"}.get(part[:1])
+        if name is None:
             raise ValueError(f"cannot parse truncation part {part!r}")
-    return TruncationSpec(layer=layer, ball=ball, per_summand=per)
+        if name in fields:
+            raise ValueError(f"truncation {spec!r} repeats its {part[:1]} part")
+        fields[name] = tuple(map(int, part[1:].split("/"))) if name == "per_summand" else int(part[1:])
+    return TruncationSpec(**fields)
 
 
 def cmd_verify(args) -> int:

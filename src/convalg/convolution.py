@@ -16,9 +16,9 @@ geometric sums in closed form and the tail a geometric series of ratio
 s^2/p, both derived from s alone.  Unset truncation fields fall back to the
 weight's `trunc_default`.
 
-Every partial sum is the same exact rational the element-by-element sum
-gives.  The engine is pure and weights are immutable, so concurrent calls
-are safe.
+Every partial sum is the exact rational the element-by-element sum gives.
+The engine is pure, weights are immutable and a sum's per-check tables live
+in a context variable (`weights.summand_tables`): concurrent calls are safe.
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ Weights are immutable; evaluation is pure and safe to run concurrently.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 import functools
 import math
@@ -543,6 +545,20 @@ def _safe_layer(x) -> int:
         return 1
 
 
+_SUMMAND_TABLES: contextvars.ContextVar = contextvars.ContextVar("summand_tables", default=None)
+
+
+@contextlib.contextmanager
+def summand_tables(u: WeightFn):
+    """Scope of one check on u, holding (u, values, rows): a direct sum u fills
+    these tables once (see DirectSumWeight._conv), and they end with the scope."""
+    token = _SUMMAND_TABLES.set((u, {}, {}))
+    try:
+        yield
+    finally:
+        _SUMMAND_TABLES.reset(token)
+
+
 @dataclass(frozen=True)
 class DirectSumWeight(WeightFn):
     """u(x) = a_{s(x)} prod_{j in s(x)} alpha_j u_j(x_j) on a finite direct sum."""
@@ -555,10 +571,21 @@ class DirectSumWeight(WeightFn):
 
     construction = "direct-sum"
 
+    def _tables(self) -> tuple[dict, dict]:
+        """(values, rows) of this weight's open summand_tables scope, else fresh ones."""
+        scope = _SUMMAND_TABLES.get()
+        return scope[1:] if scope is not None and scope[0] is self else ({}, {})
+
+    def _value(self, j: int, pt) -> Fraction:
+        values = self._tables()[0]  # by the exact point: check_evenness sees x and -x apart
+        if (j, pt) not in values:
+            values[j, pt] = self.alphas.value(j) * self.summands[j - 1].eval(pt)
+        return values[j, pt]
+
     def raw_eval(self, x) -> Fraction:
         value = self.coeffs.value(x.support())
         for j, pt in x.coords:
-            value *= self.alphas.value(j) * self.summands[j - 1].eval(pt)
+            value *= self._value(j, pt)
         return value
 
     def shell_key(self, x) -> tuple:
@@ -587,44 +614,44 @@ class DirectSumWeight(WeightFn):
         subset coefficients, which add up to
         K(P, C u E) = sum_{A subset P} a_{C u E u A} a_{C u E u (P \\ A)}
         (`SubsetCoeffs.pair_sum`), so a point takes 2^|support| 2^|complement|
-        terms instead of 3^|support| 2^|complement|.
+        terms instead of 3^|support| 2^|complement|.  Within a check's summand_tables
+        scope each row (point term, S_j or Z_j) is computed once per key (j, j in
+        support, u_j.shell_key(x_j), cutoff): the summand contract `shell_key` reads.
         """
         from .convolution import conv_at  # at call time: convolution imports this module
 
         cutoffs = trunc.per_summand if trunc.per_summand is not None else self.trunc_default().per_summand
         if len(cutoffs) != len(self.summands):
             raise ValueError("per-summand cutoffs must match the summand count")
+        rows = self._tables()[1]
         support = sorted(x.support())
         comp = [j for j in range(1, len(self.summands) + 1) if j not in x.support()]
 
         # S_j on the support and Z_j on the complement: disjoint keys, one dict
-        point_term: dict[int, Fraction] = {}
-        factor: dict[int, Interval] = {}
+        point_term, factor = {}, {}
         for j, uj in enumerate(self.summands, start=1):
             xj = x.coord(j)  # the identity off the support
-            u0 = uj.eval(uj.descriptor.identity())
-            conv = conv_at(uj, xj, TruncationSpec(layer=max(cutoffs[j - 1], _safe_layer(xj))))
-            if j in support:
-                ux = uj.eval(xj)
-                point_term[j] = self.alphas.value(j) * ux
-                cut = 2 * u0 * ux
-            else:
-                cut = u0 * u0
-            factor[j] = Interval(max(conv.lo - cut, Fraction(0)), conv.hi - cut
-                                 ).scale_nonneg(self.alphas.value(j) ** 2)
+            key = (j, j in support, uj.shell_key(xj), cutoffs[j - 1])
+            if key not in rows:
+                conv = conv_at(uj, xj, TruncationSpec(layer=max(cutoffs[j - 1], _safe_layer(xj))))
+                zero = self._value(j, uj.descriptor.identity())
+                point = self._value(j, xj) if key[1] else None
+                cut = 2 * zero * point if key[1] else zero * zero
+                a2 = self.alphas.value(j) ** 2
+                rows[key] = point, Interval(max(a2 * conv.lo - cut, Fraction(0)), a2 * conv.hi - cut)
+            point_term[j], factor[j] = rows[key]
 
-        total = Interval.point(Fraction(0))
+        lo = hi = Fraction(0)
         for c_mask in range(2 ** len(support)):
             pinned = frozenset(support[i] for i in range(len(support)) if c_mask >> i & 1)
             points = frozenset(support) - pinned
             point_product = math.prod(point_term[j] for j in points)
             for mask in range(2 ** len(comp)):
                 base = pinned | frozenset(comp[i] for i in range(len(comp)) if mask >> i & 1)
-                term = Interval.point(self.coeffs.pair_sum(points, base) * point_product)
-                for j in base:
-                    term = term.mul_nonneg(factor[j])
-                total = total.add(term)
-        return total.scale_nonneg(self.scale * self.scale)
+                coeff = self.coeffs.pair_sum(points, base) * point_product
+                lo += coeff * math.prod(factor[j].lo for j in base)
+                hi += coeff * math.prod(factor[j].hi for j in base)
+        return Interval(lo, hi).scale_nonneg(self.scale * self.scale)
 
     def max_value(self) -> Fraction:
         bound = self.coeffs.eps1

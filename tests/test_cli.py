@@ -475,6 +475,11 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
     (ALG_ARGS, None, ["--trunc", "N8,B12"]),
     (ALG_ARGS, None, ["--trunc", "N8"]),
     (SUM_ARGS + ["--p", "2"], None, ["--trunc", "L6/6"]),
+    (SUM_ARGS, None, ["--window", "sample:20:1:3:9"]),
+    (SUM_ARGS, None, ["--window", "sample:20:1:3:"]),
+    (P2_ARGS, None, ["--trunc", "N8,N9"]),
+    (RAT_ARGS, None, ["--trunc", "N5,B12,B13"]),
+    (SUM_ARGS, None, ["--trunc", "L6/6,L7/7"]),
 ], ids=["bound-text", "bound-zero-den", "top-level-list", "scale-zero-den", "params-list",
         "scale-null", "group-list", "p-null", "p-list", "phi-list", "dim-null", "dim-list",
         "c2-edited", "c2-list", "chain-list", "phi-geometric-on-rationals",
@@ -488,7 +493,9 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
         "sum-trunc-L0", "sum-trunc-negative", "sum-sample-cap-0", "bound-zero",
         "bound-negative", "pruefer-trunc-L-unread", "pruefer-trunc-B-unread",
         "sum-trunc-N-unread", "rationals-trunc-L-unread", "algebra-trunc-B-unread",
-        "algebra-trunc-N-unread", "algebra-sum-trunc-L-unread"])
+        "algebra-trunc-N-unread", "algebra-sum-trunc-L-unread", "sum-sample-fifth-part",
+        "sum-sample-trailing-colon", "pruefer-trunc-N-repeated", "rationals-trunc-B-repeated",
+        "sum-trunc-L-repeated"])
 def test_verify_malformed_input_exit_2(tmp_path, capsys, construct, edit, flags):
     wfile = tmp_path / "w.json"
     run(capsys, "construct", *construct, "--out", str(wfile))

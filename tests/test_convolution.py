@@ -338,15 +338,101 @@ def exact_summands(j, uj, xj):
     return ca.Interval.point(ca.conv_exact(uj, xj))
 
 
+def pruefer_sum_232():
+    return ca.direct_sum_weight(tuple(ca.scale_for_b(u, u.b_bound)
+                                      for u in map(ca.pruefer_weight, (2, 3, 2))))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sum_conv_equals_pattern_loop(seed):
-    w = ca.direct_sum_weight(tuple(ca.scale_for_b(u, u.b_bound)
-                                   for u in map(ca.pruefer_weight, (2, 3, 2))))
+    w = pruefer_sum_232()
     window = ca.sum_sample_window(w.group, 200, seed=seed)
     trunc = ca.TruncationSpec(per_summand=(6, 6, 6))
+    expected = {x: brute_sum_conv(w, x, truncated_summands((6, 6, 6))) for x in window.points}
     for x in window.points:
-        assert ca.conv_at(w, x, trunc) == brute_sum_conv(w, x, truncated_summands((6, 6, 6)))
+        assert ca.conv_at(w, x, trunc) == expected[x]
         assert ca.conv_exact(w, x) == brute_sum_conv(w, x, exact_summands).lo
+    # inside one check's scope the rows and values come from its tables
+    with W.summand_tables(w):
+        for x in window.points:
+            assert ca.conv_at(w, x, trunc) == expected[x]
+            assert w.eval(x) == brute_sum_eval(w, x)
+
+
+def brute_sum_eval(u, x):
+    value = u.scale * u.coeffs.value(x.support())
+    for j, pt in x.coords:
+        value *= u.alphas.value(j) * u.summands[j - 1].eval(pt)
+    return value
+
+
+def test_sum_check_b_makes_one_summand_call_per_row(monkeypatch):
+    w = pruefer_sum_232()
+    window = ca.sum_sample_window(w.group, 200, seed=0)
+    # what _conv reads of x_j: in the support or not, and the layer (the cutoff is fixed)
+    rows = {(j, j in x.support(), G.layer_of(x.coord(j)))
+            for x in window.points for j in (1, 2, 3)}
+    calls = []
+    conv = W.LayerWeight._conv
+
+    def counted(self, x, trunc):
+        calls.append((self, x, trunc))
+        return conv(self, x, trunc)
+
+    monkeypatch.setattr(W.LayerWeight, "_conv", counted)
+    cert = ca.check_b(w, window, w.trunc_default())
+    assert cert.verdict == "holds"
+    assert len(calls) == len(rows) == 15
+    # outside a scope every conv_at call recomputes its summand rows
+    ca.conv_at(w, window.points[0], w.trunc_default())
+    assert len(calls) == 18
+
+
+class OddLayerWeight(W.LayerWeight):
+    """Test-only weight that is not even: k/p^n with 2k < p^n takes twice its
+    shell value, though its shell key is still the layer."""
+
+    def raw_eval(self, x):
+        return super().raw_eval(x) * (2 if 2 * x.num < self.group.p ** x.exp else 1)
+
+
+def test_sum_evenness_evaluates_each_point():
+    # the values table is keyed by the exact point, so x and -x stay apart
+    odd = OddLayerWeight(group=P2, s=F(1, 2), scale=F(1, 4))
+    w = ca.direct_sum_weight((odd, scaled(3)))
+    window = ca.sum_sample_window(w.group, 20, seed=0)
+    cert = ca.check_evenness(w, window)
+    assert cert.verdict == "fails"
+    x = next(x for x in window.points if w.eval(x) != w.eval(G.neg(x)))
+    assert cert.witness == ca.point_to_json(x)
+    assert cert.payload["value"] == ca.format_rational(brute_sum_eval(w, x))
+    assert ca.check_evenness(pruefer_sum_232(), window).verdict == "holds"
+
+
+def test_summand_tables_end_with_their_check():
+    w = pruefer_sum_232()
+    window = ca.sum_sample_window(w.group, 20, seed=0)
+    assert W._SUMMAND_TABLES.get() is None
+    for check in (ca.check_positivity, ca.check_evenness):
+        assert check(w, window).verdict == "holds"
+        assert W._SUMMAND_TABLES.get() is None
+    assert ca.check_b(w, window, w.trunc_default()).verdict == "holds"
+    assert W._SUMMAND_TABLES.get() is None
+    with pytest.raises(ValueError, match="cutoffs must match"):
+        ca.check_b(w, window, ca.TruncationSpec(per_summand=(6, 6)))
+    assert W._SUMMAND_TABLES.get() is None
+    other = ca.direct_sum_weight((scaled(2), scaled(3)))
+    with pytest.raises(RuntimeError):
+        with W.summand_tables(w):
+            owner, values, rows = W._SUMMAND_TABLES.get()
+            w.eval(window.points[0])
+            assert owner is w and values and not rows
+            # a weight that does not own the scope gets fresh tables
+            assert other._tables() == ({}, {})
+            other.eval(other.group.point({1: P2.element(1, 1)}))
+            assert other._tables() == ({}, {})
+            raise RuntimeError
+    assert W._SUMMAND_TABLES.get() is None
 
 
 def test_sum_conv_with_rationals_summand_equals_pattern_loop():
@@ -386,6 +472,17 @@ def test_conv_concurrent_calls_are_deterministic():
     with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
         concurrent_r = list(pool.map(lambda x: ca.conv_at(u, x, trunc), window))
     assert sequential == concurrent_r
+    # each thread's checks read only the tables of their own scope
+    uq = ca.rationals_weight()
+    sums = [pruefer_sum_232(), ca.direct_sum_weight((scaled(2), ca.scale_for_b(uq, uq.b_bound)))]
+
+    def checks(w):
+        window = ca.sum_sample_window(w.group, 60, seed=3)
+        return [ca.check_b(w, window, w.trunc_default()), ca.check_evenness(w, window)]
+
+    sequential = [checks(w) for w in sums]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(checks, sums * 2)) == sequential * 2
 
 
 def contract_cases():
