@@ -4,7 +4,7 @@ Every certified inequality in this package eventually reduces to a comparison
 between :class:`fractions.Fraction` values.  This module collects the wire
 format for rationals, the reciprocal-square kernel on the integers, and
 rational enclosures of the few transcendental quantities the certificates
-need (exp, pi^2, ln 2, sum log n / n^2).
+need (exp, pi, pi^2, ln 2, sum log n / n^2).
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from fractions import Fraction
 
 Rational = Fraction
 
-# pi^2 = 9.8696044010...  Both bounds are revalidated against math.pi in the
-# test suite and are only ever used in the stated direction.
+# pi = 3.1415926535897932..., pi^2 = 9.8696044010...  Each pair of bounds is
+# revalidated in the test suite and only ever used in the stated direction.
+PI_LOWER = Fraction(314_159_265_358_979, 10 ** 14)
+PI_UPPER = Fraction(314_159_265_358_980, 10 ** 14)
 PI_SQUARED_LOWER = Fraction(98696, 10_000)
 PI_SQUARED_UPPER = Fraction(98697, 10_000)
 

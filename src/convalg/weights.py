@@ -550,9 +550,10 @@ _SUMMAND_TABLES: contextvars.ContextVar = contextvars.ContextVar("summand_tables
 
 @contextlib.contextmanager
 def summand_tables(u: WeightFn):
-    """Scope of one check on u, holding (u, values, rows): a direct sum u fills
-    these tables once (see DirectSumWeight._conv), and they end with the scope."""
-    token = _SUMMAND_TABLES.set((u, {}, {}))
+    """Scope of one check on u, holding (owner, values, rows), owned by the base
+    of an algebra weight u: a direct-sum owner fills these tables once (see
+    DirectSumWeight._conv), and they end with the scope."""
+    token = _SUMMAND_TABLES.set((u.base if isinstance(u, AlgebraWeight) else u, {}, {}))
     try:
         yield
     finally:

@@ -145,7 +145,12 @@ def test_acceptance_6_counterexample_suite():
 
 def test_acceptance_7_euclidean_suite():
     res = ca.line_conv_ratio()
-    err = res.certificate.payload["max_quadrature_error"]
+    assert res.certificate.verdict == HOLDS
+    # the verdict is certified from the closed form; the quadrature checks that form
+    err = 0.0
+    for t in map(float, range(-10, 11)):
+        iv = ca.line_conv_quadrature(t)
+        err = max(err, abs(0.5 * (iv.lo + iv.hi) - ca.line_conv_closed_form(t)))
     assert err < 1e-6
     assert res.sup.lo <= 2 * math.pi <= res.sup.hi
     at0 = ca.line_conv_quadrature(0.0)

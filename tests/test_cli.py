@@ -350,7 +350,7 @@ def test_verify_algebra_weight_window_flag(tmp_path, capsys):
 
 # SHA-256 of the seed-0 `report --no-timestamp` bundle: a change to any
 # certificate of the report changes it
-REPORT_SEED0_SHA256 = "dd53f724feb43329274e21cbfc6a439ed14121238edf90971483731d5366a931"
+REPORT_SEED0_SHA256 = "12be330b9beb9d8f079e846cf6b48cef44f39463a7817afdf7fdd33280016fc1"
 
 
 def test_verify_sum_with_rationals_first_summand(tmp_path, capsys):

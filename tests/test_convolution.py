@@ -435,6 +435,26 @@ def test_summand_tables_end_with_their_check():
     assert W._SUMMAND_TABLES.get() is None
 
 
+def test_algebra_sum_submultiplicativity_evaluates_each_coordinate_once(monkeypatch):
+    # a check on an algebra weight opens the scope of its base sum, which it evaluates
+    w = ca.algebra_weight(ca.direct_sum_weight((scaled(2), scaled(3))), 2)
+    window = ca.sum_sample_window(w.base.group, 20, seed=0)
+    calls = []
+    evaluate = W.LayerWeight.eval
+
+    def counted(self, x):
+        calls.append((self, x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(W.LayerWeight, "eval", counted)
+    cert = ca.check_submultiplicative(w, window=window)
+    assert cert.verdict == "holds" and cert.payload["pairs_checked"] == 400
+    points = {z for s in window.points for t in window.points for z in (s, t, G.add(s, t))}
+    coords = {(j, pt) for z in points for j, pt in z.coords}
+    assert len(calls) == len(set(calls)) == len(coords)
+    assert W._SUMMAND_TABLES.get() is None
+
+
 def test_sum_conv_with_rationals_summand_equals_pattern_loop():
     uq = ca.rationals_weight()
     w = ca.direct_sum_weight((scaled(2), ca.scale_for_b(uq, uq.b_bound)))

@@ -13,14 +13,13 @@ import pytest
 import convalg as ca
 from convalg.formulas import BUILTINS
 from convalg.intervals import Interval
+from convalg.rational import PI_LOWER, PI_UPPER
 from convalg.quadrature import (
     GL_NODES,
     GL_WEIGHTS,
     LINE_CUTOFF,
     LINE_PANELS,
-    RATIO_TOL,
     QuadratureSpec,
-    _line_conv_pair,
     _linspace,
     beurling_panels,
     beta_segment_quadrature,
@@ -91,6 +90,7 @@ def test_circle_conv_ratio_enclosure():
 
 
 def test_line_conv_quadrature_matches_closed_form():
+    # the quadrature is the oracle of the closed form that line_conv_ratio certifies from
     for k in range(-10, 11):
         t = float(k)
         iv = line_conv_quadrature(t)
@@ -116,12 +116,26 @@ def test_line_panel_refinement_reduces_error():
     assert errs[0] > errs[1] > errs[2]
 
 
+# pi to 50 decimals: pi lies in [PI_DIGITS, PI_DIGITS + 10^-50]
+PI_DIGITS = F("3.14159265358979323846264338327950288419716939937510")
+PI_ENCLOSURE = (PI_DIGITS, PI_DIGITS + F(1, 10 ** 50))
+
+
 def test_line_conv_ratio_encloses_two_pi():
-    res = ca.line_conv_ratio()
-    assert res.sup.lo <= 2 * math.pi <= res.sup.hi
-    assert res.certificate.payload["max_quadrature_error"] < 1e-6
-    res2 = ca.line_conv_ratio(dim=2)
-    assert res2.sup.lo <= (2 * math.pi) ** 2 <= res2.sup.hi
+    for dim in (1, 2, 3, 386):  # 386: the largest dim whose (2 pi)^dim is a finite double
+        res = ca.line_conv_ratio(dim=dim)
+        assert res.certificate.verdict == "holds"
+        assert res.grid_max == res.sup.lo
+        # as exact rationals of the floats
+        assert F(res.sup.lo) <= (2 * PI_ENCLOSURE[0]) ** dim
+        assert (2 * PI_ENCLOSURE[1]) ** dim <= F(res.sup.hi)
+
+
+@pytest.mark.parametrize("dim", [0, -1, True, 1.5, 400, 387])
+def test_line_conv_ratio_refuses_dim(dim):
+    # 387 is the least dim whose (2 pi)^dim overflows a double
+    with pytest.raises(ValueError):
+        line_conv_ratio(dim=dim)
 
 
 def test_beurling_integral_classifications():
@@ -232,22 +246,28 @@ def brute_line_conv_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()
     return Interval(value - tail - spec.tol, value + tail + spec.tol)
 
 
+def _double_below(x: F) -> float:
+    """The largest double <= x, checked against its successor."""
+    f = float(x)
+    while F(f) > x:
+        f = math.nextafter(f, -math.inf)
+    assert F(math.nextafter(f, math.inf)) > x
+    return f
+
+
 def brute_line_conv_ratio_payload(dim: int) -> dict:
-    """line_conv_ratio's payload, built from the oracle one t at a time."""
-    grid_max, argmax, max_quad_error = 0.0, -10.0, 0.0
-    for t in [float(k) for k in range(-10, 11)]:
-        iv = brute_line_conv_quadrature(t)
-        mid = 0.5 * (iv.lo + iv.hi)
-        max_quad_error = max(max_quad_error, abs(mid - line_conv_closed_form(t)))
-        if mid * (1.0 + t * t) > grid_max:
-            grid_max, argmax = mid * (1.0 + t * t), t
+    """line_conv_ratio's payload from exact Fractions: the closed-form ratio
+    2 pi (1+t^2)/(4+t^2) over t = -10..10, first maximiser in grid order."""
+    best, argmax = None, None
+    for t in range(-10, 11):
+        ratio = F(1 + t * t) / F(4 + t * t)
+        if best is None or ratio > best:
+            best, argmax = ratio, float(t)
     return {
-        "sup_lo": (grid_max * (1.0 - 1e-12)) ** dim,
-        "sup_hi": (2 * math.pi * (1.0 + 1e-12)) ** dim,
+        "sup_lo": _double_below((2 * PI_LOWER * best) ** dim),
+        "sup_hi": -_double_below(-(2 * PI_UPPER) ** dim),
         "argmax": argmax, "dim": dim,
         "value_at_zero": line_conv_closed_form(0.0),
-        "max_quadrature_error": max_quad_error,
-        "tolerance": RATIO_TOL,
     }
 
 
@@ -270,13 +290,9 @@ def _hex(iv: Interval) -> tuple[str, str]:
 @pytest.mark.parametrize("t", LINE_POINTS)
 def test_line_conv_quadrature_bit_for_bit(t):
     assert _hex(line_conv_quadrature(t)) == _hex(brute_line_conv_quadrature(t))
-    # the mirrored side of the same pass is the oracle at -t
-    plus, minus = _line_conv_pair(t, QuadratureSpec())
-    assert (_hex(plus), _hex(minus)) \
-        == (_hex(brute_line_conv_quadrature(t)), _hex(brute_line_conv_quadrature(-t)))
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_line_conv_ratio_payload_bit_for_bit(dim):
     # repr tells every float bit pattern apart, -0.0 from 0.0 too
     assert repr(line_conv_ratio(dim=dim).certificate.payload) \

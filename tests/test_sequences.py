@@ -16,6 +16,9 @@ def test_parse_format_rational():
 
 def test_certified_constants_against_float_references():
     assert float(R.PI_SQUARED_LOWER) < math.pi ** 2 < float(R.PI_SQUARED_UPPER)
+    # pi to 50 decimals, exactly: pi lies in [digits, digits + 10^-50]
+    digits = F("3.14159265358979323846264338327950288419716939937510")
+    assert R.PI_LOWER < digits and digits + F(1, 10 ** 50) < R.PI_UPPER
     assert float(R.LOG2_LOWER) < math.log(2) < float(R.LOG2_UPPER)
     # partial sum of log n / n^2 plus the integral tail stays below the constant
     partial = sum(math.log(n) / n ** 2 for n in range(1, 201))
