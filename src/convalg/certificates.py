@@ -16,8 +16,8 @@ HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
-# The most points a window may enumerate, and the most residues a truncated
-# rationals convolution may loop over: larger work runs for minutes or more.
+# The most points a window may enumerate, and the most unit intervals (2B+1) a
+# truncated rationals convolution may sum over: larger work runs for minutes or more.
 MAX_POINTS = 2 ** 20
 # The deepest layer a truncation or a sampled window may reach: exact shell
 # terms grow with the layer, so a Pruefer conv_at at layer 8000 takes seconds.

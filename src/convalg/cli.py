@@ -7,9 +7,6 @@ series tables.  Exit codes: 0 all certificates hold, 1 a certificate fails,
 sampling is seeded and the seed is recorded; rerunning a command reproduces
 byte-identical files apart from the optional timestamp field (suppress it
 with --no-timestamp).
-
-The environment variable CONVALG_PRECISION (decimal digits, an integer from 1
-to 12, default 9) sets the quadrature tolerance of beurling and report.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 import traceback
@@ -42,7 +38,6 @@ from .certify import (
 from .domar import domar_classify, domar_partial
 from .formulas import BUILTIN_NAMES, builtin_weight
 from .quadrature import (
-    QuadratureSpec,
     beurling_integral,
     beurling_panels,
     circle_conv_ratio,
@@ -77,14 +72,6 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
-
-
-def _default_spec() -> QuadratureSpec:
-    # 12 digits is what the 32-point rule reaches on the beta segment
-    digits = os.environ.get("CONVALG_PRECISION", "9")
-    if not (digits.isascii() and digits.isdigit() and 1 <= int(digits) <= 12):
-        raise ValueError(f"CONVALG_PRECISION must be an integer from 1 to 12, not {digits!r}")
-    return QuadratureSpec(tol=10.0 ** -int(digits))
 
 
 def _exit_for(verdicts: list[str]) -> int:
@@ -357,11 +344,10 @@ def cmd_domar(args) -> int:
 def cmd_beurling(args) -> int:
     rows = []
     try:
-        spec = _default_spec()
         w = _load_builtin(args.weight)
         beurling_panels(args.T)  # the largest cutoff: refuse it before any integral
         for cutoff in (args.T / 4, args.T / 2, args.T):
-            res = beurling_integral(w, cutoff=cutoff, spec=spec)
+            res = beurling_integral(w, cutoff=cutoff)
             rows.append({"cutoff": cutoff, "integral_lo": res.integral.lo,
                          "integral_hi": res.integral.hi})
     except ValueError as exc:
@@ -430,11 +416,6 @@ def cmd_equivalence(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        spec = _default_spec()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     certs = []
@@ -462,7 +443,7 @@ def cmd_report(args) -> int:
         partials = domar_partial(w, Fraction(1), 12)
         domar_rows.append({"weight": name, "classification": label,
                            "partial_12": float(partials[-1])})
-        res = beurling_integral(w, cutoff=50.0, spec=spec)
+        res = beurling_integral(w, cutoff=50.0)
         certs.append(res.certificate.with_id(f"beurling:{name}"))
 
     seq = build_q_sequence(2)
@@ -471,7 +452,7 @@ def cmd_report(args) -> int:
     certs.append(countex_divergence_lower_bound(seq).with_id("countex:divergence"))
     ratio = circle_conv_ratio()
     certs.append(ratio.certificate.with_id("countex:conv-ratio"))
-    line = line_conv_ratio(spec)
+    line = line_conv_ratio()
     certs.append(line.certificate.with_id("euclidean:conv-ratio"))
 
     _write_bundle(out_dir / "certificates.json", None, certs, timestamp=not args.no_timestamp)

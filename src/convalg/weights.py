@@ -28,7 +28,6 @@ import contextvars
 import dataclasses
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -478,42 +477,56 @@ class RationalsLayerWeight(ShellWeight):
         return TruncationSpec(layer=5, ball=12)
 
     def _partial(self, q: Fraction, cutoff: int, ball: int) -> Fraction:
-        """sum_{|k| <= ball t} u(k/t) u(q - k/t) with t = t_cutoff, by classes of k mod t."""
-        # t_10 = 10! already exceeds the bound, so no huge factorial is formed
-        if self.group.chain_value(min(cutoff, 10)) > MAX_POINTS or 2 * ball + 1 > MAX_POINTS:
-            raise ValueError(f"truncation N{cutoff},B{ball} loops over more than 2^20 "
-                             "residues or unit intervals")
+        """sum_{|k| <= ball t} u(k/t) u(q - k/t) with t = t_cutoff, counted over the chain.
+
+        Write k = m t + j with 0 <= j < t, and q t = F t + r with 0 <= r < t (q
+        lies in (1/t)Z).  The sigma factors read j only through four groups,
+        j = 0, 0 < j < r, j = r and r < j < t (`_sigma_pair_sum`), and the
+        layers a = layer(j/t), b = layer(q - j/t) do not read m.  As t_n | t
+        for n <= N, a <= n exactly when d_n = t/t_n divides j, and b <= n exactly
+        when d_n divides q t - j, i.e. j = r (mod d_n).  The d_n form a divisor
+        chain (d_n' | d_n for n <= n'), so within a group the count C(a', b') of
+        j with a <= a' and b <= b' is, with L = layer(q), Z_a' [L <= b'] for
+        a' <= b' and R_b' [L <= a'] for a' > b', where Z_n and R_n count the j
+        = 0 and the j = r (mod d_n); for L > max(a', b') there are none, as q
+        = j/t + (q - j/t) would lie in (1/t_max(a',b'))Z.  By parts, with
+        phi_(N+1) = 0 and delta_n = phi_n - phi_(n+1), phi_a = sum_{a<=n<=N}
+        delta_n, so sum_j phi_a phi_b = sum_{a',b'} delta_a' delta_b' C(a', b').
+        The larger index telescopes, sum_{b' >= max(a', L)} delta_b' =
+        phi_max(a', L) and sum_{a' >= max(b' + 1, L)} delta_a' = phi_max(b'+1, L):
+        sum_j phi_a phi_b = sum_n delta_n (Z_n phi_max(n, L) + R_n phi_max(n+1, L)).
+        """
+        if 2 * ball + 1 > MAX_POINTS:
+            raise ValueError(f"truncation B{ball} sums over more than 2^20 unit intervals")
         t = self.group.chain_value(cutoff)
-        q_num = (q * t).numerator  # q lies in (1/t)Z
-        layers: dict[int, int] = {}
-
-        def layer(num: int) -> int:
-            # layer of num/t: the first chain value its reduced denominator divides
-            den = t // math.gcd(num, t)
-            n = layers.get(den)
-            if n is None:
-                n = layers[den] = self.group.denominator_layer(den)
-            return n
-
-        classes: Counter = Counter()
-        for j in range(t):
-            s_num = q_num - j  # t * (q - j/t)
-            classes[(layer(j), layer(s_num), s_num // t, s_num % t == 0, j == 0)] += 1
+        floor_q, r = divmod((q * t).numerator, t)
+        layer_q = self.group.denominator_layer(q.denominator)
+        phi = [Fraction(0)] + [self.term(n) for n in range(1, cutoff + 1)] + [Fraction(0)]
+        # (d_n, delta_n phi_max(n, L), delta_n phi_max(n+1, L)) for n = 1..N
+        steps = [(t // self.group.chain_value(n), (phi[n] - phi[n + 1]) * phi[max(n, layer_q)],
+                  (phi[n] - phi[n + 1]) * phi[max(n + 1, layer_q)]) for n in range(1, cutoff + 1)]
+        cuts = (0, 1, max(r, 1), r + 1, t)  # the groups are the j in [cuts[i], cuts[i+1])
+        sigmas = ((floor_q, r == 0, True), (floor_q, False, False), (floor_q, True, False),
+                  (floor_q - 1, False, False))
         total = Fraction(0)
-        for (layer_r, layer_s, floor_s, integral, origin), count in classes.items():
-            total += (count * self.term(layer_r) * self.term(layer_s)
-                      * _sigma_pair_sum(floor_s, integral, origin, ball))
+        for lo, hi, (floor_s, integral, origin) in zip(cuts, cuts[1:], sigmas):
+            if lo < hi:
+                # j = c (mod d) in [lo, hi): (hi - 1 - c) // d - (lo - 1 - c) // d of them
+                chain = sum((((hi - 1) // d - (lo - 1) // d) * at_zero
+                             + ((hi - 1 - r) // d - (lo - 1 - r) // d) * at_r
+                             for d, at_zero, at_r in steps), Fraction(0))
+                total += chain * _sigma_pair_sum(floor_s, integral, origin, ball)
         return self.scale * self.scale * total
 
     def _conv(self, x, trunc: TruncationSpec) -> Interval:
-        """Write each truncation point as m + j/t_N.  The layers of j/t_N and
-        q - j/t_N, floor(q - j/t_N), whether q - j/t_N is an integer and whether
-        j = 0 fix every factor up to the sigma kernel in m, so the j fall into a
-        few classes, each summing sigma(floor|r|) sigma(floor|q-r|) over m once.
-        Tails: a layer tail 8 C2 sigma(floor|q|) sum_{j>N} t_j phi_j^2 plus a
-        range tail from grouping the remote points into unit intervals, each
-        carrying at most the full per-interval mass, with an integral-comparison
-        cap on the remaining sigma series.
+        """Write each truncation point as m + j/t_N.  The sigma factors read j
+        through four groups, each summing sigma(floor|r|) sigma(floor|q-r|) over
+        m once, and the layer factors are counted over the divisor chain t/t_n
+        in O(N) exact steps per group (`_partial`).  Tails: a layer tail
+        8 C2 sigma(floor|q|) sum_{j>N} t_j phi_j^2 plus a range tail from grouping
+        the remote points into unit intervals, each carrying at most the full
+        per-interval mass, with an integral-comparison cap on the remaining
+        sigma series.
         """
         default = self.trunc_default()
         cutoff = trunc.layer or default.layer

@@ -181,8 +181,6 @@ def test_windows_and_truncations_refuse_unbounded_or_empty_work():
         ca.sum_sample_window(G.SumGroup((P2,)), 2 ** 20 + 1)
     uq = ca.rationals_weight()
     with too_many:
-        ca.conv_at(uq, uq.group.identity(), ca.TruncationSpec(layer=10, ball=12))
-    with too_many:
         ca.conv_at(uq, uq.group.identity(), ca.TruncationSpec(layer=5, ball=2 ** 20))
     with too_many:
         ca.domar_partial(ca.builtin_weight("poly2"), 1, 2 ** 20 + 1)

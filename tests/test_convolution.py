@@ -1,6 +1,9 @@
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -197,6 +200,65 @@ def test_rationals_partial_sum_equals_enumeration(value):
         trunc = ca.TruncationSpec(layer=cutoff, ball=ball)
         assert ca.conv_at(u, q, trunc).lo == brute_rationals_conv(u, q, cutoff, ball)
         assert ca.conv_at(w, q, trunc).lo == brute_rationals_conv(w, q, cutoff, ball)
+
+
+@functools.lru_cache(maxsize=None)
+def _residue_classes(q, cutoff):
+    """Counts of the j in [0, t_cutoff) by (layer of j/t, layer of q - j/t,
+    floor(q - j/t), whether q - j/t is an integer, whether j = 0)."""
+    group = G.RationalsGroup()
+    t = group.chain_value(cutoff)
+    q_num = (q * t).numerator
+
+    def layer(num):
+        return group.denominator_layer(t // math.gcd(num, t))
+
+    classes = Counter()
+    for j in range(t):
+        s_num = q_num - j
+        classes[(layer(j), layer(s_num), s_num // t, s_num % t == 0, j == 0)] += 1
+    return classes
+
+
+def brute_rationals_partial(u, q, cutoff, ball):
+    """The residue loop over [0, t_cutoff): each class of j sums the sigma
+    factors over the truncation's m once (the classes do not read s)."""
+    total = F(0)
+    for (layer_r, layer_s, *sigma_class), count in _residue_classes(q, cutoff).items():
+        total += count * u.term(layer_r) * u.term(layer_s) * W._sigma_pair_sum(*sigma_class, ball)
+    return u.scale * u.scale * total
+
+
+def chain_points(cutoff):
+    """q in (1/t_L)Z with -4 <= q <= 4 for each L <= cutoff: every residue r = q t_L
+    mod t_L while t_L <= 6, then r in {0, 1, t_L/2 + 1, t_L - 1}."""
+    points = {F(4)}
+    for layer in range(1, cutoff + 1):
+        t = math.factorial(layer)
+        residues = range(t) if t <= 6 else (0, 1, t // 2 + 1, t - 1)
+        points |= {F(floor * t + r, t) for floor in range(-4, 4) for r in residues}
+    return sorted(points)
+
+
+@pytest.mark.parametrize("s", [F(1, 2), F(1, 3), F(3, 2), F(2)])
+def test_rationals_chain_count_equals_residue_loop(s):
+    u = W.RationalsLayerWeight(group=G.RationalsGroup(), s=s, scale=F(3, 7))
+    for cutoff in range(1, 7):
+        for q in chain_points(cutoff):
+            for ball in (6, 12, 40):
+                expected = brute_rationals_partial(u, q, cutoff, ball)
+                assert u._partial(q, cutoff, ball) == expected, (cutoff, q, ball)
+
+
+def test_rationals_deep_truncations_agree():
+    # The chain count reaches N20 (20! residues) in milliseconds per point.  The
+    # lower ends rise with N and every enclosure holds the deepest one; the upper
+    # ends need not fall, as at a fixed B the range tail grows with the mass up to N.
+    u = ca.rationals_weight()
+    for q in ca.rationals_ball_window(u.group, 3, 3).points:
+        ivs = [ca.conv_at(u, q, ca.TruncationSpec(layer=n, ball=12)) for n in (5, 9, 12, 20)]
+        assert [iv.lo for iv in ivs] == sorted(iv.lo for iv in ivs), q
+        assert all(ivs[-1].lo <= iv.hi for iv in ivs), q
 
 
 @pytest.mark.parametrize("ball", [6, 12, 40])
