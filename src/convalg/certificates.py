@@ -16,11 +16,11 @@ HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
-# The most points a window may enumerate, and the most unit intervals (2B+1) a
-# truncated rationals convolution may sum over: larger work runs for minutes or more.
+# The most points a window may enumerate: larger windows run for minutes or more.
 MAX_POINTS = 2 ** 20
-# The deepest layer a truncation or a sampled window may reach: exact shell
-# terms grow with the layer, so a Pruefer conv_at at layer 8000 takes seconds.
+# The deepest layer a truncation or a sampled window may reach, and the largest
+# rationals range B: exact shell terms grow with the layer, so a Pruefer conv_at
+# at layer 8000 takes seconds, and the sigma sums over [-B, B) are quadratic in B.
 MAX_LAYER = 2 ** 10
 
 
@@ -47,6 +47,7 @@ class TruncationSpec:
 
     layer: chain cutoff N (layer weights); ball: range cutoff B in integer
     units (rationals); per_summand: per-coordinate layer cutoffs (direct sums).
+    Every cutoff lies in [1, MAX_LAYER].
     """
 
     layer: Optional[int] = None
@@ -57,9 +58,8 @@ class TruncationSpec:
         for cutoff in (self.layer, self.ball, *(self.per_summand or ())):
             if cutoff is not None and cutoff < 1:
                 raise ValueError(f"truncation cutoff {cutoff} is below 1")
-        for cutoff in (self.layer, *(self.per_summand or ())):
             if cutoff is not None and cutoff > MAX_LAYER:
-                raise ValueError(f"truncation layer {cutoff} is above 2^10")
+                raise ValueError(f"truncation cutoff {cutoff} is above 2^10")
 
     def describe(self) -> dict:
         out: dict[str, Any] = {}

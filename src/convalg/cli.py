@@ -7,12 +7,17 @@ series tables.  Exit codes: 0 all certificates hold, 1 a certificate fails,
 sampling is seeded and the seed is recorded; rerunning a command reproduces
 byte-identical files apart from the optional timestamp field (suppress it
 with --no-timestamp).
+
+The parser is built once per process and shared by every `main` call; each
+call dispatches on the command name to the `cmd_*` function of that name,
+looked up when the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -180,14 +185,15 @@ def _decay_point(group: G.GroupDescriptor):
     return group.element(Fraction(1, 2))
 
 
-def _suite_defaults(w, seed: int = 0) -> tuple[Window, object]:
-    """Default window and decay point of the weight's group (its truncation is
-    `w.trunc_default()`); an algebra weight lives on its base weight's group."""
-    spec = _DEFAULT_WINDOWS.get(getattr(w.descriptor, "variant", None))
-    if spec is None:
+def _suite_defaults(w, spec: str | None = None, seed: int = 0) -> tuple[Window, object]:
+    """The window named by spec, else the default window of the weight's group,
+    and the group's decay point (its truncation is `w.trunc_default()`); an
+    algebra weight lives on its base weight's group.  Only one window is built."""
+    default = _DEFAULT_WINDOWS.get(getattr(w.descriptor, "variant", None))
+    if default is None:
         raise ValueError("verify supports the layer, rationals, direct-sum and "
                          "algebra constructions")
-    return _parse_window(w, spec.format(seed=seed)), _decay_point(w.descriptor)
+    return _parse_window(w, spec or default.format(seed=seed)), _decay_point(w.descriptor)
 
 
 def _run_suites(w, letters, window: Window, trunc: TruncationSpec, decay_x,
@@ -268,10 +274,8 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     letters = "abcd" if args.suite == "all" else args.suite.split(",")
     try:
-        window, decay_x = _suite_defaults(w)
+        window, decay_x = _suite_defaults(w, args.window)
         trunc = w.trunc_default()
-        if args.window:
-            window = _parse_window(w, args.window)
         if args.trunc:
             parsed = _parse_trunc(args.trunc)
             # the default sets exactly the parts the weight reads
@@ -430,7 +434,7 @@ def cmd_report(args) -> int:
         ("sum", direct_sum_weight(summands), "abc"),
     )
     for name, w, letters in suites:
-        window, decay_x = _suite_defaults(w, args.seed)
+        window, decay_x = _suite_defaults(w, seed=args.seed)
         for letter, cert in _run_suites(w, letters, window, w.trunc_default(), decay_x):
             suffix = "essinf" if cert.prop == "ess-inf" else letter
             certs.append(cert.with_id(f"{name}:{suffix}"))
@@ -471,7 +475,9 @@ def cmd_report(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The convalg parser, built once per process: callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="convalg",
         description="Construct subconvolutive weights on abelian groups and "
@@ -486,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--raw", action="store_true", help="skip the subconvolutivity rescale")
     c.add_argument("--p", default=None, help="also raise to the algebra weight u^(-1/q)")
     c.add_argument("--out", default="weight.json")
-    c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="run certificate suites against a weight file")
     v.add_argument("weight", help="weight provenance JSON")
@@ -500,26 +505,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rational bound for the b-suite (default: the weight's certificate)")
     v.add_argument("--out", default=None, help="certificate bundle JSON path")
     v.add_argument("--no-timestamp", action="store_true")
-    v.set_defaults(func=cmd_verify)
 
     d = sub.add_parser("domar", help="partial sums and classification of the criterion series")
     d.add_argument("--weight", required=True, help="builtin:NAME")
     d.add_argument("--x", default="1", help="orbit generator (rational)")
     d.add_argument("--N", type=int, default=20)
     d.add_argument("--csv", default=None)
-    d.set_defaults(func=cmd_domar)
 
     b = sub.add_parser("beurling", help="the log+ w / (1+t^2) integral and classification")
     b.add_argument("--weight", required=True, help="builtin:NAME")
     b.add_argument("--T", type=float, default=50.0)
     b.add_argument("--csv", default=None)
-    b.set_defaults(func=cmd_beurling)
 
     x = sub.add_parser("countex", help="the quarter-power circle counterexample report")
     x.add_argument("--depth", type=int, default=2)
     x.add_argument("--out", default=None)
     x.add_argument("--no-timestamp", action="store_true")
-    x.set_defaults(func=cmd_countex)
 
     e = sub.add_parser("equivalence", help="two-sided pinch of two builtin weights on a grid")
     e.add_argument("--weight1", required=True)
@@ -528,24 +529,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi:step (rationals); use --grid=-5:5:1/2 for negative lows")
     e.add_argument("--out", default=None)
     e.add_argument("--no-timestamp", action="store_true")
-    e.set_defaults(func=cmd_equivalence)
 
     r = sub.add_parser("report", help="run the standard suites and emit JSON + CSV")
     r.add_argument("--out", required=True, help="output directory")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--no-timestamp", action="store_true")
-    r.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:
         # a fault of the program: exit 1 would read as a failed certificate
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

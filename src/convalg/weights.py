@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import groups as G
-from .certificates import MAX_POINTS, TruncationSpec
+from .certificates import TruncationSpec
 from .intervals import Interval
 from .rational import even_floor, exp_enclosure, sigma
 
@@ -496,8 +496,6 @@ class RationalsLayerWeight(ShellWeight):
         phi_max(a', L) and sum_{a' >= max(b' + 1, L)} delta_a' = phi_max(b'+1, L):
         sum_j phi_a phi_b = sum_n delta_n (Z_n phi_max(n, L) + R_n phi_max(n+1, L)).
         """
-        if 2 * ball + 1 > MAX_POINTS:
-            raise ValueError(f"truncation B{ball} sums over more than 2^20 unit intervals")
         t = self.group.chain_value(cutoff)
         floor_q, r = divmod((q * t).numerator, t)
         layer_q = self.group.denominator_layer(q.denominator)
@@ -810,12 +808,6 @@ class AlgebraWeight(WeightFn):
             # deep shells underflow float(u); take the root in log space instead
             return math.exp(exponent * (math.log(u.numerator) - math.log(u.denominator)))
         return value ** exponent
-
-    def submult_exact(self, s, t) -> Optional[bool]:
-        if not self.base.exact:
-            return None
-        u = self.base
-        return u.eval(G.add(s, t)) >= u.eval(s) * u.eval(t)
 
     def global_lower_bound(self) -> Optional[float]:
         """Certified positive lower bound (max u)^(-1/q) from provenance."""

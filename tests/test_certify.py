@@ -179,14 +179,16 @@ def test_windows_and_truncations_refuse_unbounded_or_empty_work():
         ca.rationals_ball_window(G.RationalsGroup(), 10, 1)
     with too_many:
         ca.sum_sample_window(G.SumGroup((P2,)), 2 ** 20 + 1)
-    uq = ca.rationals_weight()
-    with too_many:
-        ca.conv_at(uq, uq.group.identity(), ca.TruncationSpec(layer=5, ball=2 ** 20))
     with too_many:
         ca.domar_partial(ca.builtin_weight("poly2"), 1, 2 ** 20 + 1)
     too_deep = pytest.raises(ValueError, match="2\\^10")
     with too_deep:
         ca.TruncationSpec(layer=2 ** 10 + 1)
+    # the rationals range B has the layer cap: its sigma sums are quadratic in B
+    for ball in (2 ** 10 + 1, 2 ** 20):
+        with too_deep:
+            ca.TruncationSpec(layer=5, ball=ball)
+    assert ca.TruncationSpec(layer=5, ball=2 ** 10).ball == 2 ** 10
     with too_deep:
         ca.TruncationSpec(per_summand=(6, 2 ** 10 + 1))
     with too_deep:
@@ -221,6 +223,104 @@ def test_submultiplicative_algebra_weight_ultrametric():
     for s in window.points:
         for t in window.points:
             assert u.eval(G.add(s, t)) >= u.eval(s) * u.eval(t)
+
+
+def test_submultiplicative_float_pairs_are_inconclusive():
+    # at float points poly2 has no exact hook, so each pair is compared in floats
+    w = ca.builtin_weight("poly2")
+    assert w.submult_exact(2.0, 3.0) is None
+    far = ca.Window("far-floats", tuple(float(k) for k in (-4, -3, -2, 2, 3, 4)))
+    cert = ca.check_submultiplicative(w, window=far)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.payload["rigorous"] is False and cert.payload["exact_comparison"] is False
+    assert cert.payload["float_pairs"] == 36 and cert.payload["float_failures"] == 0
+    # a failing float comparison is no exact witness either
+    near = ca.check_submultiplicative(w, pairs=[(2.0, 0.5)])
+    assert near.verdict == INCONCLUSIVE and near.payload["float_failures"] == 1
+    # an exact failure after float pairs still fails, with its exact witness
+    mixed = ca.check_submultiplicative(w, pairs=[(2.0, 0.5), (F(2), F(1, 2))])
+    assert mixed.verdict == FAILS and mixed.payload["exact_comparison"] is True
+    assert mixed.witness == [point_to_json(F(2)), point_to_json(F(1, 2))]
+    # w = c u^(-1/q) with c != 1 is no exact transform of u: w(0) = 8^(1/2)/4 < 1,
+    # so w(0 + 0) > w(0)^2 although u(0) = 1/8 >= u(0)^2
+    quartered = ca.algebra_weight(scaled(2), 2).rescaled(0.25)
+    cert = ca.check_submultiplicative(quartered, window=ca.pruefer_ball_window(P2, 2))
+    assert cert.verdict == INCONCLUSIVE and cert.payload["float_failures"] > 0
+
+
+def brute_submultiplicative(w, window, max_pairs=4096, seed=0):
+    """check_submultiplicative on an algebra weight over an exact base as three
+    u.eval per pair, compared as Fractions."""
+    pts, u = window.points, w.base
+    n = len(pts)
+    if n * n > max_pairs:
+        pairs = [(pts[k // n], pts[k % n]) for k in random.Random(seed).sample(range(n * n), max_pairs)]
+    else:
+        pairs = [(s, t) for s in pts for t in pts]
+    for s, t in pairs:
+        if u.eval(G.add(s, t)) < u.eval(s) * u.eval(t):
+            payload = {"lhs": _num(w.eval(G.add(s, t))), "rhs": _num(w.eval(s) * w.eval(t)),
+                       "pair": [point_to_json(s), point_to_json(t)], "exact_comparison": True}
+            return Certificate(prop="submultiplicative", verdict=FAILS, payload=payload,
+                               window=window_info(window), witness=payload["pair"])
+    payload = {"pairs_checked": len(pairs), "exact_comparison": True, "seed": seed}
+    return Certificate(prop="submultiplicative", verdict=HOLDS, payload=payload,
+                       window=window_info(window))
+
+
+def _algebra_pruefer_case(p):
+    return ca.algebra_weight(scaled(p), 2), ca.pruefer_ball_window(G.PrueferGroup(p), 3)
+
+
+def _algebra_rationals_case():
+    w = ca.algebra_weight(_rationals_scaled(), 2)
+    return w, ca.rationals_ball_window(w.descriptor, 2, 2)
+
+
+def _algebra_sum_case():
+    w = ca.algebra_weight(ca.direct_sum_weight((scaled(2), scaled(3))), 2)
+    return w, ca.sum_sample_window(w.descriptor, 200, seed=0)
+
+
+def _algebra_broken_case():
+    # the increasing control carries no certificate, so algebra_weight refuses it
+    return ca.AlgebraWeight(base=ca.nested_finite_weight(P2, 4), p=F(2)), ca.pruefer_ball_window(P2, 3)
+
+
+# name -> (algebra weight, window)
+SUBMULT_CASES = {
+    "pruefer2-G3": lambda: _algebra_pruefer_case(2),
+    "pruefer3-G3": lambda: _algebra_pruefer_case(3),
+    "rationals-Q2:2": _algebra_rationals_case,
+    "sum23-sample200": _algebra_sum_case,
+    "broken-fails": _algebra_broken_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBMULT_CASES))
+def test_submultiplicative_table_matches_three_evals_per_pair(name):
+    w, window = SUBMULT_CASES[name]()
+    fast = ca.check_submultiplicative(w, window=window)
+    brute = brute_submultiplicative(w, window)
+    assert canonical_dumps(certificate_to_json(fast)) == canonical_dumps(certificate_to_json(brute))
+    assert fast.verdict == (FAILS if name == "broken-fails" else HOLDS)
+
+
+@pytest.mark.parametrize("name", ["pruefer3-G3", "rationals-Q2:2"])
+def test_submultiplicative_evaluates_the_base_once_per_point(monkeypatch, name):
+    w, window = SUBMULT_CASES[name]()
+    calls = []
+    evaluate = ca.WeightFn.eval
+
+    def counted(self, x):
+        if self is w.base:
+            calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(ca.WeightFn, "eval", counted)
+    assert ca.check_submultiplicative(w, window=window).verdict == HOLDS
+    points = {z for s in window.points for t in window.points for z in (s, t, G.add(s, t))}
+    assert len(calls) == len(set(calls)) and set(calls) == points
 
 
 def test_weight_equivalence_examples():

@@ -440,6 +440,7 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
     (["--group", "pruefer:37"], None, []),
     (RAT_ARGS, None, ["--trunc", "N1025,B12"]),
     (RAT_ARGS, None, ["--trunc", "N5,B1048576"]),
+    (RAT_ARGS, None, ["--trunc", "N5,B1025"]),
     (RAT_ARGS, None, ["--window", "Q9:3"]),
     (SUM_ARGS, None, ["--window", "sample:50:0:1"]),
     (P2_ARGS, lambda prov: EUCLIDEAN_DOC, []),
@@ -473,7 +474,8 @@ ALG_ARGS = ["--group", "pruefer:2", "--p", "2"]
         "summands-number", "algebra-p-one", "algebra-p-half", "algebra-p-negative",
         "algebra-base-unscaled", "scale-infinite", "scale-zero", "scale-negative",
         "scale-float-on-exact", "p-mersenne-61", "pruefer37-default-window",
-        "rationals-trunc-N1025", "rationals-trunc-B2^20", "rationals-window-Q9",
+        "rationals-trunc-N1025", "rationals-trunc-B2^20", "rationals-trunc-B1025",
+        "rationals-window-Q9",
         "sum-sample-too-few-points", "euclidean-doc", "product-doc", "formula-doc",
         "nested-sum-second", "nested-sum-first", "nested-sum-second-sample",
         "nested-sum-first-sample",
@@ -527,6 +529,30 @@ def test_report_with_timestamp_differs_only_in_timestamp(tmp_path, capsys):
     assert code == 0
     bundle = json.loads((out1 / "certificates.json").read_text())
     assert "generated_at" in bundle
+
+
+def test_verify_window_builds_only_that_window(tmp_path, capsys, monkeypatch):
+    # the default window of pruefer:5, G4, holds 625 points: it is never built
+    wfile = tmp_path / "w.json"
+    run(capsys, "construct", "--group", "pruefer:5", "--out", str(wfile))
+    layers = []
+    enumerate_ = ca.groups.PrueferGroup.subgroup_elements
+
+    def counted(self, n):
+        layers.append(n)
+        return enumerate_(self, n)
+
+    monkeypatch.setattr(ca.groups.PrueferGroup, "subgroup_elements", counted)
+    code, out, _ = run(capsys, "verify", str(wfile), "--window", "G1", "--trunc", "N6")
+    assert code == 0 and "on window G1 (5 points)" in out
+    assert layers == [1]
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    for p in (2, 3):
+        run(capsys, "construct", "--group", f"pruefer:{p}", "--out", str(tmp_path / "w.json"))
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_internal_error_exit_4(capsys, monkeypatch):
