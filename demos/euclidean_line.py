@@ -35,8 +35,8 @@ up = ca.pruefer_weight(2)
 w = ca.product_weight(u, ca.scale_for_b(up, 2 * up.mass()))
 print(f"  product b bound: {float(w.b_bound):.6f}")
 pt = w.group.point(R1.element([1.0]), G.PrueferGroup(2).element(1, 1))
-print(f"  w(1, 1/2) = {w.eval(pt):.8f}  (= u_R(1)/(2 pi) * u_H(1/2))")
-print(f"  even: w(-x) = {w.eval(G.neg(pt)):.8f}")
+print(f"  w(1, 1/2) = {float(w.eval(pt)):.8f}  (= u_R(1)/(2 pi) * u_H(1/2))")
+print(f"  even: w(-x) = {float(w.eval(G.neg(pt))):.8f}")
 
 cert = ca.check_poly_decay(w, pt, 12)
 print(f"  decay certificate: 1/w(nx) <= C n^{cert.payload['degree']}  -> {cert.verdict}")

@@ -252,8 +252,7 @@ def check_poly_decay(u: WeightFn, x, n_max: int = 12) -> Certificate:
                            witness=point_to_json(x))
     c, d = cert
     for n, v in enumerate(values, start=1):
-        cap = c * Fraction(n) ** d if isinstance(c, Fraction) else float(c) * n ** d
-        if v > cap:
+        if v > c * n ** d:
             payload = {"constant": _num(c), "degree": d, "value": _num(v), "n": n}
             return Certificate(prop="poly-decay", verdict=FAILS, payload=payload,
                                witness=point_to_json(x))

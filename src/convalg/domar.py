@@ -194,7 +194,5 @@ def domar_classify(w: WeightFn, x) -> tuple[str, Certificate]:
     return UNDECIDED, Certificate(prop="domar", verdict=INCONCLUSIVE, payload=payload)
 
 
-def _log_of(v) -> float:
-    if isinstance(v, Fraction):
-        return math.log(v.numerator) - math.log(v.denominator)
-    return math.log(float(v))
+def _log_of(v: Fraction) -> float:
+    return math.log(v.numerator) - math.log(v.denominator)

@@ -6,10 +6,10 @@ finite-support direct sums, real coordinate vectors, and real x discrete
 product pairs.  These are the groups the constructed weights live on; the
 builtin formula weights of formulas.py take plain numbers instead.
 
-Discrete variants are exact (arbitrary-precision rationals, canonical form
-enforced at construction); real coordinates are floats.  All points are
-immutable and hashable, so they can be shared freely across workers and used
-as cache keys.
+Every variant is exact: arbitrary-precision rationals in canonical form,
+enforced at construction, and a real coordinate given as a float converts
+exactly.  All points are immutable and hashable, so they can be shared freely
+across workers and used as cache keys.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class SumGroup(GroupDescriptor):
 
 @dataclass(frozen=True)
 class RealGroup(GroupDescriptor):
-    """R^d under addition, float coordinates."""
+    """R^d under addition, exact rational coordinates."""
 
     dim: int
     variant = "real"
@@ -156,10 +156,10 @@ class RealGroup(GroupDescriptor):
             raise ValueError("dimension must be >= 0")
 
     def identity(self) -> "RealPoint":
-        return RealPoint(self, (0.0,) * self.dim)
+        return RealPoint(self, (Fraction(0),) * self.dim)
 
-    def element(self, coords: Iterable[float]) -> "RealPoint":
-        return RealPoint(self, tuple(float(c) for c in coords))
+    def element(self, coords: Iterable) -> "RealPoint":
+        return RealPoint(self, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -316,16 +316,23 @@ class SumPoint(GroupPoint):
 
 @dataclass(frozen=True)
 class RealPoint(GroupPoint):
+    """A point of R^d; each coordinate converts exactly to a Fraction, and a
+    non-finite one is refused."""
+
     group: RealGroup
-    coords: tuple[float, ...]
+    coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(self.coords) != self.group.dim:
             raise ValueError("coordinate count does not match dimension")
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        try:
+            coords = tuple(Fraction(c) for c in self.coords)
+        except (OverflowError, ValueError) as exc:  # Fraction's errors for inf and nan
+            raise ValueError(f"real coordinates must be finite numbers, not {self.coords!r}") from exc
+        object.__setattr__(self, "coords", coords)
 
     def is_identity(self) -> bool:
-        return all(c == 0.0 for c in self.coords)
+        return all(c == 0 for c in self.coords)
 
     def _add(self, other: "RealPoint") -> "RealPoint":
         return RealPoint(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))

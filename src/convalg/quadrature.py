@@ -50,7 +50,6 @@ from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE
 from .formulas import BUILTINS, FormulaWeight
 from .intervals import Interval
 from .rational import PI_LOWER, PI_UPPER
-from .weights import TWO_PI, line_conv_closed_form
 
 CIRCLE_GRID = 128     # the circle ratio grid k/128, 0 < k < 128
 LINE_CUTOFF = 150.0   # line_conv_quadrature integrates over [-150, 150]
@@ -177,7 +176,7 @@ def circle_conv_ratio(spec: QuadratureSpec = QuadratureSpec()) -> RatioResult:
     cells = [0.0] + grid + [1.0]
     cap = 0.0
     for a, b in zip(cells, cells[1:]):
-        wrap_a = TWO_PI - math.pi if a == 0.0 else wrap_segment_closed(a)
+        wrap_a = math.pi if a == 0.0 else wrap_segment_closed(a)
         cap = max(cap, math.sqrt(b) * (math.pi + wrap_a))
     sup = Interval(grid_max * (1.0 - 1e-12), cap * (1.0 + 1e-12))
     payload = {
@@ -193,6 +192,11 @@ def circle_conv_ratio(spec: QuadratureSpec = QuadratureSpec()) -> RatioResult:
 # --------------------------------------------------------------------------
 # Euclidean weight on the line
 # --------------------------------------------------------------------------
+
+def line_conv_closed_form(t: float) -> float:
+    """Self-convolution of 1/(1+s^2) at t, 2 pi / (4 + t^2), in floats."""
+    return 2.0 * math.pi / (4.0 + t * t)
+
 
 def line_conv_quadrature(t: float, spec: QuadratureSpec = QuadratureSpec()) -> Interval:
     """Enclosure of int 1/(1+s^2) 1/(1+(t-s)^2) ds over the line.

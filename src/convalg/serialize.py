@@ -95,7 +95,7 @@ def point_to_json(x) -> Any:
     if isinstance(x, G.SumPoint):
         return {str(j): point_to_json(pt) for j, pt in x.coords}
     if isinstance(x, G.RealPoint):
-        return list(x.coords)
+        return [format_rational(c) for c in x.coords]
     if isinstance(x, G.ProductPoint):
         return {"real": point_to_json(x.real_part), "discrete": point_to_json(x.discrete_part)}
     if isinstance(x, Fraction):

@@ -11,13 +11,14 @@ algebra weight is w = u^(-1/q) with 1/p + 1/q = 1.  Four families are built:
 * weights on finite-support direct sums, assembled from per-summand weights
   through small coefficients alpha_j and subset coefficients a_s;
 * the rational-decay weight 1/((1+x_1^2)...(1+x_d^2)) on R^d and its product
-  with a discrete factor.
+  with a discrete factor, enclosed with the rational bounds on pi.
 
 The two shell families are fixed by one positive rational s (1/2 by
 default); `ShellWeight` derives their mass, tails and monotonicity from it.
 Each family also owns its truncated self-convolution (`_conv`, called
 through `convolution.conv_at`) and the cutoffs it reads (`trunc_default`).
-Exact constructions evaluate to rationals; the Euclidean family is float.
+Every group weight evaluates to exact rationals; only the algebra weight
+u^(-1/q) is float.
 Weights are immutable; evaluation is pure and safe to run concurrently.
 """
 
@@ -30,22 +31,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from . import groups as G
 from .certificates import TruncationSpec
-from .intervals import Interval
-from .rational import even_floor, exp_enclosure, sigma
+from .intervals import Interval, Scalar
+from .rational import PI_LOWER, PI_UPPER, even_floor, exp_enclosure, sigma
 
-Scalar = Union[Fraction, float]
-
-TWO_PI = 2.0 * math.pi
 _RANGE_SERIES_TERMS = 32
-
-
-def line_conv_closed_form(t: float) -> float:
-    """Self-convolution of 1/(1+s^2): 2 pi / (4 + t^2)."""
-    return TWO_PI / (4.0 + t * t)
 
 
 class TailUnavailableError(ValueError):
@@ -193,6 +186,10 @@ class WeightFn:
         return b is not None and b <= 1
 
     def rescaled(self, factor: Scalar) -> "WeightFn":
+        """u times factor; an exact weight keeps a rational scale, as a float
+        factor converts exactly."""
+        if self.exact:
+            factor = Fraction(factor)
         return dataclasses.replace(self, scale=self.scale * factor)
 
     def max_value(self) -> Optional[Scalar]:
@@ -688,59 +685,51 @@ class DirectSumWeight(WeightFn):
 
 @dataclass(frozen=True)
 class EuclideanWeight(WeightFn):
-    """u(x) = 1/((1+x_1^2)...(1+x_d^2)) on R^d (float evaluator).
+    """u(x) = 1/((1+x_1^2)...(1+x_d^2)) on R^d.
 
-    The raw form satisfies u*u <= (2 pi)^d u (d=1 closed form: the
-    self-convolution is 2 pi/(4+t^2)); the normalization constant is recorded
-    here and applied by scale_for_b or by product constructions.
+    The self-convolution is prod_i 2 pi/(4+x_i^2) (d=1: 2 pi/(4+t^2)), so
+    u*u <= (2 pi)^d u; the rational (2 PI_UPPER)^d above (2 pi)^d is recorded
+    here and divided out by scale_for_b or by product constructions.
     """
 
     group: G.RealGroup
-    scale: float = 1.0
+    scale: Fraction = Fraction(1)
 
     construction = "euclidean"
-    exact = False
 
-    def raw_eval(self, x) -> float:
-        value = 1.0
-        for c in x.coords:
-            value /= 1.0 + c * c
-        return value
+    def raw_eval(self, x) -> Fraction:
+        return 1 / math.prod(1 + c * c for c in x.coords)
 
-    def raw_b_bound(self) -> float:
-        return TWO_PI ** self.group.dim
+    def raw_b_bound(self) -> Fraction:
+        return (2 * PI_UPPER) ** self.group.dim
 
     def _conv(self, x, trunc: TruncationSpec) -> Interval:
-        """The closed form (u*u)(x) = prod_i 2 pi / (4 + x_i^2), scaled."""
-        value = 1.0
-        for c in x.coords:
-            value *= line_conv_closed_form(c)
-        return Interval.point(self.scale * self.scale * value)
+        """The closed form (u*u)(x) = prod_i 2 pi / (4 + x_i^2), scaled, with pi
+        enclosed in [PI_LOWER, PI_UPPER]."""
+        factor = self.scale * self.scale / math.prod(4 + c * c for c in x.coords)
+        dim = self.group.dim
+        return Interval(factor * (2 * PI_LOWER) ** dim, factor * (2 * PI_UPPER) ** dim)
 
-    def max_value(self) -> float:
+    def max_value(self) -> Fraction:
         return self.scale
 
-    def decay_certificate(self, x) -> tuple[float, int]:
-        c = 1.0 / self.scale
-        for coord in x.coords:
-            c *= 1.0 + coord * coord
-        return (c, 2 * self.group.dim)
+    def decay_certificate(self, x) -> tuple[Fraction, int]:
+        return (math.prod(1 + c * c for c in x.coords) / self.scale, 2 * self.group.dim)
 
 
 @dataclass(frozen=True)
 class ProductWeight(WeightFn):
-    """u(r, h) = u_R(r) u_H(h) on R^d x H (float evaluator)."""
+    """u(r, h) = u_R(r) u_H(h) on R^d x H."""
 
     group: G.ProductGroup
     real_factor: WeightFn
     discrete_factor: WeightFn
-    scale: float = 1.0
+    scale: Fraction = Fraction(1)
 
     construction = "product"
-    exact = False
 
-    def raw_eval(self, x) -> float:
-        return float(self.real_factor.eval(x.real_part)) * float(self.discrete_factor.eval(x.discrete_part))
+    def raw_eval(self, x) -> Fraction:
+        return self.real_factor.eval(x.real_part) * self.discrete_factor.eval(x.discrete_part)
 
     def trunc_default(self) -> TruncationSpec:
         return self.discrete_factor.trunc_default()
@@ -754,26 +743,26 @@ class ProductWeight(WeightFn):
         right = conv_at(self.discrete_factor, x.discrete_part, trunc, require_tail=False)
         return left.mul_nonneg(right).scale_nonneg(self.scale * self.scale)
 
-    def raw_b_bound(self) -> Optional[float]:
+    def raw_b_bound(self) -> Optional[Fraction]:
         br = self.real_factor.b_bound
         bh = self.discrete_factor.b_bound
         if br is None or bh is None:
             return None
-        return float(br) * float(bh)
+        return br * bh
 
-    def max_value(self) -> Optional[float]:
+    def max_value(self) -> Optional[Fraction]:
         mr = self.real_factor.max_value()
         mh = self.discrete_factor.max_value()
         if mr is None or mh is None:
             return None
-        return self.scale * float(mr) * float(mh)
+        return self.scale * mr * mh
 
-    def decay_certificate(self, x) -> Optional[tuple[float, int]]:
+    def decay_certificate(self, x) -> Optional[tuple[Fraction, int]]:
         cr = self.real_factor.decay_certificate(x.real_part)
         ch = self.discrete_factor.decay_certificate(x.discrete_part)
         if cr is None or ch is None:
             return None
-        return (float(cr[0]) * float(ch[0]) / self.scale, cr[1] + ch[1])
+        return (cr[0] * ch[0] / self.scale, cr[1] + ch[1])
 
 
 @dataclass(frozen=True)
@@ -887,7 +876,7 @@ def product_weight(real_factor: WeightFn, discrete_factor: WeightFn) -> ProductW
         raise ValueError("discrete factor lacks a subconvolutivity certificate")
     rf = real_factor
     if rf.b_bound is not None and rf.b_bound > 1:
-        rf = rf.rescaled(1.0 / float(rf.b_bound))
+        rf = scale_for_b(rf, rf.b_bound)
     group = G.ProductGroup(real_factor.descriptor, discrete_factor.descriptor)
     return ProductWeight(group=group, real_factor=rf, discrete_factor=discrete_factor)
 
@@ -905,8 +894,4 @@ def algebra_weight(u: WeightFn, p) -> AlgebraWeight:
 def scale_for_b(u: WeightFn, bound) -> WeightFn:
     """Divide by a certified bound: if u*u <= bound*u then u' = u/bound
     satisfies u'*u' = (u*u)/bound^2 <= u/bound = u' exactly."""
-    if isinstance(bound, Fraction) or isinstance(bound, int):
-        factor = Fraction(1) / Fraction(bound)
-    else:
-        factor = 1.0 / float(bound)
-    return u.rescaled(factor)
+    return u.rescaled(1 / Fraction(bound))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import convalg as ca
 from convalg import groups as G
 from convalg.certificates import FAILS, HOLDS, INCONCLUSIVE, Certificate, window_info
 from convalg.certify import _num
+from convalg.rational import parse_rational
 from convalg.serialize import canonical_dumps, certificate_to_json, point_to_json
 
 P2 = G.PrueferGroup(2)
@@ -76,6 +78,32 @@ def test_check_b_refinement_never_flips_holds():
     fine = ca.check_b(u, window, ca.TruncationSpec(layer=5, ball=12), bound=bound)
     assert coarse.verdict == HOLDS
     assert fine.verdict == HOLDS
+
+
+def far_line_window():
+    R1 = G.RealGroup(1)
+    return ca.Window("far-line", tuple(R1.element([t])
+                                       for t in (0.0, 1e9, -1e9, 1e12, -1e12, 1e3)))
+
+
+def test_check_b_euclidean_over_the_double_two_pi_is_not_certified():
+    # the double 2*math.pi lies below 2 pi, so u/(2*math.pi) is not
+    # subconvolutive far out: at t = 1e9 its ratio (u*u)/u is
+    # (pi/math.pi)(1+t^2)/(4+t^2) = 1 + 3.6e-17, which PI_LOWER and PI_UPPER
+    # cannot decide
+    u = ca.scale_for_b(ca.euclidean_weight(1), 2 * math.pi)
+    cert = ca.check_b(u, far_line_window(), ca.TruncationSpec())
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.payload["undecided_points"] == [[f"{t}/1"] for t in
+                                                (10 ** 9, -10 ** 9, 10 ** 12, -10 ** 12)]
+
+
+def test_check_b_euclidean_over_its_bound_holds_exactly():
+    u = ca.euclidean_weight(1)
+    cert = ca.check_b(ca.scale_for_b(u, u.b_bound), far_line_window(), ca.TruncationSpec())
+    assert cert.verdict == HOLDS
+    # over (2 PI_UPPER) the ratio is (1+t^2)/(4+t^2), largest at the farthest point
+    assert parse_rational(cert.payload["max_ratio"]) == F(1 + 10 ** 24, 4 + 10 ** 24)
 
 
 def test_positivity_and_evenness_constructed():

@@ -12,6 +12,7 @@ import convalg as ca
 from convalg import groups as G
 from convalg import weights as W
 from convalg.convolution import TailUnavailableError
+from convalg.rational import PI_LOWER, PI_UPPER
 
 P2 = G.PrueferGroup(2)
 P3 = G.PrueferGroup(3)
@@ -538,12 +539,16 @@ def test_sum_conv_identity_and_trivial_group():
 
 
 def test_euclidean_conv_closed_form():
-    import math
+    # 2 pi/(4+t^2), with pi enclosed in [PI_LOWER, PI_UPPER]
     u = ca.euclidean_weight(1)
     R1 = G.RealGroup(1)
-    assert ca.conv_at(u, R1.element([0.0]), ca.TruncationSpec()).lo == pytest.approx(math.pi / 2)
-    t = 3.0
-    assert ca.conv_at(u, R1.element([t]), ca.TruncationSpec()).lo == pytest.approx(2 * math.pi / (4 + t * t))
+    for t in (F(0), F(3), F(-1, 3)):
+        iv = ca.conv_at(u, R1.element([t]), ca.TruncationSpec())
+        assert iv == ca.Interval(2 * PI_LOWER / (4 + t * t), 2 * PI_UPPER / (4 + t * t))
+        assert iv.lo < 2 * math.pi / (4 + t * t) < iv.hi
+    R2 = G.RealGroup(2)
+    iv = ca.conv_at(ca.euclidean_weight(2).rescaled(F(1, 3)), R2.element([1, 2]), ca.TruncationSpec())
+    assert iv == ca.Interval(F(1, 9) * (2 * PI_LOWER) ** 2 / 40, F(1, 9) * (2 * PI_UPPER) ** 2 / 40)
 
 
 def test_conv_concurrent_calls_are_deterministic():

@@ -2,14 +2,12 @@
 product-weight certificates, verify-bundle determinism."""
 
 import json
-import math
 from fractions import Fraction as F
-
-import pytest
 
 import convalg as ca
 from convalg import groups as G
 from convalg.cli import main as cli_main
+from convalg.rational import PI_LOWER, PI_UPPER
 
 P2 = G.PrueferGroup(2)
 
@@ -77,6 +75,12 @@ def test_product_weight_check_b_and_parity():
     assert ca.check_evenness(w, window).verdict == "holds"
     cert = ca.check_b(w, window, ca.TruncationSpec(layer=8))
     assert cert.verdict == "holds"
+    # the Euclidean factor is divided by the rational 2 PI_UPPER above 2 pi
+    assert w.real_factor.scale == 1 / (2 * PI_UPPER)
+    far = ca.Window("product-far", tuple(
+        w.group.point(G.RealGroup(1).element([r]), h)
+        for r in (1e9, -1e12) for h in P2.subgroup_elements(2)))
+    assert ca.check_b(w, far, ca.TruncationSpec(layer=8)).verdict == "holds"
 
 
 def test_product_conv_is_the_scaled_product_of_the_factors():
@@ -84,14 +88,15 @@ def test_product_conv_is_the_scaled_product_of_the_factors():
     # times scale^2 of the product (rescaled, so a lost scale shows)
     uh = scaled(2)
     w = ca.product_weight(ca.euclidean_weight(1), uh).rescaled(0.5)
+    assert w.scale == F(1, 2)
     trunc = ca.TruncationSpec(layer=8)
     for x in product_grid(w):
         (r,) = x.real_part.coords
-        real = w.real_factor.scale ** 2 * 2 * math.pi / (4 + r * r)
+        real = w.real_factor.scale ** 2 * 2 / (4 + r * r)
         discrete = ca.conv_at(uh, x.discrete_part, trunc)
         iv = ca.conv_at(w, x, trunc)
-        assert iv.lo == pytest.approx(0.25 * real * float(discrete.lo), rel=1e-12)
-        assert iv.hi == pytest.approx(0.25 * real * float(discrete.hi), rel=1e-12)
+        assert iv.lo == F(1, 4) * real * PI_LOWER * discrete.lo
+        assert iv.hi == F(1, 4) * real * PI_UPPER * discrete.hi
 
 
 def test_domar_partial_exact_weights_bounded_by_zero():

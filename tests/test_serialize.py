@@ -34,6 +34,8 @@ def test_point_serialization_formats():
     sum_group = G.SumGroup((P2, P3))
     x = sum_group.point({2: P3.element(1, 1), 1: P2.element(1, 1)})
     assert ca.point_to_json(x) == {"1": "1/2", "2": "1/3"}
+    # real coordinates are exact, so they are written as rationals too
+    assert ca.point_to_json(G.RealGroup(2).element([0.5, F(-1, 3)])) == ["1/2", "-1/3"]
 
 
 def test_weight_provenance_roundtrips():
@@ -54,6 +56,18 @@ def test_weight_provenance_roundtrips():
         assert rebuilt.eval(x) == w.eval(x)
         # provenance of the rebuilt weight is bit-identical
         assert ca.canonical_dumps(ca.weight_to_provenance(rebuilt)) == ca.canonical_dumps(prov)
+
+
+def test_exact_weight_rescaled_by_a_float_roundtrips():
+    # a float factor converts exactly, so the weight keeps a rational scale
+    w = ca.pruefer_weight(2).rescaled(0.25)
+    assert w.exact and w.scale == F(1, 4) and isinstance(w.scale, F)
+    prov = ca.weight_to_provenance(w)
+    assert prov["scale"] == "1/4"
+    rebuilt = ca.weight_from_provenance(json.loads(json.dumps(prov)))
+    assert rebuilt == w
+    # a non-exact weight keeps its float scale
+    assert ca.algebra_weight(scaled(2), 2).rescaled(0.25).scale == 0.25
 
 
 def test_broken_weight_provenance_roundtrip():

@@ -6,6 +6,7 @@ import pytest
 import convalg as ca
 from convalg import groups as G
 from convalg import weights as W
+from convalg.rational import PI_UPPER
 
 P2 = G.PrueferGroup(2)
 P3 = G.PrueferGroup(3)
@@ -227,10 +228,12 @@ def test_direct_sum_requires_b_certificates():
 def test_euclidean_weight_values():
     u = ca.euclidean_weight(1)
     R1 = G.RealGroup(1)
-    assert u.eval(R1.element([0.0])) == 1.0
-    assert u.eval(R1.element([1.0])) == 0.5
+    assert u.eval(R1.element([0.0])) == 1
+    assert u.eval(R1.element([1.0])) == F(1, 2)
+    assert u.eval(R1.element([F(1, 3)])) == F(9, 10)
     assert u.eval(R1.element([-1.0])) == u.eval(R1.element([1.0]))
-    assert u.b_bound == pytest.approx(2 * math.pi)
+    assert u.b_bound == 2 * PI_UPPER > 2 * math.pi
+    assert ca.euclidean_weight(2).b_bound == (2 * PI_UPPER) ** 2
     with pytest.raises(ValueError):
         ca.euclidean_weight(0)
 
@@ -241,9 +244,9 @@ def test_product_weight_eval_and_bound():
     w = ca.product_weight(ur, uh)
     g = w.group
     pt = g.point(G.RealGroup(1).element([1.0]), P2.element(1, 1))
-    assert w.eval(pt) == pytest.approx(0.5 / (2 * math.pi) * float(uh.eval(P2.element(1, 1))))
-    assert w.b_bound == pytest.approx(1.0)
-    assert w.eval(G.neg(pt)) == pytest.approx(w.eval(pt))
+    assert w.eval(pt) == F(1, 2) / (2 * PI_UPPER) * uh.eval(P2.element(1, 1))
+    assert w.b_bound == 1
+    assert w.eval(G.neg(pt)) == w.eval(pt)
     with pytest.raises(ValueError):
         ca.product_weight(ur, ca.pruefer_weight(2))  # no (b) certificate
 
