@@ -18,13 +18,29 @@ of its nonnegative half, so x_i = -x_(n-1-i) and w_i = w_(n-1-i) hold
 exactly.  When edges E' are the negated, reversed edges E, panel P-1-k of E'
 has exactly the negated midpoint and the half-width of panel k of E, so its
 node i is exactly -t_(n-1-i).  If g(-s) == f(s) bit for bit, g on that panel
-has the products w_i f(t_i) in reverse order.  _mirrored_composite evaluates
-each panel's products once and sums them forward and reversed: the same
-roundings as composite_integral of f over E and of g over E', with half the
-evaluations.  beurling_integral takes g = f, an even builtin, on [0, T] and
-[-T, 0] when their edges mirror (|t| = t at every node), else it makes the
-two calls.  log+ v is taken as `v if v > 0.0 else 0.0`, max(0.0, v) (0.0 for
--0.0 and NaN) with no call.
+has the products w_i f(t_i) in reverse order.  _beurling_panel evaluates a
+panel's products once and returns their sum forward and reversed, each times
+the half-width: the forward sum is panel_integral's value on that panel, and
+the reversed one is its value on the mirrored panel.  beurling_integral
+takes the right half from the forward sums of the [0, T] panels; the left
+half from their reversed sums, in reverse panel order, when the builtin is
+even and the edges mirror (|t| = t at every node), else from the forward
+sums of the [-T, 0] panels.  Each half is a _sum from 0.0 in
+composite_integral's order, so the value is its two calls' bit for bit.
+log+ v is taken as `v if v > 0.0 else 0.0`, max(0.0, v) (0.0 for -0.0 and
+NaN) with no call.
+
+The panel sums are memoized per process, keyed on the builtin's log
+callable, the log shift, the midpoint and the half-width; the cutoff is read
+as a float, so every key but the callable is a float.  The key is the
+callable, not the builtin's name: a replaced BUILTINS record brings a new
+callable and never reads the sums of the one it replaced.  Cutoffs on one
+grid share panels: 50, 100, 200 and 400 all have step 1/2, so each one's
+panels are among those of 400.  The memo keeps the PANEL_MEMO most recently
+used entries, two floats each, which holds one builtin's chain: the signed
+builtin's two sides at cutoffs 25 to 400 take 2 * (64 + 800).  A hit returns
+the floats the miss computed from the same key, so no bit depends on what
+the memo held or in which order the cutoffs came.
 
 Float sums: every sum of quadrature terms adds left to right from 0.0 (a
 plain loop in panel_integral, _sum elsewhere), never with the builtin sum():
@@ -40,7 +56,9 @@ cross-checked against closed forms in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +72,7 @@ from .rational import PI_LOWER, PI_UPPER
 CIRCLE_GRID = 128     # the circle ratio grid k/128, 0 < k < 128
 LINE_CUTOFF = 150.0   # line_conv_quadrature integrates over [-150, 150]
 LINE_PANELS = 150     # in panels of width 2
+PANEL_MEMO = 2048     # the memoized Beurling panels (see Mirrored panels)
 
 # The nonnegative half of leggauss(32) as node, weight pairs, nodes ascending.
 _GL_HALF = [float.fromhex(v) for v in """
@@ -103,18 +122,6 @@ def panel_integral(f: Callable[[float], float], a: float, b: float) -> float:
 def composite_integral(f: Callable[[float], float], a: float, b: float, panels: int) -> float:
     edges = _linspace(a, b, panels + 1)
     return _sum(panel_integral(f, edges[i], edges[i + 1]) for i in range(panels))
-
-
-def _mirrored_composite(edges: list[float], products_at: Callable) -> tuple[float, float]:
-    """composite_integral of f over edges and of g over them mirrored (see Mirrored
-    panels); products_at(mid, half) returns a panel's products w_i f(mid + half x_i)."""
-    right, left = [], []
-    for a, b in zip(edges, edges[1:]):
-        half = 0.5 * (b - a)
-        products = products_at(0.5 * (a + b), half)
-        right.append(half * _sum(products))
-        left.append(half * _sum(reversed(products)))
-    return _sum(right), _sum(reversed(left))
 
 
 # --------------------------------------------------------------------------
@@ -266,17 +273,45 @@ class BeurlingResult:
     certificate: Certificate
 
 
-def beurling_panels(cutoff: float) -> int:
-    """Panels per half-line of beurling_integral at this cutoff.  Raises
-    ValueError unless the cutoff is finite and > 0 and the panels hold at
-    most 2^20 nodes (a cutoff of at most 16384)."""
-    if not (math.isfinite(cutoff) and cutoff > 0):
+def _beurling_grid(cutoff) -> tuple[float, int]:
+    """The cutoff as a float and the panels per half-line; see beurling_panels."""
+    real = isinstance(cutoff, numbers.Real) and not isinstance(cutoff, bool)
+    try:
+        T = float(cutoff) if real else math.nan
+    except OverflowError:  # an int or a Fraction beyond the doubles
+        T = math.inf
+    if not (math.isfinite(T) and T > 0):
         raise ValueError(f"the cutoff must be finite and > 0, not {cutoff!r}")
-    panels = max(64, int(2 * cutoff))
+    panels = max(64, int(2 * T))
     if panels * len(GL_NODES) > MAX_POINTS:
         raise ValueError(f"the cutoff {cutoff!r} needs {panels * len(GL_NODES)} quadrature "
                          f"nodes per integral, more than 2^20")
-    return panels
+    return T, panels
+
+
+def beurling_panels(cutoff: float) -> int:
+    """Panels per half-line of beurling_integral at this cutoff.  Raises
+    ValueError unless the cutoff is a real number (not a bool), finite and
+    > 0 as a double, and the panels hold at most 2^20 nodes (a cutoff of at
+    most 16384)."""
+    return _beurling_grid(cutoff)[1]
+
+
+@functools.lru_cache(maxsize=PANEL_MEMO)
+def _beurling_panel(log: Callable, shift: float, mid: float, half: float) -> tuple[float, float]:
+    """half * the sum of w_i log+ w(t_i)/(1+t_i^2) at t_i = mid + half x_i,
+    left to right and right to left (see Mirrored panels)."""
+    products = []
+    for x, g in zip(GL_NODES, GL_WEIGHTS):
+        t = mid + half * x
+        v = log(shift, t, abs(t))
+        products.append(g * ((v if v > 0.0 else 0.0) / (1.0 + t * t)))
+    return half * _sum(products), half * _sum(reversed(products))
+
+
+def _panel_sums(log: Callable, shift: float, edges: list[float]) -> list[tuple[float, float]]:
+    return [_beurling_panel(log, shift, 0.5 * (a + b), 0.5 * (b - a))
+            for a, b in zip(edges, edges[1:])]
 
 
 def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
@@ -290,30 +325,20 @@ def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
     """
     if not isinstance(w, FormulaWeight) or w.domain != "real":
         raise ValueError("a builtin line weight is required")
-    panels = beurling_panels(cutoff)
+    cutoff, panels = _beurling_grid(cutoff)
 
     # w.log_eval(t) for a float t, with the record and the shift looked up once
     builtin = BUILTINS[w.name]
     log, shift = builtin.log, w.log_shift()
 
     edges = _linspace(0.0, cutoff, panels + 1)
-    if builtin.even and _linspace(-cutoff, 0.0, panels + 1) == [-e for e in reversed(edges)]:
-        def products_at(mid: float, half: float) -> list[float]:
-            products = []
-            for x, g in zip(GL_NODES, GL_WEIGHTS):
-                t = mid + half * x
-                v = log(shift, t, t)
-                products.append(g * ((v if v > 0.0 else 0.0) / (1.0 + t * t)))
-            return products
-
-        value = _sum(_mirrored_composite(edges, products_at))
+    right = _panel_sums(log, shift, edges)
+    left_edges = _linspace(-cutoff, 0.0, panels + 1)
+    if builtin.even and left_edges == [-e for e in reversed(edges)]:
+        left = [backward for _, backward in reversed(right)]
     else:
-        def f(t: float) -> float:
-            v = log(shift, t, abs(t))
-            return (v if v > 0.0 else 0.0) / (1.0 + t * t)
-
-        value = composite_integral(f, 0.0, cutoff, panels) \
-            + composite_integral(f, -cutoff, 0.0, panels)
+        left = [forward for forward, _ in _panel_sums(log, shift, left_edges)]
+    value = _sum(forward for forward, _ in right) + _sum(left)
     enclosure = Interval(value - spec.tol, value + spec.tol)
 
     info = w.growth()

@@ -20,6 +20,7 @@ from convalg.quadrature import (
     LINE_CUTOFF,
     LINE_PANELS,
     QuadratureSpec,
+    _beurling_panel,
     _linspace,
     beurling_panels,
     beta_segment_quadrature,
@@ -207,23 +208,66 @@ def test_beurling_partial_integral_bit_for_bit(name, scale):
 
 @pytest.mark.parametrize("name", LINE_BUILTINS)
 def test_beurling_evaluates_log_once_per_mirrored_node_pair(monkeypatch, name):
-    calls = []
     record = BUILTINS[name]
+    w = ca.builtin_weight(name)
+    cutoffs = MIRRORED_CUTOFFS + UNMIRRORED_CUTOFFS
+    _beurling_panel.cache_clear()
+    for cutoff in cutoffs:  # warm the memo through the builtin's own log
+        ca.beurling_integral(w, cutoff)
+    calls = []
 
     def log(s, t, a):
         calls.append(t)
         return record.log(s, t, a)
 
     monkeypatch.setitem(BUILTINS, name, dataclasses.replace(record, log=log))
-    w = ca.builtin_weight(name)
-    for cutoff in MIRRORED_CUTOFFS + UNMIRRORED_CUTOFFS:
-        calls.clear()
+    right, left = set(), set()
+    for cutoff in cutoffs:
         ca.beurling_integral(w, cutoff)
-        # one call per node of [0, T] when the sides mirror, else one per node of both
-        mirrored = record.even and cutoff in MIRRORED_CUTOFFS
-        nodes = len(GL_NODES) * beurling_panels(cutoff)
-        assert len(calls) == (nodes if mirrored else 2 * nodes), cutoff
-        assert min(calls) >= 0.0 if mirrored else min(calls) < 0.0
+        panels = beurling_panels(cutoff)
+        edges = np.linspace(0.0, cutoff, panels + 1).tolist()
+        right |= set(zip(edges, edges[1:]))
+        # the left side reads the right side's sums when the sides mirror
+        if not (record.even and cutoff in MIRRORED_CUTOFFS):
+            edges = np.linspace(-cutoff, 0.0, panels + 1).tolist()
+            left |= set(zip(edges, edges[1:]))
+    # one call per node of each distinct panel over the whole sequence, none
+    # answered from the memo the replaced record filled
+    assert len(calls) == len(GL_NODES) * (len(right) + len(left))
+    assert sum(t < 0.0 for t in calls) == len(GL_NODES) * len(left)
+
+
+@pytest.mark.parametrize("scale", [F(1), F(1, 2), F(3)])
+@pytest.mark.parametrize("name", LINE_BUILTINS)
+def test_beurling_memo_is_order_independent(name, scale):
+    w = ca.builtin_weight(name).rescaled(scale)
+    ascending = sorted(MIRRORED_CUTOFFS + UNMIRRORED_CUTOFFS)
+    expected = [(c, _two_sided(w, c).hex()) for c in ascending]
+    shuffled = ascending[:]
+    random.Random(0).shuffle(shuffled)
+    for order in (ascending, ascending[::-1], shuffled):
+        for cold in (True, False):
+            if cold:
+                _beurling_panel.cache_clear()
+            got = {c: ca.beurling_integral(w, c).certificate.payload["partial_integral"].hex()
+                   for c in order}
+            assert sorted(got.items()) == expected, (order, cold)
+
+
+@pytest.mark.parametrize("cutoff", [True, False, 10 ** 400, -(10 ** 400), F(10 ** 400, 3),
+                                    "50", None, 1j])
+def test_beurling_panels_refuses_with_value_error(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        beurling_panels(cutoff)
+    with pytest.raises(ValueError, match="cutoff"):
+        ca.beurling_integral(ca.builtin_weight("poly2"), cutoff)
+
+
+def test_beurling_cutoff_is_read_as_a_float():
+    w = ca.builtin_weight("poly2-exp-signed")
+    payloads = [ca.beurling_integral(w, c).certificate.payload for c in (50, F(50), 50.0)]
+    assert all(type(p["cutoff"]) is float for p in payloads)
+    assert [repr(p) for p in payloads] == [repr(payloads[2])] * 3
 
 
 # --------------------------------------------------------------------------
