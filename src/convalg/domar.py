@@ -13,19 +13,12 @@ walked in integer arithmetic: the orbit point is t = (n a)/b on the line and
 rounded, so t is the same double as float(n x) (resp. float({n x})).  A
 float x keeps n * x on the line; on the circle it is the rational
 x.as_integer_ratio().  For e^|t| at scale 1 and rational x = a/b every term
-is |n x|/n^2 = |a|/(b n), so S_n = c H_n with c = |x| and H_n = sum_{k<=n}
-1/k, the same exact rational as the term-by-term sum.  The H_n come from one
-table that every call shares: a call extends it only as far as its loop gets,
-so the digit cap still stops at the first unprintable S_n, and a call that
-raises drops the entries it added, so the table never holds more than the
-longest call that returned used.  At x = 0 every S_n is 0 and no table is
-read.
-
-Classification never extrapolates: "convergent" requires a polynomial-growth
-certificate log+ w(nx) <= a + d log n (then the series is capped by
-a pi^2/6 + d * sum log n / n^2), "divergent" requires a certified lower bound
-c n / rho(n) with divergent comparison series (rho = 1, or log for the
-log-damped family), and anything else is "inconclusive".
+is |n x|/n^2 = |a|/(b n), summed exactly term by term.  Classification
+never extrapolates: "convergent" requires a polynomial-growth certificate
+log+ w(nx) <= a + d log n (then the series is capped by a pi^2/6 + d * sum
+log n / n^2), "divergent" requires a certified lower bound c n / rho(n) with
+divergent comparison series (rho = 1, or log for the log-damped family), and
+anything else is "inconclusive".
 """
 
 from __future__ import annotations
@@ -59,38 +52,22 @@ def _log_plus(w: WeightFn, point) -> Union[Fraction, float]:
     return max(0.0, math.log(float(w.eval(point))))
 
 
-# H_n at _HARMONIC[n - 1], shared by the exact e^|t| sums (see the module docstring)
-_HARMONIC: list[Fraction] = []
-
-
-def _exp_abs_partial(c: Fraction, n_max: int) -> list:
-    """S_n = c H_n for n = 1..n_max, raising at the first unprintable S_n."""
-    if not c:
-        return [c] * n_max
-    # 0 is no limit, as on Pythons before 3.10.7, which lack the call
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    cap = 10 ** limit if limit else None
-    kept = len(_HARMONIC)
-    partials = []
-    try:
+def _formula_partial(w: FormulaWeight, value, n_max: int) -> list:
+    """domar_partial for a builtin weight at a number, per the module docstring."""
+    if w.name == "exp-abs" and w.scale == 1.0 and not isinstance(value, float):
+        a, b = abs(Fraction(value)).as_integer_ratio()
+        # 0 is no limit, as on Pythons before 3.10.7, which lack the call
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        cap = 10 ** limit if limit else None
+        partials = []
+        s = Fraction(0)
         for n in range(1, n_max + 1):
-            if n > len(_HARMONIC):
-                _HARMONIC.append(_HARMONIC[-1] + Fraction(1, n) if _HARMONIC else Fraction(1))
-            s = c * _HARMONIC[n - 1]
+            s += Fraction(a, b * n)
             if cap is not None and max(s.numerator, s.denominator) >= cap:
                 raise ValueError(f"the exact partial sum S_{n} has more than {limit} digits, "
                                  "the int-to-str limit")
             partials.append(s)
-    except BaseException:
-        del _HARMONIC[kept:]
-        raise
-    return partials
-
-
-def _formula_partial(w: FormulaWeight, value, n_max: int) -> list:
-    """domar_partial for a builtin weight at a number, per the module docstring."""
-    if w.name == "exp-abs" and w.scale == 1.0 and not isinstance(value, float):
-        return _exp_abs_partial(abs(Fraction(value)), n_max)
+        return partials
     # w.log_eval(t) for a float t, with the record and the shift looked up once
     log, shift = BUILTINS[w.name].log, w.log_shift()
     circle = w.domain == "circle"
