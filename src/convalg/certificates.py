@@ -47,7 +47,7 @@ class TruncationSpec:
 
     layer: chain cutoff N (layer weights); ball: range cutoff B in integer
     units (rationals); per_summand: per-coordinate layer cutoffs (direct sums).
-    Every cutoff lies in [1, MAX_LAYER].
+    Every cutoff is an int (not a bool) in [1, MAX_LAYER].
     """
 
     layer: Optional[int] = None
@@ -56,6 +56,8 @@ class TruncationSpec:
 
     def __post_init__(self) -> None:
         for cutoff in (self.layer, self.ball, *(self.per_summand or ())):
+            if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, int)):
+                raise ValueError(f"truncation cutoff {cutoff!r} is not an int")
             if cutoff is not None and cutoff < 1:
                 raise ValueError(f"truncation cutoff {cutoff} is below 1")
             if cutoff is not None and cutoff > MAX_LAYER:

@@ -100,8 +100,10 @@ def sum_sample_window(group: G.SumGroup, size: int, seed: int = 0,
     """
     if not 1 <= size <= MAX_POINTS:
         raise ValueError(f"a sampled window must hold between 1 and 2^20 points, not {size}")
-    if not 1 <= layer_cap <= MAX_LAYER:
-        raise ValueError(f"a sampled window's layer cap must lie in [1, 2^10], not {layer_cap}")
+    if (isinstance(layer_cap, bool) or not isinstance(layer_cap, int)
+            or not 1 <= layer_cap <= MAX_LAYER):
+        raise ValueError(f"a sampled window's layer cap must be an int in [1, 2^10], "
+                         f"not {layer_cap!r}")
     for j, summand in enumerate(group.summands, start=1):
         if not isinstance(summand, (G.PrueferGroup, G.RationalsGroup)):
             raise ValueError(f"a sampled window draws no coordinates on summand {j}, "

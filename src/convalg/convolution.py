@@ -17,6 +17,8 @@ s^2/p, both derived from s alone.  Unset truncation fields fall back to the
 weight's `trunc_default`.
 
 Every partial sum is the exact rational the element-by-element sum gives.
+The rationals and direct-sum sums add integer numerators and normalise
+once, into one Fraction per enclosure end.
 The engine is pure, weights are immutable and a sum's per-check tables live
 in a context variable (`weights.summand_tables`): concurrent calls are safe.
 """

@@ -4,12 +4,15 @@ Every certified inequality in this package eventually reduces to a comparison
 between :class:`fractions.Fraction` values.  This module collects the wire
 format for rationals, the reciprocal-square kernel on the integers, and
 rational enclosures of the few transcendental quantities the certificates
-need (exp, pi, pi^2, ln 2, sum log n / n^2).
+need (exp, pi, pi^2, ln 2, sum log n / n^2), and `ratio_sum`, which sums
+integer (num, den) terms so that a long exact sum normalises only once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Iterable
 
 Rational = Fraction
 
@@ -58,6 +61,25 @@ def sigma(n: int) -> Fraction:
     """Reciprocal-square kernel 1 / max(1, |n|)^2 on the integers."""
     m = max(1, abs(n))
     return Fraction(1, m * m)
+
+
+def ratio_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(num, den) with num/den the sum of the terms num_i/den_i (each den_i > 0).
+
+    den is the lcm of the term denominators, never their product, so a wide
+    sum stays as small as its exact value allows; each term costs one gcd of
+    two denominators and no normalisation of the running numerator.  The
+    caller builds one `Fraction` from the pair, after any known factor.
+    """
+    num, den = 0, 1
+    for n, d in terms:
+        if d == den:
+            num += n
+            continue
+        g = math.gcd(den, d)
+        num = num * (d // g) + n * (den // g)
+        den *= d // g
+    return num, den
 
 
 def exp_enclosure(x: Fraction, terms: int = 40) -> tuple[Fraction, Fraction]:

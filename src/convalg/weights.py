@@ -18,7 +18,10 @@ default); `ShellWeight` derives their mass, tails and monotonicity from it.
 Each family also owns its truncated self-convolution (`_conv`, called
 through `convolution.conv_at`) and the cutoffs it reads (`trunc_default`).
 Every group weight evaluates to exact rationals; only the algebra weight
-u^(-1/q) is float.
+u^(-1/q) is float.  The long exact sums (the rationals chain count and its
+sigma sums, the direct-sum pattern loop) and the direct-sum products run on
+Python ints, over a denominator known in advance or kept at the lcm of the
+terms' (`rational.ratio_sum`), and build one normalised Fraction per result.
 Weights are immutable; evaluation is pure and safe to run concurrently.
 """
 
@@ -36,7 +39,7 @@ from typing import Optional
 from . import groups as G
 from .certificates import TruncationSpec
 from .intervals import Interval, Scalar
-from .rational import PI_LOWER, PI_UPPER, even_floor, exp_enclosure, sigma
+from .rational import PI_LOWER, PI_UPPER, even_floor, exp_enclosure, ratio_sum, sigma
 
 _RANGE_SERIES_TERMS = 32
 
@@ -49,21 +52,23 @@ class TailUnavailableError(ValueError):
 # Direct-sum coefficients
 # --------------------------------------------------------------------------
 
+# The coefficient memos take eps1 as its (num, den) pair, which hashes much faster
+# than a Fraction: the pattern loop of DirectSumWeight._conv looks them up per term.
 @functools.lru_cache(maxsize=None)
-def _coeff_value(eps1: Fraction, support: frozenset) -> Fraction:
-    if not support:
-        return eps1
-    return eps1 / sum(math.factorial(j) for j in support)
+def _coeff_value(eps1: tuple[int, int], support: frozenset) -> Fraction:
+    num, den = eps1
+    return Fraction(num, den * sum(math.factorial(j) for j in support) if support else den)
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_sum(eps1: Fraction, free: frozenset, base: frozenset) -> Fraction:
+def _pair_sum(eps1: tuple[int, int], free: frozenset, base: frozenset) -> Fraction:
     members = sorted(free)
-    total = Fraction(0)
+    terms = []
     for mask in range(2 ** len(members)):
         part = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
-        total += _coeff_value(eps1, base | part) * _coeff_value(eps1, base | (free - part))
-    return total
+        a, b = _coeff_value(eps1, base | part), _coeff_value(eps1, base | (free - part))
+        terms.append((a.numerator * b.numerator, a.denominator * b.denominator))
+    return Fraction(*ratio_sum(terms))
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ class SubsetCoeffs:
     eps1: Fraction = Fraction(1, 60)
 
     def value(self, support: frozenset) -> Fraction:
-        return _coeff_value(self.eps1, frozenset(support))
+        return _coeff_value(self.eps1.as_integer_ratio(), frozenset(support))
 
     def certify(self) -> None:
         if not 0 < self.eps1 <= 1:
@@ -89,7 +94,7 @@ class SubsetCoeffs:
 
     def pair_sum(self, free: frozenset, base: frozenset) -> Fraction:
         """Exact K(P, Q) = sum_{A subset P} a_{Q u A} a_{Q u (P\\A)} for P = free, Q = base."""
-        return _pair_sum(self.eps1, frozenset(free), frozenset(base))
+        return _pair_sum(self.eps1.as_integer_ratio(), frozenset(free), frozenset(base))
 
     def split_sum(self, support: frozenset) -> Fraction:
         """Exact sum_{v subset s} a_v a_{s\\v} / a_s (for enumeration checks)."""
@@ -379,14 +384,13 @@ class LayerWeight(ShellWeight):
 @functools.lru_cache(maxsize=None)
 def _sigma_range_series(ball: int, shift: int) -> Fraction:
     """Upper bound on sum_{k >= ball} sigma(k) sigma(max(1, k - shift))."""
-    total = Fraction(0)
-    for k in range(ball, ball + _RANGE_SERIES_TERMS):
-        total += sigma(k) * sigma(max(1, k - shift))
     edge = ball + _RANGE_SERIES_TERMS - shift - 1
     if edge < 1:
         raise ValueError("range cutoff too small for the tail comparison")
-    total += Fraction(1, 3 * edge ** 3)
-    return total
+    # sigma(k) sigma(k') = 1/(k k')^2 for k, k' >= 1
+    terms = [(1, (k * max(1, k - shift)) ** 2) for k in range(ball, ball + _RANGE_SERIES_TERMS)]
+    terms.append((1, 3 * edge ** 3))
+    return Fraction(*ratio_sum(terms))
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,9 +399,10 @@ def _sigma_pair_sum(floor_s: int, integral: bool, origin: bool, ball: int) -> Fr
 
     The sum sees j/t in [0, 1) only through origin (j = 0) and s = q - j/t
     only through floor_s = floor(s) and whether s is an integer.  m runs
-    over [-ball, ball), plus m = ball at the origin (k = ball * t).
+    over [-ball, ball), plus m = ball at the origin (k = ball * t).  Each term
+    is 1/(max(1, floor_r) max(1, floor_d))^2, summed on integers.
     """
-    total = Fraction(0)
+    terms = []
     for m in range(-ball, ball + 1 if origin else ball):
         if m >= 0:
             floor_r = m
@@ -407,8 +412,8 @@ def _sigma_pair_sum(floor_s: int, integral: bool, origin: bool, ball: int) -> Fr
             floor_d = floor_s - m
         else:
             floor_d = m - floor_s if integral else m - floor_s - 1
-        total += sigma(floor_r) * sigma(floor_d)
-    return total
+        terms.append((1, (max(1, floor_r) * max(1, floor_d)) ** 2))
+    return Fraction(*ratio_sum(terms))
 
 
 # The sigma kernel's C2: the upper end of sequences.sigma_subconvolutive_constant(),
@@ -460,15 +465,28 @@ class RationalsLayerWeight(ShellWeight):
         mass = self.mass()
         return None if mass is None else 2 * self.sub_constant * mass
 
+    def _phi_numerators(self, cutoff: int) -> tuple[list[int], int, int]:
+        """(P, t_N, D) with phi_n = P[n]/D for n = 1..N (N = cutoff), P[0] = P[N+1]
+        = 0 and D = den(s)^N t_N: P[n] = num(s)^n den(s)^(N-n) t_N/t_n, where
+        t_N/t_n is a running product down the factorial chain t_n = n t_(n-1)."""
+        a, b = self.s.numerator, self.s.denominator
+        phi = [0] * (cutoff + 2)
+        a_pow, b_pow, d = a ** cutoff, 1, 1
+        for n in range(cutoff, 0, -1):
+            phi[n] = a_pow * b_pow * d
+            a_pow, b_pow, d = a_pow // a, b_pow * b, d * n
+        return phi, d, b_pow * d
+
     def mass_up_to(self, cutoff: int) -> Fraction:
-        """sum_{j <= cutoff} (t_j - t_{j-1}) phi_j, the per-unit-interval mass."""
-        total = Fraction(0)
-        prev = 0
+        """sum_{j <= cutoff} (t_j - t_{j-1}) phi_j, the per-unit-interval mass,
+        summed over the common denominator of the phi_j."""
+        phi, _, den = self._phi_numerators(cutoff)
+        total, prev, t = 0, 0, 1
         for j in range(1, cutoff + 1):
-            t = self.group.chain_value(j)
-            total += (t - prev) * self.term(j)
+            t *= j  # t_j = j!
+            total += (t - prev) * phi[j]
             prev = t
-        return total
+        return Fraction(total, den)
 
     def trunc_default(self) -> TruncationSpec:
         return TruncationSpec(layer=5, ball=12)
@@ -492,32 +510,48 @@ class RationalsLayerWeight(ShellWeight):
         The larger index telescopes, sum_{b' >= max(a', L)} delta_b' =
         phi_max(a', L) and sum_{a' >= max(b' + 1, L)} delta_a' = phi_max(b'+1, L):
         sum_j phi_a phi_b = sum_n delta_n (Z_n phi_max(n, L) + R_n phi_max(n+1, L)).
+        The groups enter with their sigma pair sums as integer weights w over
+        one denominator, and a group [lo, hi) holds (hi - 1 - c) // d_n - (lo - 1
+        - c) // d_n of the j = c (mod d_n), so Z_n and R_n enter only through
+        the floors (e - 1 - c) // d_n at the group ends e, c in {0, r}.  From d_N
+        = 1 and d_(n-1) = n d_n each floor is the one before divided by n.  With
+        phi_n = P_n/D (`_phi_numerators`) the whole sum is an integer over D^2
+        times that denominator: one Fraction per point.
         """
-        t = self.group.chain_value(cutoff)
+        phi, t, den = self._phi_numerators(cutoff)
         floor_q, r = divmod((q * t).numerator, t)
         layer_q = self.group.denominator_layer(q.denominator)
-        phi = [Fraction(0)] + [self.term(n) for n in range(1, cutoff + 1)] + [Fraction(0)]
-        # (d_n, delta_n phi_max(n, L), delta_n phi_max(n+1, L)) for n = 1..N
-        steps = [(t // self.group.chain_value(n), (phi[n] - phi[n + 1]) * phi[max(n, layer_q)],
-                  (phi[n] - phi[n + 1]) * phi[max(n + 1, layer_q)]) for n in range(1, cutoff + 1)]
         cuts = (0, 1, max(r, 1), r + 1, t)  # the groups are the j in [cuts[i], cuts[i+1])
         sigmas = ((floor_q, r == 0, True), (floor_q, False, False), (floor_q, True, False),
                   (floor_q - 1, False, False))
-        total = Fraction(0)
-        for lo, hi, (floor_s, integral, origin) in zip(cuts, cuts[1:], sigmas):
-            if lo < hi:
-                # j = c (mod d) in [lo, hi): (hi - 1 - c) // d - (lo - 1 - c) // d of them
-                chain = sum((((hi - 1) // d - (lo - 1) // d) * at_zero
-                             + ((hi - 1 - r) // d - (lo - 1 - r) // d) * at_r
-                             for d, at_zero, at_r in steps), Fraction(0))
-                total += chain * _sigma_pair_sum(floor_s, integral, origin, ball)
-        return self.scale * self.scale * total
+        groups = [(lo, hi, _sigma_pair_sum(*sigma_class, ball))
+                  for lo, hi, sigma_class in zip(cuts, cuts[1:], sigmas) if lo < hi]
+        pair_den = math.lcm(*(pair.denominator for _, _, pair in groups))
+        ends: dict[int, int] = {}  # group end e -> the weights ending at e less those starting
+        for lo, hi, pair in groups:
+            w = pair.numerator * (pair_den // pair.denominator)
+            ends[hi] = ends.get(hi, 0) + w
+            ends[lo] = ends.get(lo, 0) - w
+        weights = list(ends.values())
+        at_zero = [e - 1 for e in ends]  # (e - 1 - c) // d_n at n = N, for c = 0 and c = r
+        at_r = [e - 1 - r for e in ends]
+        total = 0
+        for n in range(cutoff, 0, -1):
+            zero_count = sum(w * f for w, f in zip(weights, at_zero))
+            r_count = sum(w * f for w, f in zip(weights, at_r))
+            total += (phi[n] - phi[n + 1]) * (zero_count * phi[max(n, layer_q)]
+                                              + r_count * phi[max(n + 1, layer_q)])
+            at_zero = [f // n for f in at_zero]
+            at_r = [f // n for f in at_r]
+        scale = self.scale
+        return Fraction(total * scale.numerator ** 2,
+                        pair_den * den * den * scale.denominator ** 2)
 
     def _conv(self, x, trunc: TruncationSpec) -> Interval:
         """Write each truncation point as m + j/t_N.  The sigma factors read j
         through four groups, each summing sigma(floor|r|) sigma(floor|q-r|) over
         m once, and the layer factors are counted over the divisor chain t/t_n
-        in O(N) exact steps per group (`_partial`).  Tails: a layer tail
+        in O(N) integer steps per point (`_partial`).  Tails: a layer tail
         8 C2 sigma(floor|q|) sum_{j>N} t_j phi_j^2 plus a range tail from grouping
         the remote points into unit intervals, each carrying at most the full
         per-interval mass, with an integral-comparison cap on the remaining
@@ -592,10 +626,9 @@ class DirectSumWeight(WeightFn):
         return values[j, pt]
 
     def raw_eval(self, x) -> Fraction:
-        value = self.coeffs.value(x.support())
-        for j, pt in x.coords:
-            value *= self._value(j, pt)
-        return value
+        factors = [self.coeffs.value(x.support())] + [self._value(j, pt) for j, pt in x.coords]
+        return Fraction(math.prod(f.numerator for f in factors),
+                        math.prod(f.denominator for f in factors))
 
     def shell_key(self, x) -> tuple:
         """(j, key of x_j) over the support: _conv reads a coordinate only
@@ -633,14 +666,15 @@ class DirectSumWeight(WeightFn):
         if len(cutoffs) != len(self.summands):
             raise ValueError("per-summand cutoffs must match the summand count")
         rows = self._tables()[1]
-        support = sorted(x.support())
-        comp = [j for j in range(1, len(self.summands) + 1) if j not in x.support()]
+        in_support = x.support()
+        support = sorted(in_support)
+        comp = [j for j in range(1, len(self.summands) + 1) if j not in in_support]
 
         # S_j on the support and Z_j on the complement: disjoint keys, one dict
         point_term, factor = {}, {}
         for j, uj in enumerate(self.summands, start=1):
             xj = x.coord(j)  # the identity off the support
-            key = (j, j in support, uj.shell_key(xj), cutoffs[j - 1])
+            key = (j, j in in_support, uj.shell_key(xj), cutoffs[j - 1])
             if key not in rows:
                 conv = conv_at(uj, xj, TruncationSpec(layer=max(cutoffs[j - 1], _safe_layer(xj))))
                 zero = self._value(j, uj.descriptor.identity())
@@ -650,17 +684,32 @@ class DirectSumWeight(WeightFn):
                 rows[key] = point, Interval(max(a2 * conv.lo - cut, Fraction(0)), a2 * conv.hi - cut)
             point_term[j], factor[j] = rows[key]
 
-        lo = hi = Fraction(0)
+        # each pattern term is a (num, den) product; lo and hi are summed on integers
+        bounds = {j: (f.lo.numerator, f.lo.denominator, f.hi.numerator, f.hi.denominator)
+                  for j, f in factor.items()}
+        lo_terms, hi_terms = [], []
         for c_mask in range(2 ** len(support)):
             pinned = frozenset(support[i] for i in range(len(support)) if c_mask >> i & 1)
-            points = frozenset(support) - pinned
-            point_product = math.prod(point_term[j] for j in points)
+            points = in_support - pinned
+            point_num = math.prod(point_term[j].numerator for j in points)
+            point_den = math.prod(point_term[j].denominator for j in points)
             for mask in range(2 ** len(comp)):
                 base = pinned | frozenset(comp[i] for i in range(len(comp)) if mask >> i & 1)
-                coeff = self.coeffs.pair_sum(points, base) * point_product
-                lo += coeff * math.prod(factor[j].lo for j in base)
-                hi += coeff * math.prod(factor[j].hi for j in base)
-        return Interval(lo, hi).scale_nonneg(self.scale * self.scale)
+                pair = self.coeffs.pair_sum(points, base)
+                num, den = pair.numerator * point_num, pair.denominator * point_den
+                lo_num = hi_num = num
+                lo_den = hi_den = den
+                for j in base:
+                    ln, ld, hn, hd = bounds[j]
+                    lo_num, lo_den = lo_num * ln, lo_den * ld
+                    hi_num, hi_den = hi_num * hn, hi_den * hd
+                lo_terms.append((lo_num, lo_den))
+                hi_terms.append((hi_num, hi_den))
+        scale_sq = self.scale * self.scale
+        lo_num, lo_den = ratio_sum(lo_terms)
+        hi_num, hi_den = ratio_sum(hi_terms)
+        return Interval(Fraction(lo_num * scale_sq.numerator, lo_den * scale_sq.denominator),
+                        Fraction(hi_num * scale_sq.numerator, hi_den * scale_sq.denominator))
 
     def max_value(self) -> Fraction:
         bound = self.coeffs.eps1

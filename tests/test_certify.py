@@ -228,6 +228,17 @@ def test_windows_and_truncations_refuse_unbounded_or_empty_work():
             ca.TruncationSpec(**spec)
     with pytest.raises(ValueError, match="layer cap"):
         ca.sum_sample_window(G.SumGroup((P2,)), 5, seed=1, layer_cap=0)
+    # a cutoff is an int: a float or a Fraction would reach the shell terms, and a
+    # bool would be read as 0 or 1
+    for bad in (6.0, F(13, 2), F(6), True, False, "6", 2.5):
+        for spec in ({"layer": bad}, {"layer": 5, "ball": bad}, {"per_summand": (6, bad)}):
+            with pytest.raises(ValueError, match="not an int"):
+                ca.TruncationSpec(**spec)
+        with pytest.raises(ValueError, match="layer cap"):
+            ca.sum_sample_window(G.SumGroup((P2,)), 5, seed=1, layer_cap=bad)
+    # conv_at refuses at the spec, not from inside the shell terms
+    with pytest.raises(ValueError, match="not an int"):
+        ca.conv_at(scaled(2), P2.element(1, 2), ca.TruncationSpec(layer=6.0))
     for bound in (0, -1, F(-1, 2)):
         with pytest.raises(ValueError, match="bound"):
             ca.check_b(scaled(2), ca.pruefer_ball_window(P2, 2), ca.TruncationSpec(layer=4),

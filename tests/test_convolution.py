@@ -12,7 +12,7 @@ import convalg as ca
 from convalg import groups as G
 from convalg import weights as W
 from convalg.convolution import TailUnavailableError
-from convalg.rational import PI_LOWER, PI_UPPER
+from convalg.rational import PI_LOWER, PI_UPPER, sigma
 
 P2 = G.PrueferGroup(2)
 P3 = G.PrueferGroup(3)
@@ -262,6 +262,85 @@ def test_rationals_deep_truncations_agree():
         assert all(ivs[-1].lo <= iv.hi for iv in ivs), q
 
 
+def fraction_sigma_pair_sum(floor_s, integral, origin, ball):
+    """_sigma_pair_sum as a Fraction loop: one sigma product added per m."""
+    total = F(0)
+    for m in range(-ball, ball + 1 if origin else ball):
+        if m >= 0:
+            floor_r = m
+        else:
+            floor_r = -m if origin else -m - 1
+        if m <= floor_s:
+            floor_d = floor_s - m
+        else:
+            floor_d = m - floor_s if integral else m - floor_s - 1
+        total += sigma(floor_r) * sigma(floor_d)
+    return total
+
+
+def fraction_sigma_range_series(ball, shift):
+    """_sigma_range_series as a Fraction loop."""
+    total = F(0)
+    for k in range(ball, ball + W._RANGE_SERIES_TERMS):
+        total += sigma(k) * sigma(max(1, k - shift))
+    edge = ball + W._RANGE_SERIES_TERMS - shift - 1
+    if edge < 1:
+        raise ValueError("range cutoff too small for the tail comparison")
+    return total + F(1, 3 * edge ** 3)
+
+
+def fraction_mass_up_to(u, cutoff):
+    """mass_up_to as a Fraction loop over u.term and the chain values."""
+    total, prev = F(0), 0
+    for j in range(1, cutoff + 1):
+        t = u.group.chain_value(j)
+        total += (t - prev) * u.term(j)
+        prev = t
+    return total
+
+
+def fraction_rationals_partial(u, q, cutoff, ball):
+    """The chain count of RationalsLayerWeight._partial in Fractions: phi_n from
+    u.term, d_n = t // t_n, and each group's chain sum taken on its own."""
+    t = u.group.chain_value(cutoff)
+    floor_q, r = divmod((q * t).numerator, t)
+    layer_q = u.group.denominator_layer(q.denominator)
+    phi = [F(0)] + [u.term(n) for n in range(1, cutoff + 1)] + [F(0)]
+    steps = [(t // u.group.chain_value(n), (phi[n] - phi[n + 1]) * phi[max(n, layer_q)],
+              (phi[n] - phi[n + 1]) * phi[max(n + 1, layer_q)]) for n in range(1, cutoff + 1)]
+    cuts = (0, 1, max(r, 1), r + 1, t)
+    sigmas = ((floor_q, r == 0, True), (floor_q, False, False), (floor_q, True, False),
+              (floor_q - 1, False, False))
+    total = F(0)
+    for lo, hi, (floor_s, integral, origin) in zip(cuts, cuts[1:], sigmas):
+        if lo < hi:
+            chain = sum((((hi - 1) // d - (lo - 1) // d) * at_zero
+                         + ((hi - 1 - r) // d - (lo - 1 - r) // d) * at_r
+                         for d, at_zero, at_r in steps), F(0))
+            total += chain * fraction_sigma_pair_sum(floor_s, integral, origin, ball)
+    return u.scale * u.scale * total
+
+
+@pytest.mark.parametrize("cutoff", [20, 64])
+def test_rationals_partial_equals_fraction_chain_count(cutoff):
+    # deeper than the residue loop reaches, and at B40, beyond every report window
+    weights = (ca.rationals_weight(), scaled_rationals(),
+               W.RationalsLayerWeight(group=G.RationalsGroup(), s=F(3, 2), scale=F(3, 7)))
+    for u in weights:
+        for value in (F(0), F(7, 3), F(-17, 6), F(5)):
+            for ball in (12, 40):
+                assert u._partial(value, cutoff, ball) == \
+                    fraction_rationals_partial(u, value, cutoff, ball), (u.s, value, ball)
+
+
+@pytest.mark.parametrize("s", [F(1, 2), F(1, 3), F(3, 2), F(2), F(5, 7)])
+def test_rationals_mass_up_to_equals_fraction_loop(s):
+    u = W.RationalsLayerWeight(group=G.RationalsGroup(), s=s)
+    for cutoff in (1, 2, 5, 20, 64):
+        assert u.mass_up_to(cutoff) == fraction_mass_up_to(u, cutoff), cutoff
+    assert ca.rationals_weight().mass_up_to(1024) == fraction_mass_up_to(ca.rationals_weight(), 1024)
+
+
 @pytest.mark.parametrize("ball", [6, 12, 40])
 def test_sigma_memos_equal_their_originals(ball):
     pair_sum, range_series = W._sigma_pair_sum, W._sigma_range_series
@@ -270,8 +349,10 @@ def test_sigma_memos_equal_their_originals(ball):
             for origin in (False, True):
                 args = (floor_s, integral, origin, ball)
                 assert pair_sum(*args) == pair_sum.__wrapped__(*args)
+                assert pair_sum(*args) == fraction_sigma_pair_sum(*args)
         shift = floor_s + 7  # the reach even_floor(q) + 1 of 0 <= even_floor(q) <= 12
         assert range_series(ball, shift) == range_series.__wrapped__(ball, shift)
+        assert range_series(ball, shift) == fraction_sigma_range_series(ball, shift)
 
 
 def test_refused_sigma_range_series_is_not_cached():
@@ -401,25 +482,32 @@ def exact_summands(j, uj, xj):
     return ca.Interval.point(ca.conv_exact(uj, xj))
 
 
-def pruefer_sum_232():
+def pruefer_sum(*primes):
     return ca.direct_sum_weight(tuple(ca.scale_for_b(u, u.b_bound)
-                                      for u in map(ca.pruefer_weight, (2, 3, 2))))
+                                      for u in map(ca.pruefer_weight, primes)))
+
+
+def pruefer_sum_232():
+    return pruefer_sum(2, 3, 2)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sum_conv_equals_pattern_loop(seed):
-    w = pruefer_sum_232()
-    window = ca.sum_sample_window(w.group, 200, seed=seed)
-    trunc = ca.TruncationSpec(per_summand=(6, 6, 6))
-    expected = {x: brute_sum_conv(w, x, truncated_summands((6, 6, 6))) for x in window.points}
-    for x in window.points:
-        assert ca.conv_at(w, x, trunc) == expected[x]
-        assert ca.conv_exact(w, x) == brute_sum_conv(w, x, exact_summands).lo
-    # inside one check's scope the rows and values come from its tables
-    with W.summand_tables(w):
+    # three summands on 200 points, and five (up to 2^5 patterns a point) on 40
+    for w, size in ((pruefer_sum_232(), 200), (pruefer_sum(2, 3, 5, 2, 3), 40)):
+        window = ca.sum_sample_window(w.group, size, seed=seed)
+        cutoffs = (6,) * len(w.summands)
+        trunc = ca.TruncationSpec(per_summand=cutoffs)
+        expected = {x: brute_sum_conv(w, x, truncated_summands(cutoffs)) for x in window.points}
         for x in window.points:
             assert ca.conv_at(w, x, trunc) == expected[x]
+            assert ca.conv_exact(w, x) == brute_sum_conv(w, x, exact_summands).lo
             assert w.eval(x) == brute_sum_eval(w, x)
+        # inside one check's scope the rows and values come from its tables
+        with W.summand_tables(w):
+            for x in window.points:
+                assert ca.conv_at(w, x, trunc) == expected[x]
+                assert w.eval(x) == brute_sum_eval(w, x)
 
 
 def brute_sum_eval(u, x):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import sys
 from fractions import Fraction as F
@@ -139,6 +140,16 @@ def test_domar_partial_matches_term_by_term_loop(name, scale):
         for n_max in (1, 7, 1500):
             assert _outcome(ca.domar_partial, w, x, n_max) == \
                 _outcome(brute_domar_partial, w, x, n_max), (x, n_max)
+
+
+def test_domar_partial_concurrent_calls_equal_the_loop():
+    # exact exp-abs partial sums at several orbit generators, run on four threads
+    w = ca.builtin_weight("exp-abs")
+    xs = [F(1), F(-7, 3), F(5, 2), F(22, 7), F(3, 1501), F(-1000003, 999983), F(720, 7), 3]
+    jobs = [(x, n_max) for n_max in (7, 1500, 300) for x in xs]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(lambda job: ca.domar_partial(w, *job), jobs))
+    assert results == [brute_domar_partial(w, x, n_max) for x, n_max in jobs]
 
 
 @pytest.mark.parametrize("name, x, message", [
