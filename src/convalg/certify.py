@@ -158,8 +158,8 @@ def check_b(u: WeightFn, window: Window, trunc: TruncationSpec,
     Literal subconvolutivity is bound=1; the raw layer constructions are
     checked against their provenance bound (2*mass, or 2*8*C2*mass), which
     must be > 0.  Points with equal `u.shell_key` have equal values and
-    enclosures, so each shell class is evaluated once; every point is still
-    decided, in window order.
+    enclosures, so each shell class is evaluated and its ratio taken once;
+    every point is still decided, in window order.
     """
     if bound <= 0:
         raise ValueError(f"the b-suite bound must be > 0, not {_num(bound)}")
@@ -170,12 +170,14 @@ def check_b(u: WeightFn, window: Window, trunc: TruncationSpec,
         for x in window.points:
             key = u.shell_key(x)
             if key not in shells:
-                shells[key] = (conv_at(u, x, trunc, require_tail=False), bound * u.eval(x))
-            iv, rhs = shells[key]
-            if iv.hi is not None and iv.hi <= rhs:
-                ratio = iv.hi / rhs
-                if max_ratio is None or ratio > max_ratio:
+                iv, rhs = conv_at(u, x, trunc, require_tail=False), bound * u.eval(x)
+                # iv.hi / rhs where the class holds, else None
+                ratio = iv.hi / rhs if iv.hi is not None and iv.hi <= rhs else None
+                if ratio is not None and (max_ratio is None or ratio > max_ratio):
                     max_ratio = ratio
+                shells[key] = iv, rhs, ratio
+            iv, rhs, ratio = shells[key]
+            if ratio is not None:
                 continue
             if iv.lo > rhs:
                 payload = {
