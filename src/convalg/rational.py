@@ -67,15 +67,12 @@ def ratio_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """(num, den) with num/den the sum of the terms num_i/den_i (each den_i > 0).
 
     den is the lcm of the term denominators, never their product, so a wide
-    sum stays as small as its exact value allows; each term costs one gcd of
-    two denominators and no normalisation of the running numerator.  The
-    caller builds one `Fraction` from the pair, after any known factor.
+    sum does not blow up; each term costs one gcd of two denominators and no
+    normalisation of the running numerator.  The caller builds one `Fraction`
+    from the pair, after any known factor.
     """
     num, den = 0, 1
     for n, d in terms:
-        if d == den:
-            num += n
-            continue
         g = math.gcd(den, d)
         num = num * (d // g) + n * (den // g)
         den *= d // g
