@@ -35,8 +35,7 @@ from .convolution import conv_at
 from .formulas import FormulaWeight
 from .rational import format_rational
 from .serialize import point_to_json
-from .weights import (AlgebraWeight, DirectSumWeight, LayerWeight, RationalsLayerWeight, WeightFn,
-                      summand_tables)
+from .weights import AlgebraWeight, DirectSumWeight, LayerWeight, RationalsLayerWeight, WeightFn
 
 
 def _num(x):
@@ -166,30 +165,29 @@ def check_b(u: WeightFn, window: Window, trunc: TruncationSpec,
     inconclusive = []
     max_ratio = None
     shells: dict = {}
-    with summand_tables(u):
-        for x in window.points:
-            key = u.shell_key(x)
-            if key not in shells:
-                iv, rhs = conv_at(u, x, trunc, require_tail=False), bound * u.eval(x)
-                # iv.hi / rhs where the class holds, else None
-                ratio = iv.hi / rhs if iv.hi is not None and iv.hi <= rhs else None
-                if ratio is not None and (max_ratio is None or ratio > max_ratio):
-                    max_ratio = ratio
-                shells[key] = iv, rhs, ratio
-            iv, rhs, ratio = shells[key]
-            if ratio is not None:
-                continue
-            if iv.lo > rhs:
-                payload = {
-                    "bound": _num(bound),
-                    "conv_lower": _num(iv.lo),
-                    "conv_upper": _num(iv.hi) if iv.hi is not None else None,
-                    "rhs": _num(rhs),
-                }
-                return Certificate(prop="subconvolutive", verdict=FAILS, payload=payload,
-                                   window=window_info(window), truncation=trunc.describe(),
-                                   witness=point_to_json(x))
-            inconclusive.append(x)
+    for x in window.points:
+        key = u.shell_key(x)
+        if key not in shells:
+            iv, rhs = conv_at(u, x, trunc, require_tail=False), bound * u.eval(x)
+            # iv.hi / rhs where the class holds, else None
+            ratio = iv.hi / rhs if iv.hi is not None and iv.hi <= rhs else None
+            if ratio is not None and (max_ratio is None or ratio > max_ratio):
+                max_ratio = ratio
+            shells[key] = iv, rhs, ratio
+        iv, rhs, ratio = shells[key]
+        if ratio is not None:
+            continue
+        if iv.lo > rhs:
+            payload = {
+                "bound": _num(bound),
+                "conv_lower": _num(iv.lo),
+                "conv_upper": _num(iv.hi) if iv.hi is not None else None,
+                "rhs": _num(rhs),
+            }
+            return Certificate(prop="subconvolutive", verdict=FAILS, payload=payload,
+                               window=window_info(window), truncation=trunc.describe(),
+                               witness=point_to_json(x))
+        inconclusive.append(x)
     if inconclusive:
         payload = {
             "bound": _num(bound),
@@ -210,27 +208,25 @@ def check_positivity(u: WeightFn, window: Window) -> Certificate:
     if excluded:
         payload["ae_excluded"] = [_num(p) for p in window.ae_excluded]
         payload["note"] = "listed points excluded under almost-everywhere semantics"
-    with summand_tables(u):
-        for x in window.points:
-            if x in excluded:
-                continue
-            if u.eval(x) <= 0:
-                payload["value"] = _num(u.eval(x))
-                if isinstance(u, FormulaWeight) and x in u.zero_points():
-                    payload["ae_exclusion_available"] = True
-                return Certificate(prop="positivity", verdict=FAILS, payload=payload,
-                                   window=window_info(window), witness=point_to_json(x))
+    for x in window.points:
+        if x in excluded:
+            continue
+        if u.eval(x) <= 0:
+            payload["value"] = _num(u.eval(x))
+            if isinstance(u, FormulaWeight) and x in u.zero_points():
+                payload["ae_exclusion_available"] = True
+            return Certificate(prop="positivity", verdict=FAILS, payload=payload,
+                               window=window_info(window), witness=point_to_json(x))
     return Certificate(prop="positivity", verdict=HOLDS, payload=payload,
                        window=window_info(window))
 
 
 def check_evenness(u: WeightFn, window: Window) -> Certificate:
-    with summand_tables(u):
-        for x in window.points:
-            if u.eval(x) != u.eval(u.point_neg(x)):
-                payload = {"value": _num(u.eval(x)), "value_at_neg": _num(u.eval(u.point_neg(x)))}
-                return Certificate(prop="evenness", verdict=FAILS, payload=payload,
-                                   window=window_info(window), witness=point_to_json(x))
+    for x in window.points:
+        if u.eval(x) != u.eval(u.point_neg(x)):
+            payload = {"value": _num(u.eval(x)), "value_at_neg": _num(u.eval(u.point_neg(x)))}
+            return Certificate(prop="evenness", verdict=FAILS, payload=payload,
+                               window=window_info(window), witness=point_to_json(x))
     return Certificate(prop="evenness", verdict=HOLDS, payload={},
                        window=window_info(window))
 
@@ -323,21 +319,20 @@ def check_submultiplicative(w: WeightFn, window: Optional[Window] = None,
     else:
         once = functools.partial(_submult_once, w)
     float_pairs = float_failures = 0
-    with summand_tables(w):
-        for s, t in pairs:
-            ok, exact = once(s, t)
-            if not exact:
-                float_pairs += 1
-                float_failures += not ok
-            elif not ok:
-                payload = {
-                    "lhs": _num(w.eval(w.point_add(s, t))),
-                    "rhs": _num(w.eval(s) * w.eval(t)),
-                    "pair": [point_to_json(s), point_to_json(t)],
-                    "exact_comparison": True,
-                }
-                return Certificate(prop="submultiplicative", verdict=FAILS, payload=payload,
-                                   window=info, witness=payload["pair"])
+    for s, t in pairs:
+        ok, exact = once(s, t)
+        if not exact:
+            float_pairs += 1
+            float_failures += not ok
+        elif not ok:
+            payload = {
+                "lhs": _num(w.eval(w.point_add(s, t))),
+                "rhs": _num(w.eval(s) * w.eval(t)),
+                "pair": [point_to_json(s), point_to_json(t)],
+                "exact_comparison": True,
+            }
+            return Certificate(prop="submultiplicative", verdict=FAILS, payload=payload,
+                               window=info, witness=payload["pair"])
     payload = {"pairs_checked": len(pairs), "exact_comparison": not float_pairs, "seed": seed}
     if float_pairs:
         payload.update(rigorous=False, float_pairs=float_pairs, float_failures=float_failures,

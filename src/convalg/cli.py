@@ -3,7 +3,8 @@
 Subcommands: construct, verify, domar, beurling, countex, equivalence, report.
 Outputs are versioned JSON (weight provenance, certificate bundles) and CSV
 series tables.  Exit codes: 0 all certificates hold, 1 a certificate fails,
-2 invalid parameters, 3 inconclusive results, 4 an internal error.  All
+2 invalid parameters or a path that cannot be read or written, 3
+inconclusive results, 4 an internal error.  All
 sampling is seeded and the seed is recorded; rerunning a command reproduces
 byte-identical files apart from the optional timestamp field (suppress it
 with --no-timestamp).
@@ -544,6 +545,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return globals()[f"cmd_{args.command}"](args)
+    except OSError as exc:
+        # a path that cannot be read or written is bad input, not a fault of the program
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         # a fault of the program: exit 1 would read as a failed certificate
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

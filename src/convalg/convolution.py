@@ -19,8 +19,9 @@ weight's `trunc_default`.
 Every partial sum is the exact rational the element-by-element sum gives.
 The rationals and direct-sum sums add integer numerators and normalise
 once, into one Fraction per enclosure end.
-The engine is pure, weights are immutable and a sum's per-check tables live
-in a context variable (`weights.summand_tables`): concurrent calls are safe.
+The engine is pure and weights are immutable in every field; a direct sum's
+tables of summand values and rows live on the weight, where a race between
+threads can only repeat work, so concurrent calls are safe.
 """
 
 from __future__ import annotations

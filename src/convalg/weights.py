@@ -22,13 +22,14 @@ u^(-1/q) is float.  The long exact sums (the rationals chain count and its
 sigma sums, the direct-sum pattern loop) and the direct-sum products run on
 Python ints, over a denominator known in advance or kept at the lcm of the
 terms' (`rational.ratio_sum`), and build one normalised Fraction per result.
-Weights are immutable; evaluation is pure and safe to run concurrently.
+Weights are immutable in every field; evaluation is pure and safe to run
+concurrently.  A direct sum memoises its summand values and rows in tables
+of its own (`DirectSumWeight._tables`), which go when the weight goes; a
+race between threads can only repeat work.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import dataclasses
 import functools
 import math
@@ -488,6 +489,11 @@ class RationalsLayerWeight(ShellWeight):
             prev = t
         return Fraction(total, den)
 
+    @functools.cached_property
+    def _masses(self) -> dict:
+        """mass_up_to by cutoff, filled by _conv and dropped with the weight."""
+        return {}
+
     def trunc_default(self) -> TruncationSpec:
         return TruncationSpec(layer=5, ball=12)
 
@@ -568,9 +574,12 @@ class RationalsLayerWeight(ShellWeight):
         sq_tail = self.sq_tail(cutoff)
         if sq_tail is None:
             return Interval(partial, None)
+        masses = self._masses  # the mass reads only s and N: once per cutoff, not per point
+        if cutoff not in masses:
+            masses[cutoff] = self.mass_up_to(cutoff)
         scale_sq = self.scale * self.scale
         layer_tail = scale_sq * self.sub_constant * sigma(even_floor(q)) * sq_tail
-        range_tail = (2 * scale_sq * self.mass_up_to(cutoff) * self.term(1)
+        range_tail = (2 * scale_sq * masses[cutoff] * self.term(1)
                       * _sigma_range_series(ball, reach))
         return Interval(partial, partial + layer_tail + range_tail)
 
@@ -587,21 +596,6 @@ def _safe_layer(x) -> int:
         return 1
 
 
-_SUMMAND_TABLES: contextvars.ContextVar = contextvars.ContextVar("summand_tables", default=None)
-
-
-@contextlib.contextmanager
-def summand_tables(u: WeightFn):
-    """Scope of one check on u, holding (owner, values, rows), owned by the base
-    of an algebra weight u: a direct-sum owner fills these tables once (see
-    DirectSumWeight._conv), and they end with the scope."""
-    token = _SUMMAND_TABLES.set((u.base if isinstance(u, AlgebraWeight) else u, {}, {}))
-    try:
-        yield
-    finally:
-        _SUMMAND_TABLES.reset(token)
-
-
 @dataclass(frozen=True)
 class DirectSumWeight(WeightFn):
     """u(x) = a_{s(x)} prod_{j in s(x)} alpha_j u_j(x_j) on a finite direct sum."""
@@ -614,13 +608,15 @@ class DirectSumWeight(WeightFn):
 
     construction = "direct-sum"
 
+    @functools.cached_property
     def _tables(self) -> tuple[dict, dict]:
-        """(values, rows) of this weight's open summand_tables scope, else fresh ones."""
-        scope = _SUMMAND_TABLES.get()
-        return scope[1:] if scope is not None and scope[0] is self else ({}, {})
+        """(values, rows), filled as the weight is evaluated and dropped with it.
+        Outside the dataclass fields, so ==, hash, repr and the provenance never
+        see them; threads that race on a key only compute the same entry twice."""
+        return {}, {}
 
     def _value(self, j: int, pt) -> Fraction:
-        values = self._tables()[0]  # by the exact point: check_evenness sees x and -x apart
+        values = self._tables[0]  # by the exact point: check_evenness sees x and -x apart
         if (j, pt) not in values:
             values[j, pt] = self.alphas.value(j) * self.summands[j - 1].eval(pt)
         return values[j, pt]
@@ -656,16 +652,16 @@ class DirectSumWeight(WeightFn):
         subset coefficients, which add up to
         K(P, C u E) = sum_{A subset P} a_{C u E u A} a_{C u E u (P \\ A)}
         (`SubsetCoeffs.pair_sum`), so a point takes 2^|support| 2^|complement|
-        terms instead of 3^|support| 2^|complement|.  Within a check's summand_tables
-        scope each row (point term, S_j or Z_j) is computed once per key (j, j in
-        support, u_j.shell_key(x_j), cutoff): the summand contract `shell_key` reads.
+        terms instead of 3^|support| 2^|complement|.  Each row (point term, S_j or
+        Z_j) is computed once per weight and key (j, j in support,
+        u_j.shell_key(x_j), cutoff): the summand contract `shell_key` reads.
         """
         from .convolution import conv_at  # at call time: convolution imports this module
 
         cutoffs = trunc.per_summand if trunc.per_summand is not None else self.trunc_default().per_summand
         if len(cutoffs) != len(self.summands):
             raise ValueError("per-summand cutoffs must match the summand count")
-        rows = self._tables()[1]
+        rows = self._tables[1]
         in_support = x.support()
         support = sorted(in_support)
         comp = [j for j in range(1, len(self.summands) + 1) if j not in in_support]

@@ -162,6 +162,31 @@ def test_verify_deeply_nested_json_exit_2(tmp_path, capsys):
     assert out == ""
 
 
+# each writes its output to the path the test passes last: a directory, or an
+# existing file where report wants to make a directory
+UNWRITABLE_OUTPUTS = {
+    "construct": ["construct", "--group", "pruefer:2", "--out"],
+    "verify": ["verify", "WEIGHT", "--suite", "a", "--out"],
+    "report": ["report", "--no-timestamp", "--out"],
+    "domar": ["domar", "--weight", "builtin:poly2", "--N", "5", "--csv"],
+    "beurling": ["beurling", "--weight", "builtin:poly2", "--T", "8", "--csv"],
+    "countex": ["countex", "--out"],
+    "equivalence": ["equivalence", "--weight1", "builtin:poly2", "--weight2",
+                    "builtin:poly2-exp-signed", "--grid=-1:1:1/2", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    wfile = tmp_path / "w.json"
+    assert run(capsys, "construct", "--group", "pruefer:2", "--out", str(wfile))[0] == 0
+    target = wfile if command == "report" else tmp_path
+    argv = [str(wfile) if a == "WEIGHT" else a for a in UNWRITABLE_OUTPUTS[command]]
+    code, _, err = run(capsys, *argv, str(target))
+    assert code == cli.EXIT_USAGE == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_domar_csv_and_classification(tmp_path, capsys):
     csv_path = tmp_path / "d.csv"
     code, out, _ = run(capsys, "domar", "--weight", "builtin:exp-abs", "--x", "1",

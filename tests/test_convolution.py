@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -341,6 +342,26 @@ def test_rationals_mass_up_to_equals_fraction_loop(s):
     assert ca.rationals_weight().mass_up_to(1024) == fraction_mass_up_to(ca.rationals_weight(), 1024)
 
 
+def test_rationals_check_b_computes_the_mass_once_per_cutoff(monkeypatch):
+    # the range tail reads only s and N, so the mass is not recomputed per shell class
+    u = scaled_rationals()
+    window = ca.rationals_ball_window(u.group, 3, 3)
+    calls = []
+    mass_up_to = W.RationalsLayerWeight.mass_up_to
+
+    def counted(self, cutoff):
+        calls.append(cutoff)
+        return mass_up_to(self, cutoff)
+
+    monkeypatch.setattr(W.RationalsLayerWeight, "mass_up_to", counted)
+    trunc = ca.TruncationSpec(layer=20)
+    cert = ca.check_b(u, window, trunc)
+    assert cert.verdict == "holds"
+    assert calls == [20]
+    assert ca.check_b(u, window, trunc) == cert
+    assert calls == [20]
+
+
 @pytest.mark.parametrize("ball", [6, 12, 40])
 def test_sigma_memos_equal_their_originals(ball):
     pair_sum, range_series = W._sigma_pair_sum, W._sigma_range_series
@@ -503,11 +524,10 @@ def test_sum_conv_equals_pattern_loop(seed):
             assert ca.conv_at(w, x, trunc) == expected[x]
             assert ca.conv_exact(w, x) == brute_sum_conv(w, x, exact_summands).lo
             assert w.eval(x) == brute_sum_eval(w, x)
-        # inside one check's scope the rows and values come from its tables
-        with W.summand_tables(w):
-            for x in window.points:
-                assert ca.conv_at(w, x, trunc) == expected[x]
-                assert w.eval(x) == brute_sum_eval(w, x)
+        # a second pass over the same weight reads its rows and values from its tables
+        for x in window.points:
+            assert ca.conv_at(w, x, trunc) == expected[x]
+            assert w.eval(x) == brute_sum_eval(w, x)
 
 
 def brute_sum_eval(u, x):
@@ -534,8 +554,13 @@ def test_sum_check_b_makes_one_summand_call_per_row(monkeypatch):
     cert = ca.check_b(w, window, w.trunc_default())
     assert cert.verdict == "holds"
     assert len(calls) == len(rows) == 15
-    # outside a scope every conv_at call recomputes its summand rows
+    # the rows live on the weight: a second check and a later conv_at reuse them
+    assert ca.check_b(w, window, w.trunc_default()) == cert
     ca.conv_at(w, window.points[0], w.trunc_default())
+    assert len(calls) == 15
+    # a rescaled copy is a new weight and starts with empty tables
+    half = w.rescaled(F(1, 2))
+    ca.conv_at(half, window.points[0], half.trunc_default())
     assert len(calls) == 18
 
 
@@ -560,30 +585,20 @@ def test_sum_evenness_evaluates_each_point():
     assert ca.check_evenness(pruefer_sum_232(), window).verdict == "holds"
 
 
-def test_summand_tables_end_with_their_check():
-    w = pruefer_sum_232()
+def test_sum_tables_leave_equality_hash_repr_and_provenance_alone():
+    w, fresh = pruefer_sum_232(), pruefer_sum_232()
+    before = (hash(w), repr(w), ca.canonical_dumps(ca.weight_to_provenance(w)))
     window = ca.sum_sample_window(w.group, 20, seed=0)
-    assert W._SUMMAND_TABLES.get() is None
     for check in (ca.check_positivity, ca.check_evenness):
         assert check(w, window).verdict == "holds"
-        assert W._SUMMAND_TABLES.get() is None
     assert ca.check_b(w, window, w.trunc_default()).verdict == "holds"
-    assert W._SUMMAND_TABLES.get() is None
     with pytest.raises(ValueError, match="cutoffs must match"):
         ca.check_b(w, window, ca.TruncationSpec(per_summand=(6, 6)))
-    assert W._SUMMAND_TABLES.get() is None
-    other = ca.direct_sum_weight((scaled(2), scaled(3)))
-    with pytest.raises(RuntimeError):
-        with W.summand_tables(w):
-            owner, values, rows = W._SUMMAND_TABLES.get()
-            w.eval(window.points[0])
-            assert owner is w and values and not rows
-            # a weight that does not own the scope gets fresh tables
-            assert other._tables() == ({}, {})
-            other.eval(other.group.point({1: P2.element(1, 1)}))
-            assert other._tables() == ({}, {})
-            raise RuntimeError
-    assert W._SUMMAND_TABLES.get() is None
+    values, rows = w._tables
+    assert values and rows and fresh._tables == ({}, {})
+    assert w == fresh and fresh == w
+    assert (hash(w), repr(w), ca.canonical_dumps(ca.weight_to_provenance(w))) == before
+    assert hash(fresh) == before[0] and repr(fresh) == before[1]
 
 
 def test_algebra_sum_submultiplicativity_evaluates_each_coordinate_once(monkeypatch):
@@ -598,12 +613,15 @@ def test_algebra_sum_submultiplicativity_evaluates_each_coordinate_once(monkeypa
         return evaluate(self, x)
 
     monkeypatch.setattr(W.LayerWeight, "eval", counted)
+    assert ca.check_positivity(w, window).verdict == "holds"
+    seen = {(j, pt) for x in window.points for j, pt in x.coords}
+    assert len(calls) == len(set(calls)) == len(seen)
     cert = ca.check_submultiplicative(w, window=window)
     assert cert.verdict == "holds" and cert.payload["pairs_checked"] == 400
     points = {z for s in window.points for t in window.points for z in (s, t, G.add(s, t))}
     coords = {(j, pt) for z in points for j, pt in z.coords}
-    assert len(calls) == len(set(calls)) == len(coords)
-    assert W._SUMMAND_TABLES.get() is None
+    # the base sum's values outlive the positivity check: the seen coordinates are not evaluated again
+    assert len(calls) == len(set(calls)) == len(coords) > len(seen)
 
 
 def test_sum_conv_with_rationals_summand_equals_pattern_loop():
@@ -647,17 +665,27 @@ def test_conv_concurrent_calls_are_deterministic():
     with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
         concurrent_r = list(pool.map(lambda x: ca.conv_at(u, x, trunc), window))
     assert sequential == concurrent_r
-    # each thread's checks read only the tables of their own scope
+    # 4 threads share each freshly built sum and fill its tables together; they
+    # agree with a serial run on a separate, equal weight
     uq = ca.rationals_weight()
-    sums = [pruefer_sum_232(), ca.direct_sum_weight((scaled(2), ca.scale_for_b(uq, uq.b_bound)))]
+
+    def build():
+        return [pruefer_sum_232(), ca.direct_sum_weight((scaled(2), ca.scale_for_b(uq, uq.b_bound)))]
 
     def checks(w):
         window = ca.sum_sample_window(w.group, 60, seed=3)
         return [ca.check_b(w, window, w.trunc_default()), ca.check_evenness(w, window)]
 
-    sequential = [checks(w) for w in sums]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-        assert list(pool.map(checks, sums * 2)) == sequential * 2
+    sequential = [checks(w) for w in build()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so they interleave inside the table fills
+    try:
+        for shared, expected in zip(build(), sequential):
+            assert shared._tables == ({}, {})
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(checks, [shared] * 4, timeout=120)) == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def contract_cases():
