@@ -202,17 +202,30 @@ def check_b(u: WeightFn, window: Window, trunc: TruncationSpec,
                        window=window_info(window), truncation=trunc.describe())
 
 
+def _shell_representatives(u: WeightFn, window: Window):
+    """The first point of each `u.shell_key` class in window order, past the
+    window's `ae_excluded` points.  Equal keys give equal values, so a check
+    that reads only values decides every point through these."""
+    excluded, seen = set(window.ae_excluded), set()
+    for x in window.points:
+        if x not in excluded:
+            key = u.shell_key(x)
+            if key not in seen:
+                seen.add(key)
+                yield x
+
+
 def check_positivity(u: WeightFn, window: Window) -> Certificate:
-    excluded = set(window.ae_excluded)
+    """u(x) > 0 at every window point outside `ae_excluded`, evaluated once per
+    shell class; "fails" names the first point in window order with u <= 0."""
     payload: dict = {}
-    if excluded:
+    if window.ae_excluded:
         payload["ae_excluded"] = [_num(p) for p in window.ae_excluded]
         payload["note"] = "listed points excluded under almost-everywhere semantics"
-    for x in window.points:
-        if x in excluded:
-            continue
-        if u.eval(x) <= 0:
-            payload["value"] = _num(u.eval(x))
+    for x in _shell_representatives(u, window):
+        value = u.eval(x)
+        if value <= 0:
+            payload["value"] = _num(value)
             if isinstance(u, FormulaWeight) and x in u.zero_points():
                 payload["ae_exclusion_available"] = True
             return Certificate(prop="positivity", verdict=FAILS, payload=payload,
@@ -279,19 +292,22 @@ def _submult_once(w: WeightFn, s, t) -> tuple[bool, bool]:
 def _submult_through_base(w: AlgebraWeight):
     """Exact pair verdicts of an algebra weight w = u^(-1/q) of scale 1 over an
     exact base u: w(s+t) <= w(s) w(t) iff u(s+t) >= u(s) u(t), decided by
-    cross-multiplying numerators and denominators.  u is evaluated once per
-    exact point, for the one check that holds this table."""
-    u, values = w.base, {}
-
-    def value(z) -> Fraction:
-        if z not in values:
-            values[z] = u.eval(z)
-        return values[z]
+    cross-multiplying numerators and denominators.  Equal `u.shell_key`s give
+    equal values, so u is evaluated once per key and each verdict is kept by
+    the keys of (s+t, s, t), in tables that live for the one check."""
+    u, values, verdicts = w.base, {}, {}
 
     def once(s, t) -> tuple[bool, bool]:
-        a, b, c = value(G.add(s, t)), value(s), value(t)
-        return a.numerator * b.denominator * c.denominator >= \
-            b.numerator * c.numerator * a.denominator, True
+        points = (G.add(s, t), s, t)
+        keys = tuple(map(u.shell_key, points))
+        if keys not in verdicts:
+            for key, z in zip(keys, points):
+                if key not in values:
+                    values[key] = u.eval(z)
+            a, b, c = (values[key] for key in keys)
+            verdicts[keys] = a.numerator * b.denominator * c.denominator >= \
+                b.numerator * c.numerator * a.denominator
+        return verdicts[keys], True
     return once
 
 
@@ -367,13 +383,12 @@ def weight_equivalence(w1: WeightFn, w2: WeightFn, window: Window) -> Certificat
 
 
 def ess_inf_check(w: WeightFn, window: Window) -> Certificate:
-    """Window minimum plus a provenance-based global verdict where available."""
-    excluded = set(window.ae_excluded)
+    """Window minimum plus a provenance-based global verdict where available.
+    The minimum is taken over one point per shell class, so `argmin` is the
+    first window point that attains it."""
     window_min = None
     argmin = None
-    for x in window.points:
-        if x in excluded:
-            continue
+    for x in _shell_representatives(w, window):
         v = w.eval(x)
         if window_min is None or v < window_min:
             window_min, argmin = v, x

@@ -278,7 +278,7 @@ class SumPoint(GroupPoint):
     def __post_init__(self) -> None:
         cleaned = []
         seen = set()
-        for j, pt in sorted(self.coords):
+        for j, pt in sorted(self.coords, key=lambda coord: coord[0]):
             if j in seen:
                 raise ValueError(f"duplicate coordinate index {j}")
             seen.add(j)
@@ -301,14 +301,24 @@ class SumPoint(GroupPoint):
     def is_identity(self) -> bool:
         return not self.coords
 
+    def _canonical(self, coords) -> "SumPoint":
+        """A point of this group from coordinates already sorted, in their
+        summand groups and free of identities, built without re-checking them."""
+        point = object.__new__(SumPoint)
+        object.__setattr__(point, "group", self.group)
+        object.__setattr__(point, "coords", tuple(coords))
+        return point
+
     def _add(self, other: "SumPoint") -> "SumPoint":
         merged = dict(self.coords)
         for j, pt in other.coords:
             merged[j] = add(merged[j], pt) if j in merged else pt
-        return SumPoint(self.group, tuple(merged.items()))
+        return self._canonical((j, merged[j]) for j in sorted(merged)
+                               if not merged[j].is_identity())
 
     def _nmul(self, n: int) -> "SumPoint":
-        return SumPoint(self.group, tuple((j, nmul(n, pt)) for j, pt in self.coords))
+        scaled = ((j, nmul(n, pt)) for j, pt in self.coords)
+        return self._canonical((j, pt) for j, pt in scaled if not pt.is_identity())
 
     def sort_key(self):
         return tuple((j, sort_key(pt)) for j, pt in self.coords)

@@ -175,7 +175,11 @@ class WeightFn:
     def shell_key(self, x):
         """Hashable shell class of x, x itself by default.  Contract: points with
         equal keys have equal `eval` values and equal `conv_at` enclosures,
-        exactly, at every truncation, so `check_b` evaluates one point per key."""
+        exactly, at every truncation.  `check_b`, `check_positivity` and
+        `ess_inf_check` evaluate one point per key, and `check_submultiplicative`
+        on an algebra weight evaluates its base once per key; `check_evenness`
+        still evaluates x and -x, since it tests the evenness that keys such as
+        |q| assume."""
         return x
 
     def raw_b_bound(self) -> Optional[Scalar]:
@@ -842,6 +846,10 @@ class AlgebraWeight(WeightFn):
             # deep shells underflow float(u); take the root in log space instead
             return math.exp(exponent * (math.log(u.numerator) - math.log(u.denominator)))
         return value ** exponent
+
+    def shell_key(self, x):
+        """The base's key: w reads u only through u's value at x."""
+        return self.base.shell_key(x)
 
     def global_lower_bound(self) -> Optional[float]:
         """Certified positive lower bound (max u)^(-1/q) from provenance."""

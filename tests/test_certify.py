@@ -346,7 +346,7 @@ def test_submultiplicative_table_matches_three_evals_per_pair(name):
 
 
 @pytest.mark.parametrize("name", ["pruefer3-G3", "rationals-Q2:2"])
-def test_submultiplicative_evaluates_the_base_once_per_point(monkeypatch, name):
+def test_submultiplicative_evaluates_the_base_once_per_shell_class(monkeypatch, name):
     w, window = SUBMULT_CASES[name]()
     calls = []
     evaluate = ca.WeightFn.eval
@@ -357,9 +357,12 @@ def test_submultiplicative_evaluates_the_base_once_per_point(monkeypatch, name):
         return evaluate(self, x)
 
     monkeypatch.setattr(ca.WeightFn, "eval", counted)
-    assert ca.check_submultiplicative(w, window=window).verdict == HOLDS
+    cert = ca.check_submultiplicative(w, window=window)
+    assert cert.verdict == HOLDS and cert.payload["pairs_checked"] == len(window.points) ** 2
     points = {z for s in window.points for t in window.points for z in (s, t, G.add(s, t))}
-    assert len(calls) == len(set(calls)) and set(calls) == points
+    keys = [w.base.shell_key(x) for x in calls]
+    assert len(keys) == len(set(keys)) and set(keys) == {w.base.shell_key(z) for z in points}
+    assert len(calls) < len(points)
 
 
 def test_weight_equivalence_examples():
@@ -573,17 +576,21 @@ def test_check_b_oracle_cases_reach_every_verdict():
     assert verdicts == {HOLDS, FAILS, INCONCLUSIVE}
 
 
-@pytest.mark.parametrize("name", sorted(B_CASES))
+@pytest.mark.parametrize("name", sorted(B_CASES) + [f"algebra-{n}" for n in sorted(SUBMULT_CASES)])
 def test_shell_key_contract(name):
     # equal keys: equal values and equal enclosures.  Windows are closed under
     # negation and x, -x share a key, so this includes conv_at(u, x) ==
-    # conv_at(u, -x) on the rationals, where the key is |q|.
-    u, window, trunc, _ = B_CASES[name]()
+    # conv_at(u, -x) on the rationals, where the key is |q|.  An algebra
+    # weight has no self-convolution, so there only the values are compared.
+    if name.startswith("algebra-"):
+        (u, window), trunc = SUBMULT_CASES[name.removeprefix("algebra-")](), None
+    else:
+        u, window, trunc, _ = B_CASES[name]()
     classes: dict = {}
     for x in window.points:
         assert u.shell_key(G.neg(x)) == u.shell_key(x)
-        iv = ca.conv_at(u, x, trunc, require_tail=False)
-        classes.setdefault(u.shell_key(x), set()).add((u.eval(x), iv.lo, iv.hi))
+        iv = None if trunc is None else ca.conv_at(u, x, trunc, require_tail=False)
+        classes.setdefault(u.shell_key(x), set()).add((u.eval(x), iv))
     assert all(len(seen) == 1 for seen in classes.values())
     assert len(classes) < len(window.points)
 
@@ -599,3 +606,120 @@ def test_check_b_evaluates_one_point_per_shell_class(monkeypatch):
     cert = ca.check_b(scaled(2), ca.pruefer_ball_window(P2, 4), ca.TruncationSpec(layer=8))
     assert cert.verdict == HOLDS
     assert sorted(map(G.layer_of, calls)) == [1, 2, 3, 4]
+
+
+# --------------------------------------------------------------------------
+# Class-wise positivity and ess-inf against per-point loops
+# --------------------------------------------------------------------------
+
+def brute_positivity(u, window):
+    """check_positivity as a per-point loop: one eval per window point."""
+    excluded = set(window.ae_excluded)
+    payload: dict = {}
+    if excluded:
+        payload["ae_excluded"] = [_num(p) for p in window.ae_excluded]
+        payload["note"] = "listed points excluded under almost-everywhere semantics"
+    for x in window.points:
+        if x not in excluded and u.eval(x) <= 0:
+            payload["value"] = _num(u.eval(x))
+            if isinstance(u, ca.FormulaWeight) and x in u.zero_points():
+                payload["ae_exclusion_available"] = True
+            return Certificate(prop="positivity", verdict=FAILS, payload=payload,
+                               window=window_info(window), witness=point_to_json(x))
+    return Certificate(prop="positivity", verdict=HOLDS, payload=payload,
+                       window=window_info(window))
+
+
+def brute_ess_inf(w, window):
+    """ess_inf_check with its window minimum taken over every window point."""
+    excluded = set(window.ae_excluded)
+    window_min = argmin = None
+    for x in window.points:
+        if x not in excluded and (window_min is None or w.eval(x) < window_min):
+            window_min, argmin = w.eval(x), x
+    payload = {"window_min": _num(window_min), "argmin": point_to_json(argmin)}
+    info = window_info(window)
+    if isinstance(w, ca.AlgebraWeight) and w.global_lower_bound() is not None \
+            and w.global_lower_bound() > 0:
+        payload.update(global_lower_bound=w.global_lower_bound(),
+                       source="algebra weight of a bounded base")
+        return Certificate(prop="ess-inf", verdict=HOLDS, payload=payload, window=info)
+    if isinstance(w, ca.FormulaWeight):
+        if w.global_min() is not None and w.global_min() > 0:
+            payload["global_lower_bound"] = w.global_min()
+            return Certificate(prop="ess-inf", verdict=HOLDS, payload=payload, window=info)
+        if w.global_min() == 0.0:
+            payload.update(essential_infimum=0.0, note="infimum approached near the origin")
+            return Certificate(prop="ess-inf", verdict=FAILS, payload=payload, window=info,
+                               witness="t->0+")
+    if isinstance(w, (ca.LayerWeight, ca.RationalsLayerWeight, ca.DirectSumWeight)):
+        payload["note"] = "shell values tend to 0 along deep shells; infimum is 0"
+        return Certificate(prop="ess-inf", verdict=FAILS, payload=payload, window=info,
+                           witness="deep shells")
+    payload["note"] = "no provenance bound; window minimum only"
+    return Certificate(prop="ess-inf", verdict=INCONCLUSIVE, payload=payload, window=info)
+
+
+class SignedLayerWeight(ca.LayerWeight):
+    """Test-only weight that is negative on layer 3 and positive elsewhere; its
+    shell key is still the layer, which fixes its value."""
+
+    def raw_eval(self, x):
+        return super().raw_eval(x) * (-1 if G.layer_of(x) == 3 else 1)
+
+
+def _window_cases():
+    for name, make in B_CASES.items():
+        if "-bound" not in name or name.endswith("bound1"):  # one case per weight and window
+            u, window, _, _ = make()
+            yield name, u, window
+    for name, make in SUBMULT_CASES.items():
+        yield f"algebra-{name}", *make()
+    yield "pruefer2-G4-zero", scaled(2).rescaled(0), ca.pruefer_ball_window(P2, 4)
+    yield "pruefer2-G5-signed", SignedLayerWeight(group=P2, s=F(1, 2)), ca.pruefer_ball_window(P2, 5)
+    for name in ("circle-quarter", "circle-inv-sqrt", "const-one"):
+        yield f"{name}-circle16", ca.builtin_weight(name), ca.circle_grid_window(16)
+    for name in ("circle-quarter", "const-one"):
+        yield f"{name}-circle16-zero", ca.builtin_weight(name), ca.circle_grid_window(16, True)
+    yield "poly2-line", ca.builtin_weight("poly2"), ca.line_grid_window(-5, 5, F(1, 2))
+
+
+WINDOW_CASES = {name: (u, window) for name, u, window in _window_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+def test_positivity_and_ess_inf_match_per_point_oracles(name):
+    u, window = WINDOW_CASES[name]
+    for fast, brute in ((ca.check_positivity, brute_positivity), (ca.ess_inf_check, brute_ess_inf)):
+        assert canonical_dumps(certificate_to_json(fast(u, window))) == \
+            canonical_dumps(certificate_to_json(brute(u, window)))
+
+
+def test_window_oracle_cases_reach_every_verdict():
+    positivity = {ca.check_positivity(u, window).verdict for u, window in WINDOW_CASES.values()}
+    ess_inf = {ca.ess_inf_check(u, window).verdict for u, window in WINDOW_CASES.values()}
+    assert positivity == {HOLDS, FAILS} and ess_inf == {HOLDS, FAILS, INCONCLUSIVE}
+    assert ca.check_positivity(*WINDOW_CASES["pruefer2-G5-signed"]).witness == \
+        point_to_json(P2.element(1, 3))
+
+
+def test_positivity_and_ess_inf_evaluate_one_point_per_shell_class(monkeypatch):
+    calls = []
+    evaluate = ca.WeightFn.eval
+
+    def counted(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(ca.WeightFn, "eval", counted)
+    window = ca.pruefer_ball_window(P2, 4)
+    assert ca.check_positivity(scaled(2), window).verdict == HOLDS
+    # layer 1 holds the identity and 1/2; the window is sorted by k/p^n
+    assert calls == [P2.identity(), P2.element(1, 2), P2.element(1, 3), P2.element(1, 4)]
+    calls.clear()
+    w = ca.algebra_weight(scaled(2), 2)
+    cert = ca.ess_inf_check(w, window)
+    # w = u^(-1/2) grows with the layer, so its minimum is first attained at the identity
+    assert cert.verdict == HOLDS and cert.payload["argmin"] == point_to_json(P2.identity())
+    # each class once on w, and once more on its base through w.eval
+    assert len(calls) == 8 and len(set(calls)) == 4

@@ -602,7 +602,8 @@ def test_sum_tables_leave_equality_hash_repr_and_provenance_alone():
 
 
 def test_algebra_sum_submultiplicativity_evaluates_each_coordinate_once(monkeypatch):
-    # a check on an algebra weight opens the scope of its base sum, which it evaluates
+    # checks on an algebra weight evaluate its base sum once per shell class,
+    # and the sum evaluates each coordinate it meets once
     w = ca.algebra_weight(ca.direct_sum_weight((scaled(2), scaled(3))), 2)
     window = ca.sum_sample_window(w.base.group, 20, seed=0)
     calls = []
@@ -614,14 +615,19 @@ def test_algebra_sum_submultiplicativity_evaluates_each_coordinate_once(monkeypa
 
     monkeypatch.setattr(W.LayerWeight, "eval", counted)
     assert ca.check_positivity(w, window).verdict == "holds"
-    seen = {(j, pt) for x in window.points for j, pt in x.coords}
+    firsts: dict = {}
+    for x in window.points:
+        firsts.setdefault(w.shell_key(x), x)
+    summands = w.base.summands
+    seen = {(summands[j - 1], pt) for x in firsts.values() for j, pt in x.coords}
+    assert len(firsts) < len(window.points)
     assert len(calls) == len(set(calls)) == len(seen)
     cert = ca.check_submultiplicative(w, window=window)
     assert cert.verdict == "holds" and cert.payload["pairs_checked"] == 400
     points = {z for s in window.points for t in window.points for z in (s, t, G.add(s, t))}
-    coords = {(j, pt) for z in points for j, pt in z.coords}
-    # the base sum's values outlive the positivity check: the seen coordinates are not evaluated again
-    assert len(calls) == len(set(calls)) == len(coords) > len(seen)
+    coords = {(summands[j - 1], pt) for z in points for j, pt in z.coords}
+    # the base sum's values outlive the positivity check: no coordinate is evaluated twice
+    assert len(calls) == len(set(calls)) and seen < set(calls) <= coords
 
 
 def test_sum_conv_with_rationals_summand_equals_pattern_loop():

@@ -171,6 +171,16 @@ def test_sum_point_drops_identity_coordinates():
     assert x.support() == frozenset({2})
 
 
+def test_sum_point_sorts_coordinates_by_index_alone():
+    a, b = P2.element(1, 2), P2.element(3, 2)
+    # a repeated index is refused by its index, whatever its two points are
+    for coords in (((1, a), (1, b)), ((1, a), (1, a))):
+        with pytest.raises(ValueError, match="duplicate coordinate index 1"):
+            G.SumPoint(SUM23, coords)
+    x = G.SumPoint(SUM23, ((2, P3.element(1, 1)), (1, b)))
+    assert [j for j, _ in x.coords] == [1, 2]
+
+
 def test_real_and_product_points():
     R = G.RealGroup(2)
     H = G.ProductGroup(G.RealGroup(1), P2)
@@ -355,3 +365,39 @@ def test_group_law_matches_isinstance_oracle(group):
             assert_same_point(G.nmul(n, x), brute_nmul(n, x))
         assert _layer_outcome(G.layer_of, x) == _layer_outcome(brute_layer_of, x)
         assert G.sort_key(x) == brute_sort_key(x)
+
+
+def _sum_windows():
+    # the seed-0 report window of Z(2^inf) + Z(3^inf) + Z(2^inf), and one with a rationals summand
+    yield ca.sum_sample_window(G.SumGroup((P2, P3, P2)), 200, seed=0)
+    yield ca.sum_sample_window(G.SumGroup((P2, Q)), 41, seed=1)
+
+
+@pytest.mark.parametrize("window", list(_sum_windows()), ids=["sum232", "sum2q"])
+def test_sum_window_group_law_matches_isinstance_oracle(window):
+    rng = random.Random(26)
+    pts = window.points
+    for x in pts:
+        assert_same_point(G.neg(x), brute_neg(x))
+        for n in (-3, 0, 2, 4, 6):
+            assert_same_point(G.nmul(n, x), brute_nmul(n, x))
+    for _ in range(1500):
+        x, y = rng.choice(pts), rng.choice(pts)
+        assert_same_point(G.add(x, y), brute_add(x, y))
+        assert_same_point(G.add(x, G.neg(x)), x.group.identity())
+
+
+def test_sum_negation_does_not_recheck_summand_groups(monkeypatch):
+    window = next(_sum_windows())
+    calls = []
+    summand = G.SumGroup.summand
+
+    def counted(self, j):
+        calls.append(j)
+        return summand(self, j)
+
+    monkeypatch.setattr(G.SumGroup, "summand", counted)
+    negated = [G.neg(x) for x in window.points]
+    sums = [G.add(x, y) for x, y in zip(window.points, negated)]
+    assert calls == []
+    assert set(negated) == set(window.points) and all(z.is_identity() for z in sums)
