@@ -8,7 +8,10 @@ equivalence, and essential-infimum reports.
 
 Every verdict is decided pointwise against exact values or certified
 enclosures; a coarse tail yields "inconclusive", never a silent pass, and a
-"fails" verdict always names an exact witness.
+"fails" verdict always names an exact witness.  A symmetric relation is
+decided once per pair, with the witness a per-point loop would name:
+evenness once per {x, -x}, and submultiplicativity over a whole window once
+per unordered pair {s, t}.
 """
 
 from __future__ import annotations
@@ -202,6 +205,14 @@ def check_b(u: WeightFn, window: Window, trunc: TruncationSpec,
                        window=window_info(window), truncation=trunc.describe())
 
 
+def _eval_at(u: WeightFn, x):
+    """u(x), or a ValueError naming x where u has no value, so no witness."""
+    try:
+        return u.eval(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"the weight is undefined at {point_to_json(x)}") from exc
+
+
 def _shell_representatives(u: WeightFn, window: Window):
     """The first point of each `u.shell_key` class in window order, past the
     window's `ae_excluded` points.  Equal keys give equal values, so a check
@@ -223,7 +234,7 @@ def check_positivity(u: WeightFn, window: Window) -> Certificate:
         payload["ae_excluded"] = [_num(p) for p in window.ae_excluded]
         payload["note"] = "listed points excluded under almost-everywhere semantics"
     for x in _shell_representatives(u, window):
-        value = u.eval(x)
+        value = _eval_at(u, x)
         if value <= 0:
             payload["value"] = _num(value)
             if isinstance(u, FormulaWeight) and x in u.zero_points():
@@ -235,11 +246,24 @@ def check_positivity(u: WeightFn, window: Window) -> Certificate:
 
 
 def check_evenness(u: WeightFn, window: Window) -> Certificate:
+    """u(x) = u(-x) at every window point; "fails" names the first point in
+    window order where it does not.  Each pair {x, -x} is decided once, at its
+    first point: negation is an involution and equality is symmetric, so a
+    point reached as the negation of an earlier one passes exactly when that
+    one did.  No shell key is read, since keys such as |q| assume this
+    evenness, and the window need not be closed under negation."""
+    reached = set()
     for x in window.points:
-        if u.eval(x) != u.eval(u.point_neg(x)):
-            payload = {"value": _num(u.eval(x)), "value_at_neg": _num(u.eval(u.point_neg(x)))}
+        if x in reached:
+            continue
+        value = _eval_at(u, x)
+        nx = u.point_neg(x)
+        value_at_neg = value if nx == x else _eval_at(u, nx)
+        if value != value_at_neg:
+            payload = {"value": _num(value), "value_at_neg": _num(value_at_neg)}
             return Certificate(prop="evenness", verdict=FAILS, payload=payload,
                                window=window_info(window), witness=point_to_json(x))
+        reached.add(nx)
     return Certificate(prop="evenness", verdict=HOLDS, payload={},
                        window=window_info(window))
 
@@ -315,31 +339,40 @@ def check_submultiplicative(w: WeightFn, window: Optional[Window] = None,
                             pairs: Optional[Sequence[tuple]] = None,
                             max_pairs: int = 4096, seed: int = 0) -> Certificate:
     """Verdict of w(s+t) <= w(s) w(t) per pair, witness on failure.  A window
-    with more than max_pairs ordered pairs is sampled by pair index, so the
-    n^2 pairs are never built.  "fails" names the first exactly failing pair;
-    a pair compared only in floats decides nothing, so with no exact failure
+    of at most max_pairs ordered pairs is decided whole through the pairs
+    (pts[i], pts[j]) with i <= j, in row order: s+t = t+s in canonical form and
+    exact and IEEE products commute, so a pair with i > j has the verdict of
+    its mirror, which comes in an earlier row.  `pairs_checked` stays n^2 and
+    the float counts take an off-diagonal pair twice.  A larger window is
+    sampled by pair index, so the n^2 pairs are never built.  "fails" names
+    the first exactly failing pair (for a whole window, in row order); a pair
+    compared only in floats decides nothing, so with no exact failure
     such pairs leave the certificate inconclusive (not rigorous)."""
     if window is None and pairs is None:
         raise ValueError("need a window or explicit pairs")
-    if pairs is None:
+    if pairs is not None:
+        checked, visits = len(pairs), ((s, t, 1) for s, t in pairs)
+    else:
         pts = window.points
         n = len(pts)
         if n * n > max_pairs:
             picked = random.Random(seed).sample(range(n * n), max_pairs)
-            pairs = [(pts[k // n], pts[k % n]) for k in picked]
+            checked, visits = max_pairs, ((pts[k // n], pts[k % n], 1) for k in picked)
         else:
-            pairs = [(s, t) for s in pts for t in pts]
-    info = window_info(window) if window is not None else {"name": "pairs", "size": len(pairs)}
+            # (s, t, how many ordered pairs the visit decides)
+            checked = n * n
+            visits = ((pts[i], pts[j], 1 if i == j else 2) for i in range(n) for j in range(i, n))
+    info = window_info(window) if window is not None else {"name": "pairs", "size": checked}
     if isinstance(w, AlgebraWeight) and w.base.exact and w.scale == 1:
         once = _submult_through_base(w)
     else:
         once = functools.partial(_submult_once, w)
     float_pairs = float_failures = 0
-    for s, t in pairs:
+    for s, t, copies in visits:
         ok, exact = once(s, t)
         if not exact:
-            float_pairs += 1
-            float_failures += not ok
+            float_pairs += copies
+            float_failures += copies * (not ok)
         elif not ok:
             payload = {
                 "lhs": _num(w.eval(w.point_add(s, t))),
@@ -349,7 +382,7 @@ def check_submultiplicative(w: WeightFn, window: Optional[Window] = None,
             }
             return Certificate(prop="submultiplicative", verdict=FAILS, payload=payload,
                                window=info, witness=payload["pair"])
-    payload = {"pairs_checked": len(pairs), "exact_comparison": not float_pairs, "seed": seed}
+    payload = {"pairs_checked": checked, "exact_comparison": not float_pairs, "seed": seed}
     if float_pairs:
         payload.update(rigorous=False, float_pairs=float_pairs, float_failures=float_failures,
                        note="pairs compared only in floats; no certified margin")
@@ -389,7 +422,7 @@ def ess_inf_check(w: WeightFn, window: Window) -> Certificate:
     window_min = None
     argmin = None
     for x in _shell_representatives(w, window):
-        v = w.eval(x)
+        v = _eval_at(w, x)
         if window_min is None or v < window_min:
             window_min, argmin = v, x
     payload = {"window_min": _num(window_min), "argmin": point_to_json(argmin)}

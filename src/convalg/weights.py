@@ -177,9 +177,9 @@ class WeightFn:
         equal keys have equal `eval` values and equal `conv_at` enclosures,
         exactly, at every truncation.  `check_b`, `check_positivity` and
         `ess_inf_check` evaluate one point per key, and `check_submultiplicative`
-        on an algebra weight evaluates its base once per key; `check_evenness`
-        still evaluates x and -x, since it tests the evenness that keys such as
-        |q| assume."""
+        on an algebra weight evaluates its base once per key.  `check_evenness`
+        reads no key, since it tests the evenness that keys such as |q| assume;
+        it evaluates x and -x once per pair {x, -x} instead."""
         return x
 
     def raw_b_bound(self) -> Optional[Scalar]:

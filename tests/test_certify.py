@@ -330,6 +330,8 @@ def _algebra_broken_case():
 SUBMULT_CASES = {
     "pruefer2-G3": lambda: _algebra_pruefer_case(2),
     "pruefer3-G3": lambda: _algebra_pruefer_case(3),
+    # 64^2 pairs, exactly the default max_pairs: the largest window decided whole
+    "pruefer2-G6": lambda: (ca.algebra_weight(scaled(2), 2), ca.pruefer_ball_window(P2, 6)),
     "rationals-Q2:2": _algebra_rationals_case,
     "sum23-sample200": _algebra_sum_case,
     "broken-fails": _algebra_broken_case,
@@ -723,3 +725,130 @@ def test_positivity_and_ess_inf_evaluate_one_point_per_shell_class(monkeypatch):
     assert cert.verdict == HOLDS and cert.payload["argmin"] == point_to_json(P2.identity())
     # each class once on w, and once more on its base through w.eval
     assert len(calls) == 8 and len(set(calls)) == 4
+
+
+def test_undefined_points_raise_value_error_naming_the_point():
+    # u(0) of t^(-1/2) is no value at all, so there is no exact witness to fail with
+    u, window = ca.builtin_weight("circle-inv-sqrt"), ca.circle_grid_window(16, include_zero=True)
+    for check in (ca.check_positivity, ca.ess_inf_check, ca.check_evenness):
+        with pytest.raises(ValueError, match="undefined at 0/1"):
+            check(u, window)
+
+
+# --------------------------------------------------------------------------
+# Evenness and submultiplicativity decide each symmetric pair once
+# --------------------------------------------------------------------------
+
+def brute_evenness(u, window):
+    """check_evenness as a per-point loop: x and -x evaluated at every point."""
+    for x in window.points:
+        if u.eval(x) != u.eval(u.point_neg(x)):
+            payload = {"value": _num(u.eval(x)), "value_at_neg": _num(u.eval(u.point_neg(x)))}
+            return Certificate(prop="evenness", verdict=FAILS, payload=payload,
+                               window=window_info(window), witness=point_to_json(x))
+    return Certificate(prop="evenness", verdict=HOLDS, payload={}, window=window_info(window))
+
+
+def _base_case(name):
+    w, window = SUBMULT_CASES[name]()
+    return w.base, window
+
+
+def _evenness_cases():
+    # each algebra case's base over the same window, then the algebra weight
+    for name in ("pruefer2-G3", "pruefer3-G3", "rationals-Q2:2", "sum23-sample200"):
+        yield name, lambda name=name: _base_case(name)
+        yield f"algebra-{name}", SUBMULT_CASES[name]
+    grid = ca.line_grid_window(-2, 2, F(1, 2))
+    yield "poly2-line", lambda: (ca.builtin_weight("poly2"), grid)
+    yield "poly2-exp-signed-line", lambda: (ca.builtin_weight("poly2-exp-signed"), grid)
+    yield "circle-quarter-circle16", lambda: (ca.builtin_weight("circle-quarter"),
+                                              ca.circle_grid_window(16))
+    # 1/16 .. 11/16: the negations of 1/16 .. 4/16 lie outside the window
+    yield "const-one-circle-head", lambda: (ca.builtin_weight("const-one"),
+                                            ca.Window("circle-head", ca.circle_grid_window(16).points[:11]))
+    yield "pruefer2-G4-head", lambda: (scaled(2), ca.Window("G4-head", ca.pruefer_ball_window(P2, 4).points[:11]))
+
+
+EVENNESS_CASES = dict(_evenness_cases())
+
+
+@pytest.mark.parametrize("name", sorted(EVENNESS_CASES))
+def test_evenness_matches_per_point_oracle(name):
+    u, window = EVENNESS_CASES[name]()
+    assert canonical_dumps(certificate_to_json(ca.check_evenness(u, window))) == \
+        canonical_dumps(certificate_to_json(brute_evenness(u, window)))
+
+
+def test_evenness_oracle_cases_reach_both_verdicts():
+    verdicts = {name: ca.check_evenness(*make()) for name, make in EVENNESS_CASES.items()}
+    assert {name for name, cert in verdicts.items() if cert.verdict == FAILS} == \
+        {"poly2-exp-signed-line", "circle-quarter-circle16"}
+    assert verdicts["poly2-exp-signed-line"].witness == point_to_json(F(-2))
+    # negation on the circle is taken mod 1, so 1/16 meets 15/16
+    assert verdicts["circle-quarter-circle16"].witness == point_to_json(F(1, 16))
+
+
+@pytest.mark.parametrize("name", ["pruefer2-G3", "pruefer3-G3", "rationals-Q2:2", "sum23-sample200",
+                                  "algebra-pruefer2-G3", "poly2-line", "circle-quarter-circle16"])
+def test_evenness_evaluates_each_window_point_once(monkeypatch, name):
+    # each window here is closed under negation
+    u, window = EVENNESS_CASES[name]()
+    calls = []
+    evaluate = ca.WeightFn.eval
+
+    def counted(self, x):
+        if self is u:
+            calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(ca.WeightFn, "eval", counted)
+    assert ca.check_evenness(u, window).verdict == (FAILS if name.startswith("circle") else HOLDS)
+    if name.startswith("circle"):  # fails at its first point, 1/16, after u(1/16) and u(15/16)
+        assert calls == [F(1, 16), F(15, 16)]
+    else:
+        assert sorted(calls, key=repr) == sorted(window.points, key=repr)
+
+
+def test_submultiplicative_adds_each_unordered_pair_once(monkeypatch):
+    adds = []
+    add = G.add
+
+    def counted(s, t):
+        adds.append((s, t))
+        return add(s, t)
+
+    monkeypatch.setattr(G, "add", counted)
+    w, window = ca.algebra_weight(scaled(2), 2), ca.pruefer_ball_window(P2, 4)
+    n = len(window.points)
+    cert = ca.check_submultiplicative(w, window=window)
+    assert cert.verdict == HOLDS and cert.payload["pairs_checked"] == n * n
+    assert len(adds) == n * (n + 1) // 2
+    adds.clear()
+    # a sampled window still adds every sampled ordered pair
+    cert = ca.check_submultiplicative(w, window=window, max_pairs=100)
+    assert cert.verdict == HOLDS and cert.payload["pairs_checked"] == 100 and len(adds) == 100
+
+
+def test_submultiplicative_full_window_names_the_first_failing_pair_in_row_order():
+    # 1 + (s+t)^2 <= (1+s^2)(1+t^2) iff 2st <= (st)^2, false for 0 < st < 2
+    w, grid = ca.builtin_weight("poly2"), ca.line_grid_window(-2, 2, F(1, 2))
+    first = next((s, t) for s in grid.points for t in grid.points
+                 if 1 + (s + t) ** 2 > (1 + s * s) * (1 + t * t))
+    cert = ca.check_submultiplicative(w, window=grid)
+    assert cert.verdict == FAILS and cert.payload["exact_comparison"] is True
+    assert cert.witness == [point_to_json(first[0]), point_to_json(first[1])]
+    assert cert.payload["lhs"] == w.eval(first[0] + first[1])
+
+
+def test_submultiplicative_float_counts_take_mirrors_and_self_inverse_points():
+    # 0.0 is its own negation and pairs with itself once; every other pair
+    # stands for itself and its mirror
+    w = ca.builtin_weight("poly2")
+    window = ca.Window("floats", (-3.0, 0.0, 0.5, 3.0))
+    cert = ca.check_submultiplicative(w, window=window)
+    fails = sum(not w.eval(s + t) <= w.eval(s) * w.eval(t)
+                for s in window.points for t in window.points)
+    assert cert.verdict == INCONCLUSIVE and cert.payload["pairs_checked"] == 16
+    assert cert.payload["float_pairs"] == 16 and cert.payload["float_failures"] == fails == 3
+
