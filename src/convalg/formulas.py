@@ -18,17 +18,16 @@ is read mod 1), never group points.  Builtins:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+from .certificates import Record
 from .weights import WeightFn
 
 Number = Union[Fraction, float, int]
 
 
-@dataclass(frozen=True)
-class GrowthInfo:
+class GrowthInfo(Record):
     """Certified growth of log+ w along rays, by formula family.
 
     kind "poly": log+ w(t) <= log_const + degree * log+ |t| for all t.
@@ -38,10 +37,18 @@ class GrowthInfo:
     """
 
     kind: str
-    log_const: float = 0.0
-    degree: int = 0
-    rate: float = 0.0
-    log_damped: bool = False
+    log_const: float
+    degree: int
+    rate: float
+    log_damped: bool
+
+    def __init__(self, kind: str, log_const: float = 0.0, degree: int = 0, rate: float = 0.0,
+                 log_damped: bool = False) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "log_const", log_const)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "log_damped", log_damped)
 
 
 def _quarter_log(s: float, t: float, a: float) -> float:
@@ -56,8 +63,7 @@ def _inv_sqrt(t: float, a: float) -> float:
     return t ** -0.5
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(Record):
     """One builtin weight at scale 1.
 
     raw(t, a) is w(t) and log(s, t, a) is s + log w(t), evaluated in log
@@ -73,7 +79,17 @@ class Builtin:
     log: Callable[[float, float, float], float]
     growth: GrowthInfo
     infimum: Optional[float]
-    even: bool = False
+    even: bool
+
+    def __init__(self, domain: str, raw: Callable[[float, float], float],
+                 log: Callable[[float, float, float], float], growth: GrowthInfo,
+                 infimum: Optional[float], even: bool = False) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "log", log)
+        object.__setattr__(self, "growth", growth)
+        object.__setattr__(self, "infimum", infimum)
+        object.__setattr__(self, "even", even)
 
 
 _POLY2_LOG_CONST = math.log(2.0) + 1e-12
@@ -117,19 +133,20 @@ def _mod1(x: Number) -> float:
     return float(x % 1) if isinstance(x, Fraction) else float(x) % 1.0
 
 
-@dataclass(frozen=True)
 class FormulaWeight(WeightFn):
     """Named closed-form weight; evaluation is float, growth facts are exact."""
 
     name: str
-    scale: float = 1.0
+    scale: float
 
     construction = "formula"
     exact = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or self.name not in BUILTINS:
-            raise ValueError(f"unknown builtin weight {self.name!r}")
+    def __init__(self, name: str, scale: float = 1.0) -> None:
+        if not isinstance(name, str) or name not in BUILTINS:
+            raise ValueError(f"unknown builtin weight {name!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def domain(self) -> str:

@@ -15,10 +15,10 @@ across workers and used as cache keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .certificates import Record
 from .rational import even_floor  # noqa: F401  (re-exported group op)
 
 
@@ -54,8 +54,8 @@ def is_prime(n: int) -> bool:
 # Descriptors
 # --------------------------------------------------------------------------
 
-class GroupDescriptor:
-    """Base for the tagged group descriptors. Subclasses are frozen dataclasses."""
+class GroupDescriptor(Record):
+    """Base for the tagged group descriptors, immutable records (`Record`)."""
 
     variant: str = "abstract"
 
@@ -63,16 +63,24 @@ class GroupDescriptor:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class PrueferGroup(GroupDescriptor):
     """All fractions k/p^n modulo 1, the union of cyclic subgroups of order p^n."""
 
     p: int
     variant = "pruefer"
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+    def __init__(self, p: int) -> None:
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p,) == (other.p,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
 
     def identity(self) -> "PrueferPoint":
         return PrueferPoint(self, 0, 0)
@@ -97,11 +105,16 @@ class PrueferGroup(GroupDescriptor):
         return [PrueferPoint(self, k, n) for k in range(self.p ** n)]
 
 
-@dataclass(frozen=True)
 class RationalsGroup(GroupDescriptor):
     """The additive rationals, exhausted by the subgroups (1/t_n)Z with t_n = n!."""
 
     variant = "rationals"
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def chain_value(self, n: int) -> int:
         return math.factorial(n)
@@ -125,12 +138,22 @@ class RationalsGroup(GroupDescriptor):
         return [RationalPoint(self, Fraction(k, t)) for k in range(-radius * t, radius * t + 1)]
 
 
-@dataclass(frozen=True)
 class SumGroup(GroupDescriptor):
     """Finite-support direct sum of the listed summand groups (1-based index)."""
 
     summands: tuple[GroupDescriptor, ...]
     variant = "sum"
+
+    def __init__(self, summands: tuple[GroupDescriptor, ...]) -> None:
+        object.__setattr__(self, "summands", summands)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.summands,) == (other.summands,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.summands,))
 
     def identity(self) -> "SumPoint":
         return SumPoint(self, ())
@@ -144,16 +167,24 @@ class SumGroup(GroupDescriptor):
         return self.summands[j - 1]
 
 
-@dataclass(frozen=True)
 class RealGroup(GroupDescriptor):
     """R^d under addition, exact rational coordinates."""
 
     dim: int
     variant = "real"
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
+    def __init__(self, dim: int) -> None:
+        if dim < 0:
             raise ValueError("dimension must be >= 0")
+        object.__setattr__(self, "dim", dim)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim,) == (other.dim,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim,))
 
     def identity(self) -> "RealPoint":
         return RealPoint(self, (Fraction(0),) * self.dim)
@@ -162,13 +193,24 @@ class RealGroup(GroupDescriptor):
         return RealPoint(self, tuple(coords))
 
 
-@dataclass(frozen=True)
 class ProductGroup(GroupDescriptor):
     """R^d x H for a discrete factor H."""
 
     real: RealGroup
     discrete: GroupDescriptor
     variant = "product"
+
+    def __init__(self, real: RealGroup, discrete: GroupDescriptor) -> None:
+        object.__setattr__(self, "real", real)
+        object.__setattr__(self, "discrete", discrete)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.real, self.discrete) == (other.real, other.discrete)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.real, self.discrete))
 
     def identity(self) -> "ProductPoint":
         return ProductPoint(self, self.real.identity(), self.discrete.identity())
@@ -181,8 +223,8 @@ class ProductGroup(GroupDescriptor):
 # Points
 # --------------------------------------------------------------------------
 
-class GroupPoint:
-    """Base class for group elements; concrete points are frozen dataclasses.
+class GroupPoint(Record):
+    """Base class for group elements, immutable records (`Record`).
 
     Each point class carries its variant's group law: `_add` (the operand is
     from the same group), `_nmul` (any integer n, negative included) and
@@ -196,7 +238,6 @@ class GroupPoint:
         raise LayerError(f"no subgroup chain declared for variant {self.group.variant!r}")
 
 
-@dataclass(frozen=True)
 class PrueferPoint(GroupPoint):
     """k/p^n mod 1 in canonical form: 0 <= k < p^n, p does not divide k unless k=0."""
 
@@ -204,9 +245,9 @@ class PrueferPoint(GroupPoint):
     num: int
     exp: int
 
-    def __post_init__(self) -> None:
-        p = self.group.p
-        k, n = self.num, self.exp
+    def __init__(self, group: PrueferGroup, num: int, exp: int) -> None:
+        p = group.p
+        k, n = num, exp
         if n < 0:
             raise ValueError("exponent must be >= 0")
         k %= p ** n
@@ -215,8 +256,17 @@ class PrueferPoint(GroupPoint):
             n -= 1
         if k == 0:
             n = 0
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "num", k)
         object.__setattr__(self, "exp", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.num, self.exp) == (other.group, other.num, other.exp)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.num, self.exp))
 
     def value(self) -> Fraction:
         return Fraction(self.num, self.group.p ** self.exp)
@@ -225,10 +275,21 @@ class PrueferPoint(GroupPoint):
         return self.num == 0
 
     def _add(self, other: "PrueferPoint") -> "PrueferPoint":
+        a, b = self.exp, other.exp
+        if a == b:
+            return PrueferPoint(self.group, self.num + other.num, a)
+        # The numerator of the larger exponent is prime to p and the other term
+        # is a multiple of p, so the sum mod p^n is already canonical.
         p = self.group.p
-        n = max(self.exp, other.exp)
-        k = self.num * p ** (n - self.exp) + other.num * p ** (n - other.exp)
-        return PrueferPoint(self.group, k, n)
+        if a > b:
+            k, n = self.num + other.num * p ** (a - b), a
+        else:
+            k, n = other.num + self.num * p ** (b - a), b
+        point = object.__new__(PrueferPoint)
+        object.__setattr__(point, "group", self.group)
+        object.__setattr__(point, "num", k % p ** n)
+        object.__setattr__(point, "exp", n)
+        return point
 
     def _nmul(self, n: int) -> "PrueferPoint":
         return PrueferPoint(self.group, n * self.num, self.exp)
@@ -241,15 +302,23 @@ class PrueferPoint(GroupPoint):
         return (self.num, self.group.p ** self.exp)
 
 
-@dataclass(frozen=True)
 class RationalPoint(GroupPoint):
     """A rational number, added as a number."""
 
     group: RationalsGroup
     value: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, group: RationalsGroup, value: Fraction) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "value", Fraction(value))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.value) == (other.group, other.value)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.value))
 
     def is_identity(self) -> bool:
         return self.value == 0
@@ -267,7 +336,6 @@ class RationalPoint(GroupPoint):
         return (self.value.numerator, self.value.denominator)
 
 
-@dataclass(frozen=True)
 class SumPoint(GroupPoint):
     """Finite-support element; coords is a sorted tuple of (index, point) with
     no identity coordinates."""
@@ -275,19 +343,28 @@ class SumPoint(GroupPoint):
     group: SumGroup
     coords: tuple[tuple[int, GroupPoint], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, group: SumGroup, coords: tuple[tuple[int, GroupPoint], ...]) -> None:
         cleaned = []
         seen = set()
-        for j, pt in sorted(self.coords, key=lambda coord: coord[0]):
+        for j, pt in sorted(coords, key=lambda coord: coord[0]):
             if j in seen:
                 raise ValueError(f"duplicate coordinate index {j}")
             seen.add(j)
-            expected = self.group.summand(j)
+            expected = group.summand(j)
             if pt.group != expected:
                 raise GroupMismatchError(f"coordinate {j} belongs to {pt.group}, expected {expected}")
             if not pt.is_identity():
                 cleaned.append((j, pt))
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", tuple(cleaned))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.coords) == (other.group, other.coords)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.coords))
 
     def support(self) -> frozenset[int]:
         return frozenset(j for j, _ in self.coords)
@@ -324,7 +401,6 @@ class SumPoint(GroupPoint):
         return tuple((j, sort_key(pt)) for j, pt in self.coords)
 
 
-@dataclass(frozen=True)
 class RealPoint(GroupPoint):
     """A point of R^d; each coordinate converts exactly to a Fraction, and a
     non-finite one is refused."""
@@ -332,14 +408,23 @@ class RealPoint(GroupPoint):
     group: RealGroup
     coords: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.group.dim:
+    def __init__(self, group: RealGroup, coords: tuple[Fraction, ...]) -> None:
+        if len(coords) != group.dim:
             raise ValueError("coordinate count does not match dimension")
         try:
-            coords = tuple(Fraction(c) for c in self.coords)
+            exact = tuple(Fraction(c) for c in coords)
         except (OverflowError, ValueError) as exc:  # Fraction's errors for inf and nan
-            raise ValueError(f"real coordinates must be finite numbers, not {self.coords!r}") from exc
-        object.__setattr__(self, "coords", coords)
+            raise ValueError(f"real coordinates must be finite numbers, not {coords!r}") from exc
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", exact)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.coords) == (other.group, other.coords)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.coords))
 
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -354,17 +439,29 @@ class RealPoint(GroupPoint):
         return self.coords
 
 
-@dataclass(frozen=True)
 class ProductPoint(GroupPoint):
     group: ProductGroup
     real_part: RealPoint
     discrete_part: GroupPoint
 
-    def __post_init__(self) -> None:
-        if self.real_part.group != self.group.real:
+    def __init__(self, group: ProductGroup, real_part: RealPoint,
+                 discrete_part: GroupPoint) -> None:
+        if real_part.group != group.real:
             raise GroupMismatchError("real part from wrong group")
-        if self.discrete_part.group != self.group.discrete:
+        if discrete_part.group != group.discrete:
             raise GroupMismatchError("discrete part from wrong group")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "real_part", real_part)
+        object.__setattr__(self, "discrete_part", discrete_part)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.group, self.real_part, self.discrete_part)
+                    == (other.group, other.real_part, other.discrete_part))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.real_part, self.discrete_part))
 
     def is_identity(self) -> bool:
         return self.real_part.is_identity() and self.discrete_part.is_identity()

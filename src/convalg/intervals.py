@@ -2,23 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
+
+from .certificates import Record
 
 Scalar = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed enclosure [lo, hi]; hi=None means no certified upper bound."""
 
     lo: Scalar
     hi: Optional[Scalar]
 
-    def __post_init__(self) -> None:
-        if self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"empty interval: {self.lo} > {self.hi}")
+    def __init__(self, lo: Scalar, hi: Optional[Scalar]) -> None:
+        if hi is not None and lo > hi:
+            raise ValueError(f"empty interval: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @classmethod
     def point(cls, value: Scalar) -> "Interval":

@@ -60,11 +60,10 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE
+from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE, Record
 from .formulas import BUILTINS, FormulaWeight
 from .intervals import Interval
 from .rational import PI_LOWER, PI_UPPER
@@ -89,11 +88,13 @@ GL_NODES = tuple(-x for x in reversed(_GL_HALF[::2])) + tuple(_GL_HALF[::2])
 GL_WEIGHTS = tuple(reversed(_GL_HALF[1::2])) + tuple(_GL_HALF[1::2])
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Absolute tolerance padded onto the quadrature enclosures."""
 
-    tol: float = 1e-9
+    tol: float
+
+    def __init__(self, tol: float = 1e-9) -> None:
+        object.__setattr__(self, "tol", tol)
 
 
 def _linspace(a: float, b: float, num: int) -> list[float]:
@@ -157,12 +158,18 @@ def circle_conv_ratio_value(t: float) -> float:
     return math.sqrt(t) * circle_conv_value(t)
 
 
-@dataclass(frozen=True)
-class RatioResult:
+class RatioResult(Record):
     sup: Interval
     grid_max: float
     argmax: float
     certificate: Certificate
+
+    def __init__(self, sup: Interval, grid_max: float, argmax: float,
+                 certificate: Certificate) -> None:
+        object.__setattr__(self, "sup", sup)
+        object.__setattr__(self, "grid_max", grid_max)
+        object.__setattr__(self, "argmax", argmax)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def circle_conv_ratio(spec: QuadratureSpec = QuadratureSpec()) -> RatioResult:
@@ -266,11 +273,15 @@ def line_conv_ratio(spec: QuadratureSpec = QuadratureSpec(), dim: int = 1) -> Ra
 # The Beurling integral on the line
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BeurlingResult:
+class BeurlingResult(Record):
     integral: Interval
     classification: str
     certificate: Certificate
+
+    def __init__(self, integral: Interval, classification: str, certificate: Certificate) -> None:
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def _beurling_grid(cutoff) -> tuple[float, int]:

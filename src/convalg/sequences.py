@@ -18,12 +18,11 @@ Two independent pieces live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator
 
-from .certificates import Certificate, HOLDS
+from .certificates import Certificate, HOLDS, Record
 from .intervals import Interval
 from .rational import (
     LOG2_UPPER,
@@ -139,8 +138,7 @@ def sigma_subconvolutive_constant(trunc: int = 200) -> Interval:
 # Rapidly growing denominators and their fractional parts
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QSequence:
+class QSequence(Record):
     """Concrete terms plus a certified lower bound for the next (symbolic) term.
 
     The depth-3 third term exceeds 440*e^48400 and is kept only as the growth
@@ -150,6 +148,11 @@ class QSequence:
     depth: int
     terms: tuple[int, ...]
     next_lower: int
+
+    def __init__(self, depth: int, terms: tuple[int, ...], next_lower: int) -> None:
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "next_lower", next_lower)
 
     def tail_upper(self) -> Fraction:
         """Certified bound on sum_{k > len(terms)} 1/q_k (successive ratios >= 2)."""

@@ -30,15 +30,13 @@ race between threads can only repeat work.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import groups as G
-from .certificates import TruncationSpec
+from .certificates import Record, TruncationSpec
 from .intervals import Interval, Scalar
 from .rational import PI_LOWER, PI_UPPER, even_floor, exp_enclosure, ratio_sum, sigma
 
@@ -72,8 +70,7 @@ def _pair_sum(eps1: tuple[int, int], free: frozenset, base: frozenset) -> Fracti
     return Fraction(*ratio_sum(terms))
 
 
-@dataclass(frozen=True)
-class SubsetCoeffs:
+class SubsetCoeffs(Record):
     """Subset coefficients a_s = eps1 / sum_{j in s} j!, a_empty = eps1.
 
     Monotone under unions by construction; the split-sum budget
@@ -81,7 +78,10 @@ class SubsetCoeffs:
     eps1 * e^2 <= 1/8, which `certify` checks with a rational enclosure of e^2.
     """
 
-    eps1: Fraction = Fraction(1, 60)
+    eps1: Fraction
+
+    def __init__(self, eps1: Fraction = Fraction(1, 60)) -> None:
+        object.__setattr__(self, "eps1", eps1)
 
     def value(self, support: frozenset) -> Fraction:
         return _coeff_value(self.eps1.as_integer_ratio(), frozenset(support))
@@ -108,13 +108,16 @@ def default_coeffs(eps1: Fraction = Fraction(1, 60)) -> SubsetCoeffs:
     return coeffs
 
 
-@dataclass(frozen=True)
-class AlphaSequence:
+class AlphaSequence(Record):
     """Per-summand damping factors alpha_j in (0, 1), small enough that both
     prod (1 + alpha_j) < 2 and prod (1 + alpha_j^2 (u_j*u_j)(0)) < 2."""
 
     values: tuple[Fraction, ...]
-    rule: str = "3^-j"
+    rule: str
+
+    def __init__(self, values: tuple[Fraction, ...], rule: str = "3^-j") -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rule", rule)
 
     def value(self, j: int) -> Fraction:
         return self.values[j - 1]
@@ -147,10 +150,10 @@ def default_alphas(summands: tuple["WeightFn", ...]) -> AlphaSequence:
 # Weight functions
 # --------------------------------------------------------------------------
 
-class WeightFn:
+class WeightFn(Record):
     """Positive even evaluator on one group, with provenance-backed bounds.
 
-    Subclasses are frozen dataclasses; `scale` is a multiplicative
+    Subclasses are immutable records (`Record`); `scale` is a multiplicative
     normalization applied on top of the raw construction.  `b_bound` is a
     certified constant B with u*u <= B*u (None when unavailable), so a weight
     carries a subconvolutivity certificate exactly when b_bound <= 1.
@@ -200,7 +203,7 @@ class WeightFn:
         factor converts exactly."""
         if self.exact:
             factor = Fraction(factor)
-        return dataclasses.replace(self, scale=self.scale * factor)
+        return self.replace(scale=self.scale * factor)
 
     def max_value(self) -> Optional[Scalar]:
         return None
@@ -250,10 +253,14 @@ class ShellWeight(WeightFn):
 
     s: Fraction
 
-    def __post_init__(self) -> None:
-        if isinstance(self.s, bool) or not isinstance(self.s, (int, Fraction)) or self.s <= 0:
-            raise ValueError(f"s must be a positive rational, not {self.s!r}")
-        object.__setattr__(self, "s", Fraction(self.s))  # frozen: an int s becomes exact
+    def __init__(self, group: G.GroupDescriptor, s: Fraction,
+                 scale: Fraction = Fraction(1)) -> None:
+        """The fields (group, s, scale) of both shell families; an int s becomes exact."""
+        if isinstance(s, bool) or not isinstance(s, (int, Fraction)) or s <= 0:
+            raise ValueError(f"s must be a positive rational, not {s!r}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "s", Fraction(s))
+        object.__setattr__(self, "scale", scale)
 
     def chain_weight(self, n: int) -> int:
         raise NotImplementedError
@@ -306,7 +313,6 @@ def _geometric_sum(z: Fraction, a: int, b: int) -> Fraction:
     return (z ** a - z ** (b + 1)) / (1 - z)
 
 
-@dataclass(frozen=True)
 class LayerWeight(ShellWeight):
     """u = phi_n = (s/p)^n on the n-th shell of a nested-finite-subgroup
     chain; the mass counts the subgroup sizes |G_n|, the squares the shell
@@ -314,7 +320,7 @@ class LayerWeight(ShellWeight):
 
     group: G.PrueferGroup
     s: Fraction
-    scale: Fraction = Fraction(1)
+    scale: Fraction
 
     construction = "pruefer-layer"
 
@@ -426,7 +432,6 @@ def _sigma_pair_sum(floor_s: int, integral: bool, origin: bool, ball: int) -> Fr
 SIGMA_C2 = Fraction(72119579, 7625000)
 
 
-@dataclass(frozen=True)
 class RationalsLayerWeight(ShellWeight):
     """u(q) = phi_n sigma(floor|q|) with phi_n = s^n/n! on the n-th shell of
     the rationals chain; the mass and the squares both count the chain values
@@ -434,7 +439,7 @@ class RationalsLayerWeight(ShellWeight):
 
     group: G.RationalsGroup
     s: Fraction
-    scale: Fraction = Fraction(1)
+    scale: Fraction
 
     construction = "rationals-layer"
 
@@ -600,7 +605,6 @@ def _safe_layer(x) -> int:
         return 1
 
 
-@dataclass(frozen=True)
 class DirectSumWeight(WeightFn):
     """u(x) = a_{s(x)} prod_{j in s(x)} alpha_j u_j(x_j) on a finite direct sum."""
 
@@ -608,14 +612,22 @@ class DirectSumWeight(WeightFn):
     summands: tuple[WeightFn, ...]
     alphas: AlphaSequence
     coeffs: SubsetCoeffs
-    scale: Fraction = Fraction(1)
+    scale: Fraction
 
     construction = "direct-sum"
+
+    def __init__(self, group: G.SumGroup, summands: tuple[WeightFn, ...], alphas: AlphaSequence,
+                 coeffs: SubsetCoeffs, scale: Fraction = Fraction(1)) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "scale", scale)
 
     @functools.cached_property
     def _tables(self) -> tuple[dict, dict]:
         """(values, rows), filled as the weight is evaluated and dropped with it.
-        Outside the dataclass fields, so ==, hash, repr and the provenance never
+        Outside the record's fields, so ==, hash, repr and the provenance never
         see them; threads that race on a key only compute the same entry twice."""
         return {}, {}
 
@@ -732,7 +744,6 @@ class DirectSumWeight(WeightFn):
         return (c, d)
 
 
-@dataclass(frozen=True)
 class EuclideanWeight(WeightFn):
     """u(x) = 1/((1+x_1^2)...(1+x_d^2)) on R^d.
 
@@ -742,9 +753,13 @@ class EuclideanWeight(WeightFn):
     """
 
     group: G.RealGroup
-    scale: Fraction = Fraction(1)
+    scale: Fraction
 
     construction = "euclidean"
+
+    def __init__(self, group: G.RealGroup, scale: Fraction = Fraction(1)) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "scale", scale)
 
     def raw_eval(self, x) -> Fraction:
         return 1 / math.prod(1 + c * c for c in x.coords)
@@ -766,16 +781,22 @@ class EuclideanWeight(WeightFn):
         return (math.prod(1 + c * c for c in x.coords) / self.scale, 2 * self.group.dim)
 
 
-@dataclass(frozen=True)
 class ProductWeight(WeightFn):
     """u(r, h) = u_R(r) u_H(h) on R^d x H."""
 
     group: G.ProductGroup
     real_factor: WeightFn
     discrete_factor: WeightFn
-    scale: Fraction = Fraction(1)
+    scale: Fraction
 
     construction = "product"
+
+    def __init__(self, group: G.ProductGroup, real_factor: WeightFn, discrete_factor: WeightFn,
+                 scale: Fraction = Fraction(1)) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "real_factor", real_factor)
+        object.__setattr__(self, "discrete_factor", discrete_factor)
+        object.__setattr__(self, "scale", scale)
 
     def raw_eval(self, x) -> Fraction:
         return self.real_factor.eval(x.real_part) * self.discrete_factor.eval(x.discrete_part)
@@ -814,7 +835,6 @@ class ProductWeight(WeightFn):
         return (cr[0] * ch[0] / self.scale, cr[1] + ch[1])
 
 
-@dataclass(frozen=True)
 class AlgebraWeight(WeightFn):
     """w = u^(-1/q) for a subconvolutive u; the weight of the L_p algebra.
 
@@ -825,10 +845,15 @@ class AlgebraWeight(WeightFn):
 
     base: WeightFn
     p: Fraction
-    scale: float = 1.0
+    scale: float
 
     construction = "algebra"
     exact = False
+
+    def __init__(self, base: WeightFn, p: Fraction, scale: float = 1.0) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def descriptor(self) -> G.GroupDescriptor:

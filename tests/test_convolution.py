@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import functools
 import itertools
 import math
@@ -724,7 +723,7 @@ def test_trunc_default_names_exactly_the_fields_conv_at_reads(name):
     # a field outside the default is never read (verify refuses it for this reason)
     for field, value in UNREAD_VALUES.items():
         if field not in read:
-            spec = dataclasses.replace(default, **{field: value})
+            spec = default.replace(**{field: value})
             assert [ca.conv_at(w, x, spec) for x in points] == base, field
     # every field inside it is read: raising it moves the enclosure somewhere
     for field, value in read.items():
@@ -733,7 +732,7 @@ def test_trunc_default_names_exactly_the_fields_conv_at_reads(name):
         else:
             raised = [value + 1]
         for v in raised:
-            spec = dataclasses.replace(default, **{field: v})
+            spec = default.replace(**{field: v})
             assert [ca.conv_at(w, x, spec) for x in points] != base, (field, v)
 
 

@@ -69,6 +69,20 @@ def test_pruefer_canonical_form():
     assert y == x
 
 
+@pytest.mark.parametrize("p, layer", [(2, 4), (3, 4), (5, 3)])
+def test_pruefer_add_matches_the_reducing_constructor_on_every_pair(p, layer):
+    # unequal exponents skip the reduction; the oracle reduces every sum
+    group = G.PrueferGroup(p)
+    points = group.subgroup_elements(layer)
+    for x in points:
+        for y in points:
+            n = max(x.exp, y.exp)
+            k = x.num * p ** (n - x.exp) + y.num * p ** (n - y.exp)
+            expected = G.PrueferPoint(group, k, n)
+            got = G.add(x, y)
+            assert (got.group, got.num, got.exp) == (group, expected.num, expected.exp), (x, y)
+
+
 def test_pruefer_group_validation():
     with pytest.raises(ValueError):
         G.PrueferGroup(4)

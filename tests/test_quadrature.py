@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import random
@@ -220,7 +219,7 @@ def test_beurling_evaluates_log_once_per_mirrored_node_pair(monkeypatch, name):
         calls.append(t)
         return record.log(s, t, a)
 
-    monkeypatch.setitem(BUILTINS, name, dataclasses.replace(record, log=log))
+    monkeypatch.setitem(BUILTINS, name, record.replace(log=log))
     right, left = set(), set()
     for cutoff in cutoffs:
         ca.beurling_integral(w, cutoff)
