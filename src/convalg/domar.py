@@ -12,8 +12,11 @@ walked in integer arithmetic: the orbit point is t = (n a)/b on the line and
 ((n a) mod b)/b on the circle.  CPython's int/int true division is correctly
 rounded, so t is the same double as float(n x) (resp. float({n x})).  A
 float x keeps n * x on the line; on the circle it is the rational
-x.as_integer_ratio().  For e^|t| at scale 1 and rational x = a/b every term
-is |n x|/n^2 = |a|/(b n), summed exactly term by term.  Classification
+x.as_integer_ratio().  For e^|t| at scale 1 and rational x every term is
+|n x|/n^2 = |x|/n, so S_N = |x| H_N, read from `rational.reciprocal_power_sums`
+with scale |x|: it keeps the running sum as a coprime pair of ints and
+reduces each step only by gcds against the term's small denominator, the
+reduction `Fraction.__add__` makes.  Classification
 never extrapolates: "convergent" requires a polynomial-growth certificate
 log+ w(nx) <= a + d log n (then the series is capped by a pi^2/6 + d * sum
 log n / n^2), "divergent" requires a certified lower bound c n / rho(n) with
@@ -31,7 +34,8 @@ from typing import Union
 from . import groups as G
 from .certificates import MAX_POINTS, Certificate, FAILS, HOLDS, INCONCLUSIVE
 from .formulas import BUILTINS, FormulaWeight
-from .rational import LOG_SUM_OVER_SQUARES_UPPER, PI_SQUARED_UPPER, format_rational
+from .rational import (LOG_SUM_OVER_SQUARES_UPPER, PI_SQUARED_UPPER, format_rational,
+                       reciprocal_power_sums)
 from .weights import AlgebraWeight, WeightFn
 
 CONVERGENT = "convergent"
@@ -55,14 +59,11 @@ def _log_plus(w: WeightFn, point) -> Union[Fraction, float]:
 def _formula_partial(w: FormulaWeight, value, n_max: int) -> list:
     """domar_partial for a builtin weight at a number, per the module docstring."""
     if w.name == "exp-abs" and w.scale == 1.0 and not isinstance(value, float):
-        a, b = abs(Fraction(value)).as_integer_ratio()
         # 0 is no limit, as on Pythons before 3.10.7, which lack the call
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         cap = 10 ** limit if limit else None
         partials = []
-        s = Fraction(0)
-        for n in range(1, n_max + 1):
-            s += Fraction(a, b * n)
+        for n, s in enumerate(reciprocal_power_sums(n_max, 1, abs(Fraction(value))), 1):
             if cap is not None and max(s.numerator, s.denominator) >= cap:
                 raise ValueError(f"the exact partial sum S_{n} has more than {limit} digits, "
                                  "the int-to-str limit")

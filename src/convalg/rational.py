@@ -4,15 +4,17 @@ Every certified inequality in this package eventually reduces to a comparison
 between :class:`fractions.Fraction` values.  This module collects the wire
 format for rationals, the reciprocal-square kernel on the integers, and
 rational enclosures of the few transcendental quantities the certificates
-need (exp, pi, pi^2, ln 2, sum log n / n^2), and `ratio_sum`, which sums
-integer (num, den) terms so that a long exact sum normalises only once.
+need (exp, pi, pi^2, ln 2, sum log n / n^2), `ratio_sum`, which sums
+integer (num, den) terms so that a long exact sum normalises only once, and
+`reciprocal_power_sums`, the running sums scale * sum_{k<=n} 1/k^p on integer
+numerators.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Rational = Fraction
 
@@ -77,6 +79,47 @@ def ratio_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
         num = num * (d // g) + n * (den // g)
         den *= d // g
     return num, den
+
+
+def coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den for ints already in lowest terms with den > 0 (not checked).
+
+    `Fraction(num, den)` would take their gcd again, which on sums of a
+    thousand terms is a gcd of two ints of hundreds of digits.  This sets the
+    two slots directly, as `Fraction._from_coprime_ints` does on Python 3.12+.
+    """
+    f = object.__new__(Fraction)
+    f._numerator = num
+    f._denominator = den
+    return f
+
+
+def reciprocal_power_sums(limit: int, p: int = 1, scale: Fraction | int = 1) -> Iterator[Fraction]:
+    """scale * sum_{k<=n} 1/k^p in lowest terms for n = 1..limit, one at a time.
+
+    The running sum num/den is a coprime pair of ints.  The term scale/k^p is
+    n/d in lowest terms, and it is added by the rule of `Fraction.__add__`
+    (Knuth, TAOCP 4.5.1): with g = gcd(den, d),
+        num/den + n/d = t / ((den/g) d),   t = num (d/g) + n (den/g),
+    and gcd(t, (den/g) d) = gcd(t, g), as both summands are in lowest terms.
+    So every gcd is against a divisor of the small d, never between two long
+    ints, and each sum is built by `coprime_fraction`.
+    """
+    cn, cd = Fraction(scale).as_integer_ratio()
+    num, den = 0, 1
+    for k in range(1, limit + 1):
+        kp = k ** p
+        g = math.gcd(cn, kp)
+        n, d = cn // g, cd * (kp // g)
+        g = math.gcd(den, d)
+        if g == 1:
+            num, den = num * d + n * den, den * d
+        else:
+            s = den // g
+            t = num * (d // g) + n * s
+            g2 = math.gcd(t, g)
+            num, den = (t, s * d) if g2 == 1 else (t // g2, s * (d // g2))
+        yield coprime_fraction(num, den)
 
 
 def exp_enclosure(x: Fraction, terms: int = 40) -> tuple[Fraction, Fraction]:

@@ -6,9 +6,12 @@ Two independent pieces live here:
   i.e. a rigorous enclosure of  sup_m  sum_n sigma(n) sigma(m-n) / sigma(m),
   computed from exact partial sums, integral-comparison range tails and a
   closed-form cap for all m beyond the scanned range.  The partial sums are
-  closed forms in exact harmonic prefix sums: for n not in {0, m},
+  closed forms in the exact sums H_p[k] = sum_{i<=k} 1/i^p: for n not in {0, m},
       1/(n^2 (m-n)^2) = (1/n^2 + 1/(m-n)^2)/m^2 + 2 (1/n + 1/(m-n))/m^3,
-  so one table of H_1, H_2, H_4 serves every scanned m;
+  so one table of H_1, H_2, H_4 serves every scanned m.  The tables come
+  from `rational.reciprocal_power_sums`, which keeps each running sum as a
+  coprime pair of ints and reduces a step only by gcds against the term's
+  small denominator k^p;
 
 * the rapidly growing integer sequence q_1=2, q_n = least multiple of
   q_{n-1} exceeding 2 q_{n-1} exp(q_{n-1}^2), whose reciprocal sum alpha has
@@ -19,8 +22,6 @@ Two independent pieces live here:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterator
 
 from .certificates import Certificate, HOLDS, Record
 from .intervals import Interval
@@ -31,6 +32,7 @@ from .rational import (
     exp_lower_pow2,
     floor_times_exp,
     format_rational,
+    reciprocal_power_sums,
     sigma,
 )
 
@@ -52,14 +54,10 @@ def _ln_upper(x: Fraction) -> Fraction:
 # Subconvolutivity constant of sigma
 # --------------------------------------------------------------------------
 
-def harmonic_prefix_sums(limit: int, p: int = 1) -> Iterator[Fraction]:
-    """Exact prefix sums H_p[k] = sum_{1 <= i <= k} 1/i^p for k = 0..limit, one at a time."""
-    return accumulate((Fraction(1, k ** p) for k in range(1, limit + 1)), initial=Fraction(0))
-
-
 def _harmonic_sums(limit: int) -> tuple[list[Fraction], ...]:
-    """The tables H_1, H_2, H_4 of `harmonic_prefix_sums` up to limit."""
-    return tuple(list(harmonic_prefix_sums(limit, p)) for p in (1, 2, 4))
+    """The tables H_p[k] = sum_{1 <= i <= k} 1/i^p for k = 0..limit and p = 1, 2, 4,
+    from `reciprocal_power_sums`."""
+    return tuple([Fraction(0), *reciprocal_power_sums(limit, p)] for p in (1, 2, 4))
 
 
 def _conv_ratio(m: int, trunc: int, sums: tuple[list[Fraction], ...]) -> Interval:

@@ -877,11 +877,38 @@ class AlgebraWeight(WeightFn):
         return self.base.shell_key(x)
 
     def global_lower_bound(self) -> Optional[float]:
-        """Certified positive lower bound (max u)^(-1/q) from provenance."""
+        """Certified positive lower bound scale (max u)^(-1/q) from provenance,
+        rounded down to a double.
+
+        With m = max u and q = a/b in lowest terms, a double v is at most
+        scale m^(-b/a) exactly when v^a m^b <= scale^a, a comparison of
+        rationals.  The float root is stepped with math.nextafter to the
+        largest v that passes it.  Where those powers would pass 2^17 bits (a
+        long numerator a), the bound is scale min(1, 1/m), the same test at
+        a = b = 1, which is below scale m^(-b/a) as 0 < b/a < 1.
+        """
         m = self.base.max_value()
         if m is None:
             return None
-        return float(m) ** float(-1 / self.q) * self.scale
+        m, scale = Fraction(m), Fraction(self.scale)
+        a, b = self.q.as_integer_ratio()
+        if a * (64 + _bits(scale)) + b * _bits(m) > 1 << 17:
+            a, b, m = 1, 1, max(m, Fraction(1))
+        lhs_factor, rhs = m ** b, scale ** a
+
+        def fits(v: float) -> bool:
+            return Fraction(v) ** a * lhs_factor <= rhs
+
+        v = float(m) ** (-b / a) * float(scale)
+        while not fits(v):
+            v = math.nextafter(v, 0.0)
+        while fits(up := math.nextafter(v, math.inf)):
+            v = up
+        return v
+
+
+def _bits(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 # --------------------------------------------------------------------------

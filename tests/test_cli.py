@@ -360,7 +360,7 @@ def test_verify_algebra_weight_window_flag(tmp_path, capsys):
 
 # SHA-256 of the seed-0 `report --no-timestamp` bundle: a change to any
 # certificate of the report changes it
-REPORT_SEED0_SHA256 = "12be330b9beb9d8f079e846cf6b48cef44f39463a7817afdf7fdd33280016fc1"
+REPORT_SEED0_SHA256 = "7d02832fae61df725ae2da3e5ddc6c60175ce6fa01efd1431d3f406daf5ccc51"
 
 
 def test_verify_sum_with_rationals_first_summand(tmp_path, capsys):

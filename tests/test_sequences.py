@@ -1,5 +1,9 @@
+import copy
 import math
+import operator
+import pickle
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
@@ -50,6 +54,75 @@ def test_sigma_values():
     assert ca.sigma(0) == 1
     assert ca.sigma(1) == 1
     assert ca.sigma(-3) == F(1, 9)
+
+
+# --------------------------------------------------------------------------
+# reciprocal-power sums on integer numerators
+# --------------------------------------------------------------------------
+
+def brute_reciprocal_power_sums(limit, p, scale):
+    """The running Fraction sum the exact harmonic paths used to keep."""
+    return list(accumulate(F(scale, k ** p) for k in range(1, limit + 1)))
+
+
+@pytest.mark.parametrize("scale", [F(1), F(7, 3), F(12, 7), F(1, 1501)])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_reciprocal_power_sums_match_the_running_fraction_sum(p, scale):
+    mine = list(R.reciprocal_power_sums(1500, p, scale))
+    brute = brute_reciprocal_power_sums(1500, p, scale)
+    assert len(mine) == len(brute) == 1500
+    for n, (s, b) in enumerate(zip(mine, brute), 1):
+        assert s == b, n
+        assert type(s) is F
+        assert (hash(s), repr(s), str(s)) == (hash(b), repr(b), str(b)), n
+        assert math.gcd(s.numerator, s.denominator) == 1 and s.denominator > 0, n
+
+
+def test_reciprocal_power_sums_edge_arguments():
+    assert list(R.reciprocal_power_sums(0)) == []
+    assert list(R.reciprocal_power_sums(3)) == [F(1), F(3, 2), F(11, 6)]
+    assert list(R.reciprocal_power_sums(3, 2, -2)) == [F(-2), F(-5, 2), F(-49, 18)]
+    assert list(R.reciprocal_power_sums(4, 1, 0)) == [F(0)] * 4
+    for s in R.reciprocal_power_sums(40, 3, F(-30, 7)):
+        assert math.gcd(s.numerator, s.denominator) == 1 and s.denominator > 0
+
+
+COPRIME_PAIRS = [(0, 1), (1, 1), (-1, 1), (5, 1), (3, 4), (-3, 4), (22, 7), (-7, 3),
+                 (1, 10 ** 40), (3 ** 300 + 2, 2 ** 500), (-(2 ** 521 - 1), 3 ** 200)]
+OTHERS = [F(0), F(1), F(-7, 3), F(2 ** 500, 3 ** 7), 2, -1, 0]
+
+
+@pytest.mark.parametrize("num, den", COPRIME_PAIRS, ids=range(len(COPRIME_PAIRS)))
+def test_coprime_fraction_behaves_like_the_normalised_fraction(num, den):
+    assert math.gcd(num, den) == 1 and den > 0
+    mine, ref = R.coprime_fraction(num, den), F(num, den)
+    assert type(mine) is F and isinstance(mine, F)
+    assert (mine.numerator, mine.denominator) == (ref.numerator, ref.denominator)
+    assert mine.as_integer_ratio() == ref.as_integer_ratio()
+    assert (hash(mine), repr(mine), str(mine)) == (hash(ref), repr(ref), str(ref))
+    assert (float(mine), int(mine), round(mine), math.floor(mine), math.ceil(mine)) == \
+        (float(ref), int(ref), round(ref), math.floor(ref), math.ceil(ref))
+    assert (bool(mine), -mine, abs(mine), mine ** 2, mine ** -1 if num else None) == \
+        (bool(ref), -ref, abs(ref), ref ** 2, ref ** -1 if num else None)
+    assert mine.limit_denominator(1000) == ref.limit_denominator(1000)
+    assert {mine: 1}[ref] == 1 and mine in {ref}
+    assert pickle.loads(pickle.dumps(mine)) == ref and copy.deepcopy(mine) == ref
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv, operator.floordiv,
+           operator.mod, operator.pow, operator.eq, operator.ne, operator.lt, operator.le,
+           operator.gt, operator.ge)
+    for other in OTHERS + [float(ref), 0.5, -2.25]:
+        for op in ops:
+            assert _op_outcome(op, mine, other) == _op_outcome(op, ref, other), (op, other)
+            assert _op_outcome(op, other, mine) == _op_outcome(op, other, ref), (op, other)
+
+
+def _op_outcome(op, a, b):
+    """(type, value) of op(a, b), or the exception type it raises."""
+    try:
+        result = op(a, b)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        return type(exc)
+    return type(result), result
 
 
 # --------------------------------------------------------------------------

@@ -326,3 +326,45 @@ def test_decay_certificates():
     x = ws.group.point({1: P2.element(1, 1)})
     c, d = ws.decay_certificate(x)
     assert d == 0 and c > 0
+
+
+def _b_scaled(base):
+    u = ca.rationals_weight() if base == "rationals" else ca.pruefer_weight(int(base[-1]))
+    return ca.scale_for_b(u, u.b_bound)
+
+
+@pytest.mark.parametrize("p", ["3/2", "2", "3", "5/4", "7/3", "11/7", "4", "9/5"])
+@pytest.mark.parametrize("base", ["pruefer:2", "pruefer:3", "pruefer:5", "rationals"])
+def test_algebra_global_lower_bound_is_the_largest_double_below_the_root(base, p):
+    # w >= scale (max u)^(-1/q) = scale m^(-b/a) with q = a/b, and a double v
+    # is at most that iff v^a m^b <= scale^a
+    w = ca.algebra_weight(_b_scaled(base), F(p))
+    a, b = w.q.as_integer_ratio()
+    m = F(w.base.max_value())
+
+    def below_root(v):
+        return F(v) ** a * m ** b <= F(w.scale) ** a
+
+    v = w.global_lower_bound()
+    assert v > 0 and below_root(v)
+    assert not below_root(math.nextafter(v, math.inf))
+
+
+def test_algebra_global_lower_bound_of_the_report_weight_squares_below_eight():
+    # report's pruefer2:essinf is sqrt(8); math.sqrt(8) rounds to nearest, above it
+    v = ca.algebra_weight(_b_scaled("pruefer:2"), 2).global_lower_bound()
+    assert v == 2.82842712474619 < math.sqrt(8)
+    assert F(v) ** 2 <= 8 < F(math.nextafter(v, math.inf)) ** 2
+
+
+@pytest.mark.parametrize("base", ["pruefer:2", "rationals"])
+def test_algebra_global_lower_bound_with_a_long_exponent_numerator(base):
+    # q = 1000001: the exact powers would take megabits, so the bound is
+    # scale min(1, 1/m), still below m^(-1/q), as the largest double below it
+    u = _b_scaled(base)
+    m = F(u.max_value())
+    w = ca.algebra_weight(u, F(10 ** 6 + 1, 10 ** 6))
+    assert w.q == 10 ** 6 + 1
+    coarse = min(F(1), 1 / m)
+    v = w.global_lower_bound()
+    assert F(v) <= coarse < F(math.nextafter(v, math.inf))
