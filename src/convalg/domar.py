@@ -11,12 +11,19 @@ For a builtin formula weight at a rational x = a/b (b > 0) the orbit is
 walked in integer arithmetic: the orbit point is t = (n a)/b on the line and
 ((n a) mod b)/b on the circle.  CPython's int/int true division is correctly
 rounded, so t is the same double as float(n x) (resp. float({n x})).  A
-float x keeps n * x on the line; on the circle it is the rational
-x.as_integer_ratio().  For e^|t| at scale 1 and rational x every term is
+float x is walked as the rational x.as_integer_ratio(), which on the line
+gives the correctly rounded n * x.  On the line the walk stops before the
+first n with |n x| >= 2^1024 - 2^970, the least rational that float() rounds
+past the largest double, and raises there.  The float sums run in one loop:
+the quotient by the int n * n is the one by float(n * n) (exact for n <=
+2^20), and a zero log+ is not added, as adding +0.0 leaves a nonnegative
+total's bits unchanged.  For e^|t| at scale 1 and rational x every term is
 |n x|/n^2 = |x|/n, so S_N = |x| H_N, read from `rational.reciprocal_power_sums`
 with scale |x|: it keeps the running sum as a coprime pair of ints and
 reduces each step only by gcds against the term's small denominator, the
-reduction `Fraction.__add__` makes.  Classification
+reduction `Fraction.__add__` makes, and stops before the first sum that
+reaches the int-to-str limit.  S_N <= N |x|, so those sums are doubles
+wherever the orbit is.  Classification
 never extrapolates: "convergent" requires a polynomial-growth certificate
 log+ w(nx) <= a + d log n (then the series is capped by a pi^2/6 + d * sum
 log n / n^2), "divergent" requires a certified lower bound c n / rho(n) with
@@ -45,6 +52,8 @@ UNDECIDED = "inconclusive"
 # float upper bounds for the convergent caps
 _PI2_OVER_6 = float(PI_SQUARED_UPPER) / 6.0
 _LOG_SUM = float(LOG_SUM_OVER_SQUARES_UPPER)
+# the least positive rational that float() rounds past the largest double
+_BEYOND_DOUBLES = 2 ** 1024 - 2 ** 970
 
 
 def _log_plus(w: WeightFn, point) -> Union[Fraction, float]:
@@ -58,38 +67,41 @@ def _log_plus(w: WeightFn, point) -> Union[Fraction, float]:
 
 def _formula_partial(w: FormulaWeight, value, n_max: int) -> list:
     """domar_partial for a builtin weight at a number, per the module docstring."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"the orbit generator must be finite, not {value!r}")
+    a, b = value.as_integer_ratio()
+    circle = w.domain == "circle"
+    # the last n whose orbit point is a double, |n a| < _BEYOND_DOUBLES b (a
+    # circle point is reduced mod 1)
+    last = n_max if circle or a == 0 else min(n_max, (_BEYOND_DOUBLES * b - 1) // abs(a))
     if w.name == "exp-abs" and w.scale == 1.0 and not isinstance(value, float):
         # 0 is no limit, as on Pythons before 3.10.7, which lack the call
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        cap = 10 ** limit if limit else None
-        partials = []
-        for n, s in enumerate(reciprocal_power_sums(n_max, 1, abs(Fraction(value))), 1):
-            if cap is not None and max(s.numerator, s.denominator) >= cap:
-                raise ValueError(f"the exact partial sum S_{n} has more than {limit} digits, "
-                                 "the int-to-str limit")
-            partials.append(s)
-        return partials
-    # w.log_eval(t) for a float t, with the record and the shift looked up once
-    log, shift = BUILTINS[w.name].log, w.log_shift()
-    circle = w.domain == "circle"
-    ns = range(1, n_max + 1)
-    if isinstance(value, float) and not circle:
-        x = float(value)
-        points = (n * x for n in ns)
+        partials = list(reciprocal_power_sums(last, 1, Fraction(abs(a), b),
+                                              10 ** limit if limit else None))
+        if len(partials) < last:
+            raise ValueError(f"the exact partial sum S_{len(partials) + 1} has more than "
+                             f"{limit} digits, the int-to-str limit")
     else:
-        a, b = value.as_integer_ratio()
-        points = (((n * a) % b) / b for n in ns) if circle else (n * a / b for n in ns)
-    partials = []
-    total = 0.0
-    for n, t in enumerate(points, 1):
+        # w.log_eval(t) for a float t, with the record and the shift looked up once
+        log, shift = BUILTINS[w.name].log, w.log_shift()
+        partials = []
+        total = 0.0
         try:
-            term = log(shift, t, abs(t))
+            for n in range(1, last + 1):
+                t = ((n * a) % b) / b if circle else n * a / b
+                v = log(shift, t, abs(t))
+                if v > 0.0:  # adding log+ = 0.0 leaves the nonnegative total as it is
+                    total += v / (n * n)
+                partials.append(total)
         except (ZeroDivisionError, ValueError) as exc:
             # the circle weights are zero or infinite at 0, which the orbit can reach
             point = Fraction(n * a, b) % 1 if circle else n * value
             raise ValueError(f"log w is undefined at the orbit point {n}x = {point}") from exc
-        total += (term if term > 0.0 else 0.0) / float(n * n)
-        partials.append(total)
+    if last < n_max:
+        n = last + 1
+        raise ValueError(f"the orbit point {n}x = {Fraction(n * a, b)} lies beyond the "
+                         "largest double")
     return partials
 
 
@@ -99,11 +111,13 @@ def domar_partial(w: WeightFn, x, n_max: int) -> list:
 
     Exact rationals when the weight has an exact log on the orbit; otherwise
     high-precision floats evaluated in log space (no overflow).  Raises
-    ValueError when log w is undefined at an orbit point, and at the first
-    exact partial sum with a numerator or denominator of more digits than
-    the interpreter's int-to-str limit (sys.get_int_max_str_digits), which
-    could not be printed.  Raises ValueError unless n_max is an int (not a
-    bool) from 1 to 2^20.
+    ValueError when log w is undefined at an orbit point, when an orbit point
+    on the line lies beyond the doubles (or a float x is not finite), and at
+    the first exact partial sum with a numerator or denominator of more
+    digits than the interpreter's int-to-str limit
+    (sys.get_int_max_str_digits), which could not be printed; each at the
+    first n it meets.  Raises ValueError unless n_max is an int (not a bool)
+    from 1 to 2^20.
     """
     if isinstance(n_max, bool) or not isinstance(n_max, int) or not 1 <= n_max <= MAX_POINTS:
         raise ValueError(f"n_max must be an int between 1 and 2^20, not {n_max!r}")
@@ -146,15 +160,22 @@ def domar_classify(w: WeightFn, x) -> tuple[str, Certificate]:
                                        witness=None)
 
     if formula:
-        xs = abs(float(x))
         info = w.growth()
         if info.kind == "const":
             payload = _convergent_cert(info.log_const, 0.0, 1.0)
             return CONVERGENT, Certificate(prop="domar", verdict=HOLDS, payload=payload)
+        if info.kind not in ("poly", "exp", "exp-signed"):
+            payload = {"note": "no growth certificate for this formula"}
+            return UNDECIDED, Certificate(prop="domar", verdict=INCONCLUSIVE, payload=payload)
+        # the families left are line weights: read |x| as a double
+        try:
+            xs = abs(float(x))
+        except OverflowError:
+            raise ValueError(f"the orbit point 1x = {x} lies beyond the largest double") from None
         if info.kind == "poly":
             payload = _convergent_cert(info.log_const, info.degree, xs or 1.0)
             return CONVERGENT, Certificate(prop="domar", verdict=HOLDS, payload=payload)
-        if info.kind == "exp" or (info.kind == "exp-signed" and float(x) > 0):
+        if info.kind == "exp" or (info.kind == "exp-signed" and x > 0):
             rate = info.rate * (xs or 1.0)
             if info.log_damped:
                 payload = {"growth": "exponential/log-damped",
@@ -167,13 +188,11 @@ def domar_classify(w: WeightFn, x) -> tuple[str, Certificate]:
             witness = x if isinstance(x, float) else format_rational(x)
             return DIVERGENT, Certificate(prop="domar", verdict=FAILS, payload=payload,
                                           witness=witness)
-        if info.kind == "exp-signed":
-            # negative ray: log+ w(nx) <= log+(1+(nx)^2) + max(0, nx) = poly side
-            payload = _convergent_cert(info.log_const, info.degree, xs or 1.0)
-            payload["note"] = "nonpositive ray of a one-sided exponential"
-            return CONVERGENT, Certificate(prop="domar", verdict=HOLDS, payload=payload)
-        payload = {"note": "no growth certificate for this formula"}
-        return UNDECIDED, Certificate(prop="domar", verdict=INCONCLUSIVE, payload=payload)
+        # exp-signed on the nonpositive ray:
+        # log+ w(nx) <= log+(1+(nx)^2) + max(0, nx) = poly side
+        payload = _convergent_cert(info.log_const, info.degree, xs or 1.0)
+        payload["note"] = "nonpositive ray of a one-sided exponential"
+        return CONVERGENT, Certificate(prop="domar", verdict=HOLDS, payload=payload)
 
     if isinstance(w, AlgebraWeight):
         decay = w.base.decay_certificate(x)

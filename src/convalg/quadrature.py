@@ -18,27 +18,43 @@ of its nonnegative half, so x_i = -x_(n-1-i) and w_i = w_(n-1-i) hold
 exactly.  When edges E' are the negated, reversed edges E, panel P-1-k of E'
 has exactly the negated midpoint and the half-width of panel k of E, so its
 node i is exactly -t_(n-1-i).  If g(-s) == f(s) bit for bit, g on that panel
-has the products w_i f(t_i) in reverse order.  _beurling_panel evaluates a
-panel's products once and returns their sum forward and reversed, each times
-the half-width: the forward sum is panel_integral's value on that panel, and
-the reversed one is its value on the mirrored panel.  beurling_integral
-takes the right half from the forward sums of the [0, T] panels; the left
-half from their reversed sums, in reverse panel order, when the builtin is
-even and the edges mirror (|t| = t at every node), else from the forward
-sums of the [-T, 0] panels.  Each half is a _sum from 0.0 in
-composite_integral's order, so the value is its two calls' bit for bit.
-log+ v is taken as `v if v > 0.0 else 0.0`, max(0.0, v) (0.0 for -0.0 and
-NaN) with no call.
+has the products w_i f(t_i) in reverse order.  beurling_integral builds a
+cutoff's panels, as (mid, half) pairs, and whether its edges mirror once per
+cutoff (_beurling_edges).  When the builtin is even and the edges mirror,
+_beurling_panel evaluates each [0, T] panel's products once and returns
+their sum forward and reversed, each times the half-width: the forward sum
+is panel_integral's value on that panel, and the reversed one its value on
+the mirrored panel, so the left half is the reversed sums in reverse panel
+order.  Otherwise each panel of [0, T] and of [-T, 0] returns its forward
+sum alone, added as it is built, and no products are kept.  Each half is a
+_sum from 0.0 in composite_integral's order, so the value is its two calls'
+bit for bit.  log+ v is taken as `v if v > 0.0 else 0.0`, max(0.0, v) (0.0
+for -0.0 and NaN) with no call.
+
+Sign split: every panel lies in [0, T] or in [-T, 0], and log reads |t|
+with no abs call: as t where mid > 0 and in the mirrored sums (which take
+[0, T] panels only), else as 0.0 - t.  Both are abs(t) bit for bit.  With
+mid = 0.5 (a + b) and half = 0.5 (b - a) for edges 0 <= a < b, rounding is
+monotone, so mid >= half, and |half x_i| <= half as |x_i| < 1; so t = mid +
+half x_i >= 0, and a zero t is +0.0 (an exact cancellation, or 0.0 + -0.0,
+rounds to +0.0).  For edges a < b <= 0, |mid| >= half in the same way and t
+<= 0; 0.0 - t is -t for t < 0 and +0.0 for either zero, so it also serves a
+[0, T] panel with mid = 0, whose nodes are all +0.0.  At the cutoffs in use
+half is a normal double, so |half x_i| < half and every node is nonzero
+with its panel's sign, which the tests check node by node.
 
 The panel sums are memoized per process, keyed on the builtin's log
-callable, the log shift, the midpoint and the half-width; the cutoff is read
-as a float, so every key but the callable is a float.  The key is the
+callable, the log shift, the midpoint, the half-width and whether the
+reversed sum is asked for; the cutoff is read as a float, so the midpoint
+and the half-width are floats.  The key is the
 callable, not the builtin's name: a replaced BUILTINS record brings a new
 callable and never reads the sums of the one it replaced.  Cutoffs on one
 grid share panels: 50, 100, 200 and 400 all have step 1/2, so each one's
 panels are among those of 400.  The memo keeps the PANEL_MEMO most recently
-used entries, two floats each, which holds one builtin's chain: the signed
-builtin's two sides at cutoffs 25 to 400 take 2 * (64 + 800).  A hit returns
+used entries, one or two floats each, which holds one builtin's chain: the
+signed builtin's two sides at cutoffs 25 to 400 take 2 * (64 + 800).  The
+panel lists of the EDGE_MEMO most recent cutoffs are kept too, so the
+builtins at one cutoff build them once.  A hit returns
 the floats the miss computed from the same key, so no bit depends on what
 the memo held or in which order the cutoffs came.
 
@@ -72,6 +88,7 @@ CIRCLE_GRID = 128     # the circle ratio grid k/128, 0 < k < 128
 LINE_CUTOFF = 150.0   # line_conv_quadrature integrates over [-150, 150]
 LINE_PANELS = 150     # in panels of width 2
 PANEL_MEMO = 2048     # the memoized Beurling panels (see Mirrored panels)
+EDGE_MEMO = 16        # the memoized panel lists of the Beurling cutoffs
 
 # The nonnegative half of leggauss(32) as node, weight pairs, nodes ascending.
 _GL_HALF = [float.fromhex(v) for v in """
@@ -86,6 +103,7 @@ _GL_HALF = [float.fromhex(v) for v in """
 """.split()]
 GL_NODES = tuple(-x for x in reversed(_GL_HALF[::2])) + tuple(_GL_HALF[::2])
 GL_WEIGHTS = tuple(reversed(_GL_HALF[1::2])) + tuple(_GL_HALF[1::2])
+_GL_PAIRS = tuple(zip(GL_NODES, GL_WEIGHTS))
 
 
 class QuadratureSpec(Record):
@@ -309,20 +327,43 @@ def beurling_panels(cutoff: float) -> int:
 
 
 @functools.lru_cache(maxsize=PANEL_MEMO)
-def _beurling_panel(log: Callable, shift: float, mid: float, half: float) -> tuple[float, float]:
-    """half * the sum of w_i log+ w(t_i)/(1+t_i^2) at t_i = mid + half x_i,
-    left to right and right to left (see Mirrored panels)."""
-    products = []
-    for x, g in zip(GL_NODES, GL_WEIGHTS):
-        t = mid + half * x
-        v = log(shift, t, abs(t))
-        products.append(g * ((v if v > 0.0 else 0.0) / (1.0 + t * t)))
-    return half * _sum(products), half * _sum(reversed(products))
+def _beurling_panel(log: Callable, shift: float, mid: float, half: float, mirror: bool):
+    """half * the sum of w_i log+ w(t_i)/(1+t_i^2) at t_i = mid + half x_i, left
+    to right, on a panel of [0, T] or [-T, 0]; with mirror (a [0, T] panel
+    only) the pair of it and the sum right to left (see Mirrored panels)."""
+    total = 0.0
+    if mirror:
+        products = []
+        for x, g in _GL_PAIRS:
+            t = mid + half * x
+            v = log(shift, t, t)
+            p = g * ((v if v > 0.0 else 0.0) / (1.0 + t * t))
+            total += p
+            products.append(p)
+        return half * total, half * _sum(reversed(products))
+    if mid > 0.0:
+        for x, g in _GL_PAIRS:
+            t = mid + half * x
+            v = log(shift, t, t)
+            total += g * ((v if v > 0.0 else 0.0) / (1.0 + t * t))
+    else:
+        for x, g in _GL_PAIRS:
+            t = mid + half * x
+            v = log(shift, t, 0.0 - t)
+            total += g * ((v if v > 0.0 else 0.0) / (1.0 + t * t))
+    return half * total
 
 
-def _panel_sums(log: Callable, shift: float, edges: list[float]) -> list[tuple[float, float]]:
-    return [_beurling_panel(log, shift, 0.5 * (a + b), 0.5 * (b - a))
-            for a, b in zip(edges, edges[1:])]
+@functools.lru_cache(maxsize=EDGE_MEMO)
+def _beurling_edges(cutoff: float, panels: int) -> tuple[tuple, tuple, bool]:
+    """The (mid, half) pairs of the panels of [0, T] and of [-T, 0], and
+    whether the edges mirror (see Mirrored panels)."""
+    def halves(edges: list[float]) -> tuple:
+        return tuple((0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(edges, edges[1:]))
+
+    edges = _linspace(0.0, cutoff, panels + 1)
+    left_edges = _linspace(-cutoff, 0.0, panels + 1)
+    return halves(edges), halves(left_edges), left_edges == [-e for e in reversed(edges)]
 
 
 def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
@@ -342,14 +383,14 @@ def beurling_integral(w: FormulaWeight, cutoff: float = 50.0,
     builtin = BUILTINS[w.name]
     log, shift = builtin.log, w.log_shift()
 
-    edges = _linspace(0.0, cutoff, panels + 1)
-    right = _panel_sums(log, shift, edges)
-    left_edges = _linspace(-cutoff, 0.0, panels + 1)
-    if builtin.even and left_edges == [-e for e in reversed(edges)]:
-        left = [backward for _, backward in reversed(right)]
+    right_panels, left_panels, mirrored = _beurling_edges(cutoff, panels)
+    if builtin.even and mirrored:
+        right = [_beurling_panel(log, shift, mid, half, True) for mid, half in right_panels]
+        value = _sum(forward for forward, _ in right) \
+            + _sum(backward for _, backward in reversed(right))
     else:
-        left = [forward for forward, _ in _panel_sums(log, shift, left_edges)]
-    value = _sum(forward for forward, _ in right) + _sum(left)
+        value = _sum(_beurling_panel(log, shift, mid, half, False) for mid, half in right_panels) \
+            + _sum(_beurling_panel(log, shift, mid, half, False) for mid, half in left_panels)
     enclosure = Interval(value - spec.tol, value + spec.tol)
 
     info = w.growth()

@@ -94,8 +94,11 @@ def coprime_fraction(num: int, den: int) -> Fraction:
     return f
 
 
-def reciprocal_power_sums(limit: int, p: int = 1, scale: Fraction | int = 1) -> Iterator[Fraction]:
-    """scale * sum_{k<=n} 1/k^p in lowest terms for n = 1..limit, one at a time.
+def reciprocal_power_sums(limit: int, p: int = 1, scale: Fraction | int = 1,
+                          bound: int | None = None) -> Iterator[Fraction]:
+    """scale * sum_{k<=n} 1/k^p in lowest terms for n = 1..limit, one at a time,
+    stopping before the first sum whose numerator or denominator reaches the
+    bound in absolute value.
 
     The running sum num/den is a coprime pair of ints.  The term scale/k^p is
     n/d in lowest terms, and it is added by the rule of `Fraction.__add__`
@@ -119,6 +122,8 @@ def reciprocal_power_sums(limit: int, p: int = 1, scale: Fraction | int = 1) -> 
             t = num * (d // g) + n * s
             g2 = math.gcd(t, g)
             num, den = (t, s * d) if g2 == 1 else (t // g2, s * (d // g2))
+        if bound is not None and (den >= bound or abs(num) >= bound):
+            return
         yield coprime_fraction(num, den)
 
 

@@ -8,10 +8,12 @@ Two independent pieces live here:
   closed-form cap for all m beyond the scanned range.  The partial sums are
   closed forms in the exact sums H_p[k] = sum_{i<=k} 1/i^p: for n not in {0, m},
       1/(n^2 (m-n)^2) = (1/n^2 + 1/(m-n)^2)/m^2 + 2 (1/n + 1/(m-n))/m^3,
-  so one table of H_1, H_2, H_4 serves every scanned m.  The tables come
-  from `rational.reciprocal_power_sums`, which keeps each running sum as a
-  coprime pair of ints and reduces a step only by gcds against the term's
-  small denominator k^p;
+  so one table of H_1, H_2, H_4 serves every scanned m.  The tables are
+  integers over one common denominator: with L = lcm(1..K) for the largest
+  index K, N_p[k] = sum_{i<=k} L^p/i^p is an int and H_p[k] = N_p[k]/L^p.
+  Each scanned m then takes one integer numerator over m^4 L^2 and one
+  `Fraction`, in place of a dozen `Fraction` operations on numbers of
+  hundreds of digits, and the enclosure is the same exact rational;
 
 * the rapidly growing integer sequence q_1=2, q_n = least multiple of
   q_{n-1} exceeding 2 q_{n-1} exp(q_{n-1}^2), whose reciprocal sum alpha has
@@ -21,7 +23,9 @@ Two independent pieces live here:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .certificates import Certificate, HOLDS, Record
 from .intervals import Interval
@@ -32,8 +36,6 @@ from .rational import (
     exp_lower_pow2,
     floor_times_exp,
     format_rational,
-    reciprocal_power_sums,
-    sigma,
 )
 
 
@@ -54,32 +56,41 @@ def _ln_upper(x: Fraction) -> Fraction:
 # Subconvolutivity constant of sigma
 # --------------------------------------------------------------------------
 
-def _harmonic_sums(limit: int) -> tuple[list[Fraction], ...]:
-    """The tables H_p[k] = sum_{1 <= i <= k} 1/i^p for k = 0..limit and p = 1, 2, 4,
-    from `reciprocal_power_sums`."""
-    return tuple([Fraction(0), *reciprocal_power_sums(limit, p)] for p in (1, 2, 4))
+def _harmonic_tables(limit: int) -> tuple[int, list[int], list[int], list[int]]:
+    """L = lcm(1..limit) and the integer tables N_p[k] = sum_{i<=k} L^p/i^p for
+    k = 0..limit and p = 1, 2, 4, so that H_p[k] = N_p[k]/L^p."""
+    lcm = math.lcm(*range(1, limit + 1))
+    tables = [lcm]
+    for p in (1, 2, 4):
+        power = lcm ** p
+        tables.append(list(accumulate((power // i ** p for i in range(1, limit + 1)), initial=0)))
+    return tuple(tables)
 
 
-def _conv_ratio(m: int, trunc: int, sums: tuple[list[Fraction], ...]) -> Interval:
-    """sigma_conv_ratio from prefix sums reaching trunc + m, for 0 <= m and trunc >= 2m + 2.
+def _conv_ratio(m: int, trunc: int, tables: tuple[int, list[int], list[int], list[int]]) -> Interval:
+    """sigma_conv_ratio from tables reaching trunc + m, for 0 <= m and trunc >= 2m + 2.
 
     n = 0 and n = m give 2/m^2, the other n split as in the module docstring;
     the 1/n terms cancel except at n = m, and m - trunc < 0, so with T = trunc
         partial(m) = 2/m^2 + (2 H_2[T] + H_2[T-m] + H_2[T+m] - 2/m^2)/m^2
                      + 2 (H_1[T+m] - H_1[T-m] - 2/m)/m^3,
         partial(0) = 1 + 2 H_4[T].
+    Over the denominator m^4 L^2 the first is one integer numerator,
+        (2 L^2 + 2 N_2[T] + N_2[T-m] + N_2[T+m]) m^2
+        + 2 m L (N_1[T+m] - N_1[T-m]) - 6 L^2,
+    and 1/sigma(m) = m^2 cancels two factors m.
     """
-    h1, h2, h4 = sums
+    lcm, n1, n2, n4 = tables
     if m == 0:
-        partial = 1 + 2 * h4[trunc]
+        scale = lcm ** 4
+        lo = Fraction(scale + 2 * n4[trunc], scale)
     else:
-        inv_sq = Fraction(1, m * m)
-        partial = (2 * inv_sq
-                   + (2 * h2[trunc] + h2[trunc - m] + h2[trunc + m] - 2 * inv_sq) * inv_sq
-                   + 2 * (h1[trunc + m] - h1[trunc - m] - Fraction(2, m)) / m ** 3)
-    tail = Fraction(5, 3 * trunc ** 3)
-    inv = Fraction(1) / sigma(m)
-    return Interval(partial * inv, (partial + tail) * inv)
+        sq = lcm * lcm
+        num = ((2 * sq + 2 * n2[trunc] + n2[trunc - m] + n2[trunc + m]) * m * m
+               + 2 * m * lcm * (n1[trunc + m] - n1[trunc - m]) - 6 * sq)
+        lo = Fraction(num, m * m * sq)
+    # the tail 5/(3 T^3) times 1/sigma(m)
+    return Interval(lo, lo + Fraction(5 * max(1, m * m), 3 * trunc ** 3))
 
 
 def sigma_conv_ratio(m: int, trunc: int = 200) -> Interval:
@@ -94,7 +105,7 @@ def sigma_conv_ratio(m: int, trunc: int = 200) -> Interval:
     m = abs(m)
     if trunc < max(100, 2 * m + 2):
         raise ValueError("trunc must be >= max(100, 2|m|+2)")
-    return _conv_ratio(m, trunc, _harmonic_sums(trunc + m))
+    return _conv_ratio(m, trunc, _harmonic_tables(trunc + m))
 
 
 def _unscanned_cap(scan_limit: int) -> Fraction:
@@ -122,11 +133,11 @@ def sigma_subconvolutive_constant(trunc: int = 200) -> Interval:
     if trunc < 100:
         raise ValueError("trunc must be >= 100")
     scan_limit = min(60, trunc // 2 - 1)
-    sums = _harmonic_sums(trunc + scan_limit)
+    tables = _harmonic_tables(trunc + scan_limit)
     lo = Fraction(0)
     hi = Fraction(0)
     for m in range(scan_limit + 1):
-        r = _conv_ratio(m, trunc, sums)
+        r = _conv_ratio(m, trunc, tables)
         lo = max(lo, r.lo)
         hi = max(hi, r.hi)
     return Interval(lo, max(hi, _unscanned_cap(scan_limit)))

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -869,7 +871,7 @@ class AlgebraWeight(WeightFn):
         value = float(u)
         if value == 0.0 and isinstance(u, Fraction) and u > 0:
             # deep shells underflow float(u); take the root in log space instead
-            return math.exp(exponent * (math.log(u.numerator) - math.log(u.denominator)))
+            return math.exp(exponent * _log(u))
         return value ** exponent
 
     def shell_key(self, x):
@@ -882,10 +884,13 @@ class AlgebraWeight(WeightFn):
 
         With m = max u and q = a/b in lowest terms, a double v is at most
         scale m^(-b/a) exactly when v^a m^b <= scale^a, a comparison of
-        rationals.  The float root is stepped with math.nextafter to the
-        largest v that passes it.  Where those powers would pass 2^17 bits (a
-        long numerator a), the bound is scale min(1, 1/m), the same test at
-        a = b = 1, which is below scale m^(-b/a) as 0 < b/a < 1.
+        rationals.  The root is estimated in log space, as raw_eval takes it
+        (float(m) can underflow or overflow), capped at the largest double, and
+        the largest double v that passes the comparison is searched from it
+        over the ordered doubles (_largest_double_where).  Where those powers
+        would pass 2^17 bits (a long numerator a), the bound is scale
+        min(1, 1/m), the same test at a = b = 1, which is below scale
+        m^(-b/a) as 0 < b/a < 1.
         """
         m = self.base.max_value()
         if m is None:
@@ -895,16 +900,58 @@ class AlgebraWeight(WeightFn):
         if a * (64 + _bits(scale)) + b * _bits(m) > 1 << 17:
             a, b, m = 1, 1, max(m, Fraction(1))
         lhs_factor, rhs = m ** b, scale ** a
+        log_v = _log(scale) - b / a * _log(m)
+        guess = math.exp(log_v) if log_v < _LOG_MAX else sys.float_info.max
+        return _largest_double_where(lambda v: Fraction(v) ** a * lhs_factor <= rhs, guess)
 
-        def fits(v: float) -> bool:
-            return Fraction(v) ** a * lhs_factor <= rhs
 
-        v = float(m) ** (-b / a) * float(scale)
-        while not fits(v):
-            v = math.nextafter(v, 0.0)
-        while fits(up := math.nextafter(v, math.inf)):
-            v = up
-        return v
+def _log(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+# the doubles >= 0 in order: their bits read as an int64 increase with the value
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _order(v: float) -> int:
+    return _INT64.unpack(_DOUBLE.pack(v))[0]
+
+
+def _double(order: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(order))[0]
+
+
+_MAX_ORDER = _order(sys.float_info.max)
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _largest_double_where(fits, guess: float) -> float:
+    """The largest double v in [0, max] with fits(v), for a test fits that
+    holds at 0.0 and is monotone (true up to some v, false above it).
+
+    From the guess's place among the ordered doubles, steps of 1, 2, 4, ...
+    doubles bracket the answer, and bisection closes the bracket: at most
+    about 128 tests, however far off the guess is.
+    """
+    lo, hi = 0, _MAX_ORDER + 1  # fits(_double(lo)); hi is the order of inf, not tested
+    i, step = _order(guess), 1
+    if fits(_double(i)):
+        lo = i
+        while lo + step < hi and fits(_double(lo + step)):
+            lo, step = lo + step, 2 * step
+        hi = min(hi, lo + step)
+    else:
+        hi = i
+        while hi - step > lo and not fits(_double(hi - step)):
+            hi, step = hi - step, 2 * step
+        lo = max(lo, hi - step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(_double(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _double(lo)
 
 
 def _bits(x: Fraction) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -596,3 +597,54 @@ def test_interrupt_is_not_an_internal_error(monkeypatch):
     monkeypatch.setattr(cli, "cmd_countex", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["countex"])
+
+
+BEYOND_DOUBLES = [(name, "1" + "0" * 400, 1)
+                  for name in ("poly2", "poly2-exp", "exp-abs", "poly2-exp-signed")] \
+    + [(name, "3" + "0" * 308 + "/2", 2) for name in ("poly2", "exp-abs", "poly2-exp-log")]
+
+
+@pytest.mark.parametrize("name, x, n", BEYOND_DOUBLES,
+                         ids=[f"{name}-{n}x" for name, _, n in BEYOND_DOUBLES])
+def test_domar_orbit_beyond_the_doubles_exit_2(capsys, name, x, n):
+    code, out, err = run(capsys, "domar", "--weight", f"builtin:{name}", f"--x={x}")
+    assert code == 2
+    assert err.startswith(f"error: the orbit point {n}x = ")
+    assert err.rstrip().endswith("lies beyond the largest double")
+    assert out == ""
+
+
+def test_domar_circle_generator_beyond_the_doubles_is_read_mod_one(capsys):
+    code, out, err = run(capsys, "domar", "--weight", "builtin:circle-quarter",
+                         "--x", f"{10 ** 400 + 1}/2", "--N", "1")
+    assert code == 0 and err == ""
+    _, half, _ = run(capsys, "domar", "--weight", "builtin:circle-quarter", "--x", "1/2",
+                     "--N", "1")
+    assert out == half
+
+
+@pytest.mark.parametrize("exponent, p", [(320, "3/2"), (400, "2")])
+def test_verify_algebra_weight_of_a_tiny_base_ends(tmp_path, exponent, p):
+    # max u = 10^-exponent / 4 is not a normal double; the bound is searched from a
+    # log-space root, in a subprocess with a timeout, so a search that never
+    # ends fails the test
+    w = ca.algebra_weight(ca.pruefer_weight(2).rescaled(F(1, 10 ** exponent)), F(p))
+    wfile, out = tmp_path / "w.json", tmp_path / "v.json"
+    wfile.write_text(ca.canonical_dumps(ca.weight_to_provenance(w)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "convalg.cli", "verify", str(wfile),
+                             "--suite", "d", "--out", str(out), "--no-timestamp"],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode in (0, 3), result.stderr
+    cert, = json.loads(out.read_text())["certificates"]
+    v = cert["payload"]["global_lower_bound"]
+    a, b = w.q.as_integer_ratio()
+    m, scale = F(w.base.max_value()), F(w.scale)
+    assert float(m) < sys.float_info.min  # subnormal or zero
+
+    def below_root(v):
+        return F(v) ** a * m ** b <= scale ** a
+
+    assert below_root(v)
+    assert not below_root(math.nextafter(v, math.inf))

@@ -253,6 +253,44 @@ def test_beurling_memo_is_order_independent(name, scale):
             assert sorted(got.items()) == expected, (order, cold)
 
 
+def abs_kernel(log, shift: float, mid: float, half: float) -> tuple[float, float]:
+    """The panel kernel before the sign split: log read at abs(t) at every
+    node, the products summed forward and reversed."""
+    products = []
+    for x, g in zip(GL_NODES, GL_WEIGHTS):
+        t = mid + half * x
+        v = log(shift, t, abs(t))
+        products.append(g * ((v if v > 0.0 else 0.0) / (1.0 + t * t)))
+    total = 0.0
+    for p in products:
+        total += p
+    back = 0.0
+    for p in reversed(products):
+        back += p
+    return half * total, half * back
+
+
+@pytest.mark.parametrize("cutoff", [25.0, 33.3, 1000 / 3, 400.0])
+@pytest.mark.parametrize("name", LINE_BUILTINS)
+def test_sign_split_panel_kernel_matches_the_abs_kernel(name, cutoff):
+    record, panels = BUILTINS[name], beurling_panels(cutoff)
+    _beurling_panel.cache_clear()
+    for scale in (F(1), F(1, 2)):
+        shift = ca.builtin_weight(name).rescaled(scale).log_shift()
+        for lo, hi, sign in ((0.0, cutoff, 1.0), (-cutoff, 0.0, -1.0)):
+            edges = np.linspace(lo, hi, panels + 1).tolist()
+            for a, b in zip(edges, edges[1:]):
+                mid, half = 0.5 * (a + b), 0.5 * (b - a)
+                # every node has the panel's sign, so |t| is t or -t
+                assert all(sign * (mid + half * x) > 0.0 for x in GL_NODES), (a, b)
+                forward, backward = abs_kernel(record.log, shift, mid, half)
+                got = _beurling_panel(record.log, shift, mid, half, False)
+                assert got.hex() == forward.hex(), (a, b)
+                if sign > 0:
+                    got = _beurling_panel(record.log, shift, mid, half, True)
+                    assert (got[0].hex(), got[1].hex()) == (forward.hex(), backward.hex())
+
+
 @pytest.mark.parametrize("cutoff", [True, False, 10 ** 400, -(10 ** 400), F(10 ** 400, 3),
                                     "50", None, 1j])
 def test_beurling_panels_refuses_with_value_error(cutoff):

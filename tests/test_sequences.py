@@ -9,6 +9,7 @@ import pytest
 
 import convalg as ca
 from convalg import rational as R
+from convalg import sequences as S
 
 
 def test_parse_format_rational():
@@ -87,6 +88,15 @@ def test_reciprocal_power_sums_edge_arguments():
         assert math.gcd(s.numerator, s.denominator) == 1 and s.denominator > 0
 
 
+@pytest.mark.parametrize("scale", [F(7, 3), F(-7, 3), F(1, 1501)])
+def test_reciprocal_power_sums_stop_before_the_bound(scale):
+    sums = brute_reciprocal_power_sums(400, 1, scale)
+    for bound in (10 ** 20, 10 ** 60, 10 ** 640):
+        first = next((n for n, s in enumerate(sums) if max(abs(s.numerator), s.denominator) >= bound),
+                     len(sums))
+        assert list(R.reciprocal_power_sums(400, 1, scale, bound)) == sums[:first]
+
+
 COPRIME_PAIRS = [(0, 1), (1, 1), (-1, 1), (5, 1), (3, 4), (-3, 4), (22, 7), (-7, 3),
                  (1, 10 ** 40), (3 ** 300 + 2, 2 ** 500), (-(2 ** 521 - 1), 3 ** 200)]
 OTHERS = [F(0), F(1), F(-7, 3), F(2 ** 500, 3 ** 7), 2, -1, 0]
@@ -162,6 +172,39 @@ def test_sigma_ratio_closed_form_equals_enumeration(trunc, ms):
         assert ca.sigma_conv_ratio(m, trunc) == ca.Interval(partial / R.sigma(m),
                                                             (partial + tail) / R.sigma(m))
         assert ca.sigma_conv_ratio(-m, trunc) == ca.sigma_conv_ratio(m, trunc)
+
+
+def fraction_conv_ratio(m, trunc, h1, h2, h4):
+    """The closed form of the sigma ratio on Fraction tables H_p[k], as the
+    scan took it before the integer tables."""
+    if m == 0:
+        partial = 1 + 2 * h4[trunc]
+    else:
+        inv_sq = F(1, m * m)
+        partial = (2 * inv_sq
+                   + (2 * h2[trunc] + h2[trunc - m] + h2[trunc + m] - 2 * inv_sq) * inv_sq
+                   + 2 * (h1[trunc + m] - h1[trunc - m] - F(2, m)) / m ** 3)
+    tail = F(5, 3 * trunc ** 3)
+    inv = 1 / R.sigma(m)
+    return ca.Interval(partial * inv, (partial + tail) * inv)
+
+
+@pytest.mark.parametrize("trunc", [200, 300])
+def test_sigma_scan_on_integer_tables_equals_the_fraction_formula(trunc):
+    limit = trunc + 60
+    h1, h2, h4 = ([F(0), *accumulate(F(1, k ** p) for k in range(1, limit + 1))]
+                  for p in (1, 2, 4))
+    tables = S._harmonic_tables(limit)
+    lcm = tables[0]
+    for table, h, p in zip(tables[1:], (h1, h2, h4), (1, 2, 4)):
+        assert [F(n, lcm ** p) for n in table] == h
+    lo = hi = F(0)
+    for m in range(61):
+        expected = fraction_conv_ratio(m, trunc, h1, h2, h4)
+        assert S._conv_ratio(m, trunc, tables) == expected, m
+        assert ca.sigma_conv_ratio(m, trunc) == expected, m
+        lo, hi = max(lo, expected.lo), max(hi, expected.hi)
+    assert ca.sigma_subconvolutive_constant(trunc) == ca.Interval(lo, max(hi, S._unscanned_cap(60)))
 
 
 # the exact enclosure computed by term-by-term enumeration; its lower end is

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -368,3 +369,19 @@ def test_algebra_global_lower_bound_with_a_long_exponent_numerator(base):
     coarse = min(F(1), 1 / m)
     v = w.global_lower_bound()
     assert F(v) <= coarse < F(math.nextafter(v, math.inf))
+
+
+@pytest.mark.parametrize("root", [F(0), F(1, 10 ** 330), F(2828427, 10 ** 6), F(10 ** 300, 7),
+                                  F(2 ** 1024)])
+def test_largest_double_where_finds_it_from_any_guess(root):
+    # the largest double v <= root, or the largest double when root is beyond them
+    def fits(v):
+        return F(v) <= root
+
+    expected = float(min(root, F(sys.float_info.max)))
+    if F(expected) > root:
+        expected = math.nextafter(expected, 0.0)
+    for guess in (0.0, 5e-324, 1e-300, 1.0, 2.8, 1e300, sys.float_info.max, expected,
+                  math.nextafter(expected, 0.0), math.nextafter(expected, math.inf)):
+        if guess <= sys.float_info.max:
+            assert W._largest_double_where(fits, guess) == expected, guess
